@@ -17,6 +17,7 @@ from .permgroup import (
     GroupHom,
     PermGroup,
     Subgroup,
+    close_map,
     group_from_elements,
     small_generating_set,
 )
@@ -49,29 +50,6 @@ class MarkedPair:
         )
         if span.order != self.group.order:
             raise DomainError("marked subgroup and element do not generate the group")
-
-
-def _close_map(A: PermGroup, B: PermGroup, pairs):
-    """Extend generator images to a full map, or return None on conflict."""
-    m = {A.identity: B.identity}
-    frontier = [A.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            mx = m[x]
-            for g, h in pairs:
-                y = x * g
-                my = mx * h
-                known = m.get(y)
-                if known is None:
-                    m[y] = my
-                    nxt.append(y)
-                elif known != my:
-                    return None
-        frontier = nxt
-    if len(m) != A.order or len(set(m.values())) != B.order:
-        return None
-    return m
 
 
 def _invariant(group: PermGroup, x: Permutation):
@@ -107,8 +85,8 @@ def _search_maps(A, B, sequence, restrictions, first_only):
 
     def recurse(i, chosen):
         if i == len(sequence):
-            m = _close_map(A, B, list(zip(sequence, chosen)))
-            if m is not None:
+            m = close_map(A, B, list(zip(sequence, chosen)))
+            if m is not None and len(m) == A.order and len(set(m.values())) == B.order:
                 found.append(m)
                 return first_only
             return False
@@ -209,9 +187,6 @@ class ElementAction:
     def perm_from_map(self, m) -> Permutation:
         return Permutation(self.index[m[x]] for x in self.labels)
 
-    def map_from_perm(self, perm: Permutation) -> dict:
-        return {x: self.labels[perm.images[i]] for i, x in enumerate(self.labels)}
-
     def apply(self, perm: Permutation, x: Permutation) -> Permutation:
         return self.labels[perm.images[self.index[x]]]
 
@@ -222,19 +197,6 @@ def action_from_maps(G: PermGroup, maps) -> ElementAction:
     perms = sorted(Permutation(index[m[x]] for x in labels) for m in maps)
     group = group_from_elements(len(labels), perms)
     return ElementAction(group=group, labels=labels, index=index)
-
-
-def automorphism_group(G: PermGroup) -> ElementAction:
-    """The full automorphism group acting on the element labels of G."""
-    if G.order > max_order():
-        raise SizeBoundError(
-            f"automorphism search refused for order {G.order} > {max_order()}"
-        )
-    if G.order == 1:
-        return action_from_maps(G, [{G.identity: G.identity}])
-    sequence = list(small_generating_set(G.degree, G.elements()))
-    maps = _search_maps(G, G, sequence, [None] * len(sequence), first_only=False)
-    return action_from_maps(G, maps)
 
 
 def inner_automorphism_subgroup(G: PermGroup, action: ElementAction) -> Subgroup:

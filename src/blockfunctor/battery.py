@@ -152,15 +152,13 @@ def run_selftest():
     for name, builder, p in FROBENIUS_FIXTURES:
         def cross(builder=builder, p=p, name=name):
             G = builder()
-            D, E = frobenius_structure(G, p)
-            F = build_fusion(G, D, E, p)
+            F = build_fusion(G, p)
             cross_check_formulas(tables[name], mult_table_fusion(F, registry, name))
         check(f"cross-formula equality: {name}", cross)
 
         def psi(builder=builder, p=p, name=name):
             G = builder()
-            D, E = frobenius_structure(G, p)
-            F = build_fusion(G, D, E, p)
+            F = build_fusion(G, p)
             for cls in registry.classes:
                 if cls.subgroup_order == 1 or not registry.members_for(G, cls):
                     continue

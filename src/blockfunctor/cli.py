@@ -28,6 +28,7 @@ from .multiplicity import (
     mult_table_fusion,
     mult_table_pairs,
 )
+from .permgroup import p_part
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,13 +89,11 @@ def _group_doc(loaded):
 
 def _invariants_doc(loaded):
     k, l, diff = invariants_kl(loaded.group, loaded.p)
-    from .multiplicity import defect_order
-
     return {
         "k": k,
         "l": l,
         "k_minus_l": diff,
-        "defect_order": defect_order(loaded.group, loaded.p),
+        "defect_order": p_part(loaded.group.order, loaded.p),
     }
 
 
@@ -156,14 +155,6 @@ def cmd_chartab(args) -> int:
     return 0
 
 
-def _single_block(loaded) -> bool:
-    try:
-        frobenius_structure(loaded.group, loaded.p)
-        return True
-    except DomainError:
-        return False
-
-
 def _table_classes_doc(table):
     registry = table.registry
     classes = []
@@ -193,14 +184,24 @@ def _table_classes_doc(table):
 def cmd_mult(args) -> int:
     loaded = _load(args.file)
     registry = PairClassRegistry()
-    single_block = _single_block(loaded)
     cross_check = None
+    # the D : E hypotheses decide the single-block note; the fusion route
+    # reports their failure only after the pair route has run
+    refusal = None
+    try:
+        if args.formula == "pairs":
+            frobenius_structure(loaded.group, loaded.p)
+        else:
+            fusion = build_fusion(loaded.group, loaded.p)
+    except DomainError as exc:
+        refusal = exc
+    single_block = refusal is None
 
     if args.formula in ("pairs", "both"):
         table = mult_table_pairs(loaded.group, loaded.p, registry, loaded.name)
     if args.formula in ("fusion", "both"):
-        D, E = frobenius_structure(loaded.group, loaded.p)
-        fusion = build_fusion(loaded.group, D, E, loaded.p)
+        if refusal is not None:
+            raise refusal
         if args.formula == "both":
             fusion_table = mult_table_fusion(fusion, registry, loaded.name)
             cross_check_formulas(table, fusion_table)
@@ -272,8 +273,7 @@ def cmd_compare(args) -> int:
 
 def cmd_verify_psi(args) -> int:
     loaded = _load(args.file)
-    D, E = frobenius_structure(loaded.group, loaded.p)
-    fusion = build_fusion(loaded.group, D, E, loaded.p)
+    fusion = build_fusion(loaded.group, loaded.p)
     registry = PairClassRegistry()
     registry.classify_group(loaded.group, loaded.p)
     rows = []

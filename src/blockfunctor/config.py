@@ -6,6 +6,8 @@ orders are capped.  The cap can be raised through the environment.
 
 import os
 
+from .errors import UsageError
+
 DEFAULT_MAX_ORDER = 512
 ENV_MAX_ORDER = "BLOCKFUNCTOR_MAX_ORDER"
 
@@ -20,8 +22,8 @@ def max_order() -> int:
         return DEFAULT_MAX_ORDER
     try:
         value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{ENV_MAX_ORDER} must be an integer, got {raw!r}") from exc
+    except ValueError:
+        raise UsageError(f"{ENV_MAX_ORDER} must be an integer, got {raw!r}") from None
     if value < 1:
-        raise ValueError(f"{ENV_MAX_ORDER} must be positive, got {value}")
+        raise UsageError(f"{ENV_MAX_ORDER} must be positive, got {value}")
     return value

@@ -30,6 +30,7 @@ from .permgroup import (
     Subgroup,
     is_p_prime_element,
     normalizer,
+    orbit,
     p_subgroup_classes,
     quotient_group,
 )
@@ -71,20 +72,10 @@ def pair_orbit_reps(G: PermGroup, p: int):
         for s in eligible:  # ascending, so the first of each class is minimal
             if s in seen:
                 continue
-            orbit = {s}
-            frontier = [s]
-            while frontier:
-                nxt = []
-                for y in frontier:
-                    for g in N.generators:
-                        z = conjugate(g, y)
-                        if z not in orbit:
-                            orbit.add(z)
-                            nxt.append(z)
-                frontier = nxt
-            if not orbit <= eligible_set:
+            conj_class = orbit(s, lambda y: [conjugate(g, y) for g in N.generators])
+            if not conj_class <= eligible_set:
                 raise InternalCheckError("conjugation left the p'-elements")
-            seen |= orbit
+            seen |= conj_class
             class_reps.append(s)
         class_reps.sort(key=lambda s: (s.order(), s.images))
         reps.extend(NormalizerPair(G, p, P, s) for s in class_reps)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .autos import _search_maps
 from .ddelta import (
     NormalizerPair,
     PairClass,
@@ -25,18 +26,12 @@ from .permgroup import (
     _closure,
     is_p_prime_element,
     normalizer,
+    orbit,
     p_subgroup_classes,
+    small_generating_set,
     sylow_subgroup,
 )
 from .permutation import Permutation, conjugate
-
-
-def _p_part(n: int, p: int) -> int:
-    out = 1
-    while n % p == 0:
-        out *= p
-        n //= p
-    return out
 
 
 def find_complement(G: PermGroup, D: Subgroup) -> Subgroup:
@@ -153,21 +148,10 @@ class FusionData:
     objects: tuple
 
 
-def build_fusion(G: PermGroup, D: Subgroup, E: Subgroup, p: int) -> FusionData:
-    """Fusion data for G = D . E with D normal abelian Sylow and E free."""
+def build_fusion(G: PermGroup, p: int) -> FusionData:
+    """Fusion data for G = D . E, with D and E from frobenius_structure."""
+    D, E = frobenius_structure(G, p)
     dset = D.element_set()
-    for g in G.generators:
-        for x in D.generators:
-            if conjugate(g, x) not in dset:
-                raise DomainError("kernel subgroup is not normal")
-    if not D.group.is_abelian():
-        raise DomainError("kernel subgroup is not abelian")
-    if D.order != _p_part(G.order, p):
-        raise DomainError("kernel subgroup is not a Sylow p-subgroup")
-    if D.order * E.order != G.order:
-        raise DomainError("complement order does not match the index")
-    _check_free_action(D, E)
-
     objects = []
     for P in p_subgroup_classes(G, p):
         if not P.element_set() <= dset:
@@ -210,12 +194,8 @@ class TripleOrbit:
 
 def _iso_tuples(cls: PairClass, obj: FusionObject, l_elements):
     """All isomorphisms L -> P as image tuples over the L element list."""
-    from .autos import _search_maps  # complete enumeration engine
-
     L_group = cls.realization.subgroup.group
     P_group = obj.subgroup.group
-    from .permgroup import small_generating_set
-
     sequence = list(small_generating_set(L_group.degree, L_group.elements()))
     maps = _search_maps(L_group, P_group, sequence, [None] * len(sequence),
                         first_only=False)
@@ -281,33 +261,12 @@ def triple_orbits(F: FusionData, cls: PairClass):
         total = 0
         while remaining:
             start = min(remaining)
-            orbit = {start}
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for t in frontier:
-                    for moved in left_moves(t) + right_moves(t):
-                        if moved not in orbit:
-                            if moved not in admissible:
-                                raise InternalCheckError(
-                                    "orbit action left the admissible set"
-                                )
-                            orbit.add(moved)
-                            nxt.append(moved)
-                frontier = nxt
-            remaining -= orbit
-            total += len(orbit)
-
-            left_orbit = {start}
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for t in frontier:
-                    for moved in left_moves(t):
-                        if moved not in left_orbit:
-                            left_orbit.add(moved)
-                            nxt.append(moved)
-                frontier = nxt
+            double = orbit(start, lambda t: left_moves(t) + right_moves(t))
+            if not double <= admissible:
+                raise InternalCheckError("orbit action left the admissible set")
+            remaining -= double
+            total += len(double)
+            left_orbit = orbit(start, left_moves)
 
             stabilizer_elements = []
             for out_elt, aut_elt in sorted(cls.out_section().items()):
@@ -331,7 +290,7 @@ def triple_orbits(F: FusionData, cls: PairClass):
                     rep=start,
                     pi=pi,
                     stabilizer=stabilizer,
-                    orbit_size=len(orbit),
+                    orbit_size=len(double),
                 )
             )
         if total != len(admissible):

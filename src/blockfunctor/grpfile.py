@@ -28,36 +28,19 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, GroupFileError
-from .permgroup import FrobeniusGroup, PermGroup, frobenius_group, group_from_generators, is_prime
+from .permgroup import PermGroup, frobenius_group, group_from_generators, is_prime
 from .permutation import Permutation
 
 
 @dataclass(frozen=True)
 class GroupSpecFile:
-    """Parsed group description with normalized generator strings."""
+    """Parsed group description."""
 
     name: Optional[str]
     degree: Optional[int]
     prime: Optional[int]
-    generator_strings: tuple
     generators: tuple
     frobenius: Optional[tuple]  # (p, rank, entries row-major)
-
-    def to_text(self) -> str:
-        lines = []
-        if self.name is not None:
-            lines.append(f"name {self.name}")
-        if self.frobenius is not None:
-            p, rank, entries = self.frobenius
-            lines.insert(0, "frobenius")
-            lines.append(f"p {p}")
-            lines.append(f"rank {rank}")
-            lines.append("matrix " + " ".join(str(v) for v in entries))
-        else:
-            lines.append(f"degree {self.degree}")
-            lines.append(f"prime {self.prime}")
-            lines.extend(f"gen {s}" for s in self.generator_strings)
-        return "\n".join(lines) + "\n"
 
 
 def _parse_int(value: str, line_no: int, key: str) -> int:
@@ -127,7 +110,6 @@ def parse_group_file(text: str) -> GroupSpecFile:
     name = None
     degree = None
     prime = None
-    gen_strings = []
     generators = []
     frobenius_form = False
     frob = {}
@@ -145,7 +127,7 @@ def parse_group_file(text: str) -> GroupSpecFile:
                 raise GroupFileError("frobenius takes no value", line=line_no)
             if frobenius_form:
                 raise GroupFileError("duplicate key frobenius", line=line_no)
-            if degree is not None or prime is not None or gen_strings:
+            if degree is not None or prime is not None or generators:
                 raise GroupFileError(
                     "frobenius form cannot be mixed with generator form", line=line_no
                 )
@@ -196,7 +178,6 @@ def parse_group_file(text: str) -> GroupSpecFile:
             cycles = _parse_cycles(payload, line_no, raw, degree)
             perm = Permutation.from_cycles(degree, cycles)
             generators.append(perm)
-            gen_strings.append(perm.cycle_string())
         elif key == "p":
             if "p" in seen_keys:
                 raise GroupFileError("duplicate key p", line=line_no)
@@ -233,7 +214,6 @@ def parse_group_file(text: str) -> GroupSpecFile:
             name=name,
             degree=None,
             prime=frob["p"],
-            generator_strings=(),
             generators=(),
             frobenius=(frob["p"], rank, frob["matrix"]),
         )
@@ -248,7 +228,6 @@ def parse_group_file(text: str) -> GroupSpecFile:
         name=name,
         degree=degree,
         prime=prime,
-        generator_strings=tuple(gen_strings),
         generators=tuple(generators),
         frobenius=None,
     )
@@ -256,12 +235,11 @@ def parse_group_file(text: str) -> GroupSpecFile:
 
 @dataclass(frozen=True)
 class LoadedGroup:
-    """A constructed group with its prime and optional affine structure."""
+    """A constructed group with its prime."""
 
     name: str
     group: PermGroup
     p: int
-    frobenius: Optional[FrobeniusGroup]
 
 
 def load_group(spec: GroupSpecFile) -> LoadedGroup:
@@ -270,9 +248,9 @@ def load_group(spec: GroupSpecFile) -> LoadedGroup:
     if spec.frobenius is not None:
         p, rank, entries = spec.frobenius
         matrix = [entries[i * rank:(i + 1) * rank] for i in range(rank)]
-        frob = frobenius_group(p, rank, matrix)
-        return LoadedGroup(name=name, group=frob.group, p=p, frobenius=frob)
+        group = frobenius_group(p, rank, matrix).group
+        return LoadedGroup(name=name, group=group, p=p)
     if not is_prime(spec.prime):
         raise DomainError(f"prime key must be prime, got {spec.prime}")
     group = group_from_generators(spec.degree, spec.generators)
-    return LoadedGroup(name=name, group=group, p=spec.prime, frobenius=None)
+    return LoadedGroup(name=name, group=group, p=spec.prime)

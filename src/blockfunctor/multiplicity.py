@@ -22,6 +22,7 @@ from .permgroup import (
     Subgroup,
     direct_product,
     is_prime,
+    p_part,
     sylow_subgroup,
 )
 from .autos import find_group_isomorphism
@@ -35,16 +36,6 @@ def invariants_kl(G: PermGroup, p: int):
     k = len(classes)
     l = sum(1 for c in classes if c.rep.order() % p != 0)
     return k, l, k - l
-
-
-def defect_order(G: PermGroup, p: int) -> int:
-    """Order of a Sylow p-subgroup."""
-    out = 1
-    n = G.order
-    while n % p == 0:
-        out *= p
-        n //= p
-    return out
 
 
 @dataclass
@@ -98,7 +89,7 @@ def mult_table_pairs(
         p=p,
         k=k,
         l=l,
-        defect_order=defect_order(G, p),
+        defect_order=p_part(G.order, p),
         rows=rows,
         registry=registry,
         sylow=sylow_subgroup(G, p),
@@ -144,7 +135,7 @@ def mult_table_fusion(
         p=F.p,
         k=k,
         l=l,
-        defect_order=defect_order(G, F.p),
+        defect_order=p_part(G.order, F.p),
         rows=rows,
         registry=registry,
         sylow=sylow_subgroup(G, F.p),

@@ -53,6 +53,27 @@ def _closure(degree, gens, cap):
     return out
 
 
+def orbit(seed, step) -> set:
+    """Everything reachable from seed, where step(x) lists the moves of x."""
+    reached = {seed}
+    todo = [seed]
+    while todo:
+        for y in step(todo.pop()):
+            if y not in reached:
+                reached.add(y)
+                todo.append(y)
+    return reached
+
+
+def p_part(n: int, p: int) -> int:
+    """The largest power of p dividing n."""
+    out = 1
+    while n % p == 0:
+        out *= p
+        n //= p
+    return out
+
+
 @dataclass(frozen=True)
 class ConjClass:
     rep: Permutation
@@ -86,12 +107,8 @@ class PermGroup:
         if self.order != len(self._elements):
             raise InternalCheckError("stabilizer chain order disagrees with closure")
         self.base = tuple(point for point, _ in self._chain)
-        self.strong_generators = tuple(
-            sorted({u for _, t in self._chain for u in t.values() if not u.is_identity()})
-        )
         self._classes = None
         self._class_index = None
-        self._center = None
         self._p_subgroup_cache = {}
 
     def _build_chain(self):
@@ -141,23 +158,12 @@ class PermGroup:
     def element_set(self) -> frozenset:
         return self._element_set
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def is_abelian(self) -> bool:
         gens = self.generators
         return all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1:])
 
     def exponent(self) -> int:
         return math.lcm(*(c.rep.order() for c in self.conjugacy_data()))
-
-    def center_elements(self) -> tuple:
-        if self._center is None:
-            gens = self.generators
-            self._center = tuple(
-                x for x in self._elements if all(x * g == g * x for g in gens)
-            )
-        return self._center
 
     # -- conjugacy classes -------------------------------------------------
 
@@ -166,22 +172,13 @@ class PermGroup:
         if self._classes is None:
             classes = []
             seen = set()
+            gens = self.generators
             for x in self._elements:
                 if x in seen:
                     continue
-                orbit = {x}
-                frontier = [x]
-                while frontier:
-                    nxt = []
-                    for y in frontier:
-                        for g in self.generators:
-                            z = conjugate(g, y)
-                            if z not in orbit:
-                                orbit.add(z)
-                                nxt.append(z)
-                    frontier = nxt
-                classes.append(ConjClass(rep=x, elements=tuple(sorted(orbit))))
-                seen |= orbit
+                members = orbit(x, lambda y: [conjugate(g, y) for g in gens])
+                classes.append(ConjClass(rep=x, elements=tuple(sorted(members))))
+                seen |= members
             self._classes = tuple(classes)
             self._class_index = {
                 elt: i for i, cls in enumerate(classes) for elt in cls.elements
@@ -245,10 +242,6 @@ class Subgroup:
     def contains(self, perm) -> bool:
         return self.group.contains(perm)
 
-    def key(self) -> tuple:
-        """Canonical sort key: (order, sorted element images)."""
-        return (self.order, tuple(x.images for x in self.elements()))
-
     def __repr__(self):
         return f"Subgroup(order={self.order} of degree-{self.parent.degree} group)"
 
@@ -285,11 +278,6 @@ def group_from_elements(degree: int, elements) -> PermGroup:
     return group
 
 
-def conjugacy_classes(G: PermGroup):
-    """Class representatives with class sizes, canonically ordered."""
-    return [(cls.rep, cls.size) for cls in G.conjugacy_data()]
-
-
 def centralizer(G: PermGroup, s: Permutation) -> Subgroup:
     """The centralizer C_G(s)."""
     if not G.contains(s):
@@ -318,61 +306,22 @@ def normalizer(G: PermGroup, P: Subgroup) -> Subgroup:
     return G.subgroup_from_elements(members)
 
 
-def p_part_decomposition(g: Permutation, p: int):
-    """Split g = g_p * g_p' into commuting p-part and p'-part.
-
-    With n = order(g), n_p its p-part and a, b the unique nonnegative
-    integers below n_p' and n_p with a*n_p + b*n_p' = 1 (mod n), the parts
-    are g_p = g^(b*n_p') and g_p' = g^(a*n_p).
-    """
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    n = g.order()
-    n_p = 1
-    while n % (n_p * p) == 0:
-        n_p *= p
-    n_pp = n // n_p
-    if n_p == 1:
-        return Permutation.identity(g.degree), g
-    if n_pp == 1:
-        return g, Permutation.identity(g.degree)
-    a = pow(n_p, -1, n_pp)
-    b = pow(n_pp, -1, n_p)
-    return g ** (b * n_pp), g ** (a * n_p)
-
-
 def is_p_element(g: Permutation, p: int) -> bool:
     n = g.order()
-    while n % p == 0:
-        n //= p
-    return n == 1
+    return p_part(n, p) == n
 
 
 def is_p_prime_element(g: Permutation, p: int) -> bool:
     return g.order() % p != 0
 
 
-def _subgroup_conjugates(G, element_set):
-    """Orbit of a subgroup (as a frozenset) under conjugation by G."""
-    orbit = {element_set}
-    frontier = [element_set]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for g in G.generators:
-                t = frozenset(conjugate(g, x) for x in s)
-                if t not in orbit:
-                    orbit.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return orbit
-
-
 def _canonical_conjugate(G, element_set):
     """Lexicographically minimal G-conjugate of a subgroup element set."""
-    orbit = _subgroup_conjugates(G, element_set)
-    best = min(orbit, key=lambda s: tuple(sorted(x.images for x in s)))
-    return frozenset(best)
+    conjugates = orbit(
+        element_set,
+        lambda s: [frozenset(conjugate(g, x) for x in s) for g in G.generators],
+    )
+    return min(conjugates, key=_set_key)
 
 
 def _set_key(element_set):
@@ -381,22 +330,14 @@ def _set_key(element_set):
 
 def _all_subgroups_of(degree, elements):
     """Every subgroup of the group given by its element list."""
-    ident = Permutation.identity(degree)
-    trivial = frozenset([ident])
-    found = {trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for x in elements:
-                if x in s:
-                    continue
-                t = frozenset(_closure(degree, list(s) + [x], len(elements) + 1))
-                if t not in found:
-                    found.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return found
+    return orbit(
+        frozenset([Permutation.identity(degree)]),
+        lambda s: [
+            frozenset(_closure(degree, list(s) + [x], len(elements) + 1))
+            for x in elements
+            if x not in s
+        ],
+    )
 
 
 def p_subgroup_classes(G: PermGroup, p: int):
@@ -411,12 +352,7 @@ def p_subgroup_classes(G: PermGroup, p: int):
     if p in G._p_subgroup_cache:
         return G._p_subgroup_cache[p]
 
-    sylow_order = 1
-    n = G.order
-    while n % p == 0:
-        sylow_order *= p
-        n //= p
-
+    sylow_order = p_part(G.order, p)
     p_elements = [x for x in G.elements() if is_p_element(x, p)]
     canonical = set()
     if len(p_elements) == sylow_order and sylow_order > 1:
@@ -457,6 +393,28 @@ def sylow_subgroup(G: PermGroup, p: int) -> Subgroup:
     return p_subgroup_classes(G, p)[-1]
 
 
+def close_map(A: PermGroup, B: PermGroup, pairs):
+    """Extend (generator, image) pairs to a map on <generators>, or None
+    when two products of the generators get different images."""
+    m = {A.identity: B.identity}
+    frontier = [A.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            mx = m[x]
+            for g, h in pairs:
+                y = x * g
+                my = mx * h
+                known = m.get(y)
+                if known is None:
+                    m[y] = my
+                    nxt.append(y)
+                elif known != my:
+                    return None
+        frontier = nxt
+    return m
+
+
 class GroupHom:
     """A homomorphism given by generator images, verified exhaustively.
 
@@ -473,24 +431,11 @@ class GroupHom:
 
     def mapping(self) -> dict:
         if self._map is None:
-            m = {self.source.identity: self.target.identity}
-            frontier = [self.source.identity]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    mx = m[x]
-                    for g, h in self.pairs:
-                        y = x * g
-                        my = mx * h
-                        known = m.get(y)
-                        if known is None:
-                            m[y] = my
-                            nxt.append(y)
-                        elif known != my:
-                            raise InternalCheckError(
-                                "generator images do not define a homomorphism"
-                            )
-                frontier = nxt
+            m = close_map(self.source, self.target, self.pairs)
+            if m is None:
+                raise InternalCheckError(
+                    "generator images do not define a homomorphism"
+                )
             if len(m) != self.source.order:
                 raise InternalCheckError(
                     "generator images do not cover the source group"
@@ -504,17 +449,9 @@ class GroupHom:
         except KeyError:
             raise DomainError("element is not in the source group") from None
 
-    def image_elements(self) -> tuple:
-        return tuple(sorted(set(self.mapping().values())))
-
     def is_bijective(self) -> bool:
         m = self.mapping()
         return len(set(m.values())) == len(m) == self.target.order
-
-    def inverse_mapping(self) -> dict:
-        if not self.is_bijective():
-            raise DomainError("homomorphism is not bijective")
-        return {v: k for k, v in self.mapping().items()}
 
 
 def quotient_group(G: PermGroup, N: Subgroup):

@@ -49,6 +49,11 @@ def closure(degree, gens):
     return seen
 
 
+def center(elements):
+    """The elements commuting with every element."""
+    return [z for z in elements if all(compose(z, x) == compose(x, z) for x in elements)]
+
+
 def perm_order(a):
     n = 1
     x = a

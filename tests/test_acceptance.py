@@ -48,11 +48,6 @@ def criterion(number, description):
     print(f"criterion {number} PASS: {description}")
 
 
-def _fusion_for(G, p):
-    D, E = frobenius_structure(G, p)
-    return build_fusion(G, D, E, p)
-
-
 def test_criterion_1_l_row_identity():
     with criterion(1, "m(trivial class, trivial character) = p-regular class "
                       "count for every fixture, under 60 s"):
@@ -73,7 +68,7 @@ def test_criterion_2_cross_formula_equality():
         for name, builder, p in FROBENIUS_FIXTURES:
             G = builder()
             pairs_table = mult_table_pairs(G, p, registry, name)
-            fusion_table = mult_table_fusion(_fusion_for(G, p), registry, name)
+            fusion_table = mult_table_fusion(build_fusion(G, p), registry, name)
             cross_check_formulas(pairs_table, fusion_table)
 
 
@@ -86,7 +81,7 @@ def test_criterion_3_orbit_bijection_and_stabilizers():
         for name, builder, p in FROBENIUS_FIXTURES:
             G = builder()
             registry.classify_group(G, p)
-            F = _fusion_for(G, p)
+            F = build_fusion(G, p)
             for cls in registry.classes:
                 if cls.subgroup_order == 1 or not registry.members_for(G, cls):
                     continue

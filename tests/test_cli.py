@@ -121,6 +121,16 @@ def test_env_var_bounds_group_order():
     assert b"bound" in result.stderr
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_env_var_rejects_a_bad_bound(value):
+    result = run_cli(
+        ["invariants", data("s3.grp")], env_extra={"BLOCKFUNCTOR_MAX_ORDER": value}
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith(b"usage error: BLOCKFUNCTOR_MAX_ORDER must be ")
+    assert b"Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize("extra", [[], ["--json"]])
 def test_reports_are_byte_deterministic(extra):
     args = ["mult", data("g72.grp"), "--formula", "both", *extra]

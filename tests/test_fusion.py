@@ -25,8 +25,7 @@ def perm(degree, text):
 
 def fusion_for(builder, p):
     G = builder()
-    D, E = frobenius_structure(G, p)
-    return G, build_fusion(G, D, E, p)
+    return G, build_fusion(G, p)
 
 
 def test_frobenius_structure_shapes():
@@ -75,13 +74,10 @@ def test_build_fusion_objects():
 
 
 def test_build_fusion_rejects_bad_input():
-    G = s4()
-    from blockfunctor.permgroup import sylow_subgroup
-
-    D = sylow_subgroup(G, 2)
-    E = G.subgroup([perm(4, "(1,2,3)")])
-    with pytest.raises(DomainError):
-        build_fusion(G, D, E, 2)
+    with pytest.raises(DomainError, match="not normal"):
+        build_fusion(s4(), 2)
+    with pytest.raises(DomainError, match="trivial"):
+        build_fusion(s3(), 5)
 
 
 def _classes_with_members(registry, G):
@@ -235,7 +231,8 @@ def test_non_cyclic_complement_is_found_and_verified():
     D, E = frobenius_structure(G, 3)
     assert D.order == 9 and E.order == 8
     assert all(x.order() < 8 for x in E.elements())  # quaternion, not cyclic
-    F = build_fusion(G, D, E, 3)
+    F = build_fusion(G, 3)
+    assert (F.kernel.order, F.complement.order) == (9, 8)
     registry = PairClassRegistry()
     pairs_table = mult_table_pairs(G, 3, registry, "Q8frob")
     cross_check_formulas(pairs_table, mult_table_fusion(F, registry, "Q8frob"))

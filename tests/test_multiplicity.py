@@ -17,7 +17,7 @@ from blockfunctor.battery import (
 )
 from blockfunctor.ddelta import PairClassRegistry
 from blockfunctor.errors import DomainError
-from blockfunctor.fusion import build_fusion, frobenius_structure
+from blockfunctor.fusion import build_fusion
 from blockfunctor.multiplicity import (
     compare,
     cross_check_formulas,
@@ -67,8 +67,7 @@ def test_cross_formula_equality(builder, p):
     G = builder()
     registry = PairClassRegistry()
     pairs_table = mult_table_pairs(G, p, registry, "G")
-    D, E = frobenius_structure(G, p)
-    fusion_table = mult_table_fusion(build_fusion(G, D, E, p), registry, "G")
+    fusion_table = mult_table_fusion(build_fusion(G, p), registry, "G")
     cross_check_formulas(pairs_table, fusion_table)
     assert not fusion_table.includes_trivial
     for (cid, _irr) in fusion_table.rows:

@@ -7,12 +7,11 @@ from blockfunctor.battery import a4, c3, f20, f21, g72, s3, s4
 from blockfunctor.errors import DomainError, InternalCheckError, SizeBoundError
 from blockfunctor.permgroup import (
     centralizer,
-    conjugacy_classes,
     direct_product,
     frobenius_group,
     group_from_generators,
     normalizer,
-    p_part_decomposition,
+    p_part,
     p_subgroup_classes,
     quotient_group,
     sylow_subgroup,
@@ -49,8 +48,9 @@ def test_strong_generator_structure():
         G = builder()
         for g in G.generators:
             assert G.contains(g)
-        for g in G.strong_generators:
-            assert G.contains(g)
+        for point, transversal in G._chain:
+            for image, u in transversal.items():
+                assert G.contains(u) and u.images[point] == image
         assert len(G.base) == len(G._chain)
 
 
@@ -68,8 +68,8 @@ def test_trivial_group():
 
 
 def test_conjugacy_classes_examples():
-    assert sorted(size for _, size in conjugacy_classes(s3())) == [1, 2, 3]
-    assert sorted(size for _, size in conjugacy_classes(a4())) == [1, 3, 4, 4]
+    assert sorted(c.size for c in s3().conjugacy_data()) == [1, 2, 3]
+    assert sorted(c.size for c in a4().conjugacy_data()) == [1, 3, 4, 4]
 
 
 def test_conjugacy_classes_partition_and_separation():
@@ -107,38 +107,9 @@ def test_centralizer_examples():
         centralizer(a4(), perm(4, "(1,2)"))
 
 
-def test_p_part_decomposition_examples():
-    g6 = perm(6, "(1,2)(3,4,5)")  # order 6
-    g_p, g_pp = p_part_decomposition(g6, 3)
-    assert g_p == g6 ** 4 and g_pp == g6 ** 3
-
-    g5 = perm(5, "(1,2,3,4,5)")
-    assert p_part_decomposition(g5, 5) == (g5, Permutation.identity(5))
-
-    g12 = perm(7, "(1,2,3,4)(5,6,7)")  # order 12
-    g_p, g_pp = p_part_decomposition(g12, 2)
-    assert g_p == g12 ** 9 and g_p.order() == 4
-    assert g_pp == g12 ** 4 and g_pp.order() == 3
-
-    with pytest.raises(DomainError):
-        p_part_decomposition(g6, 4)
-
-
-def test_p_part_decomposition_invariants_on_all_fixture_elements():
-    for builder in SMALL_FIXTURES:
-        G = builder()
-        for p in (2, 3, 5, 7):
-            for g in G.elements():
-                g_p, g_pp = p_part_decomposition(g, p)
-                assert g_p * g_pp == g
-                assert g_pp * g_p == g
-                n = g.order()
-                n_p = 1
-                while n % p == 0:
-                    n_p *= p
-                    n //= p
-                assert g_p.order() == n_p
-                assert g_pp.order() == g.order() // n_p
+def test_p_part_examples():
+    assert p_part(72, 3) == 9 and p_part(72, 2) == 8 and p_part(56, 2) == 8
+    assert p_part(21, 5) == 1 and p_part(1, 3) == 1
 
 
 def test_p_subgroup_classes_examples():
