@@ -1,9 +1,13 @@
 """Automorphism groups and isomorphism search by generator-image backtracking.
 
-Candidate images are pruned by element order and conjugacy class size;
-each complete candidate tuple is verified by exhaustive closure of the
-partial map, so accepted maps are genuine isomorphisms.  Searches are
-complete and deterministic.
+Candidate images are pruned by element order and conjugacy class size.
+The search then prunes by prefix: once g1..gi have images, the map is
+closed on <g1..gi> (resuming from the closure on <g1..g(i-1)>) and a
+conflict drops the whole subtree; a generator that already lies in the
+prefix group has its image fixed, so only that one candidate is tried.
+Pruning is exact, so the maps are found in the same depth-first order
+as by closing every full candidate tuple.  Accepted maps are verified
+bijections on the whole group.  Searches are complete and deterministic.
 """
 
 from __future__ import annotations
@@ -72,8 +76,9 @@ def _candidate_lists(A, B, sequence, restrictions):
     return lists
 
 
-def _search_maps(A, B, sequence, restrictions, first_only):
-    """All (or the first) isomorphisms A -> B respecting the restrictions."""
+def _search_maps(A, B, sequence, restrictions, limit=None):
+    """The isomorphisms A -> B respecting the restrictions, in depth-first
+    order of the candidate images; the search stops after ``limit`` maps."""
     if A.order != B.order:
         return []
     if A.order == 1:
@@ -81,21 +86,32 @@ def _search_maps(A, B, sequence, restrictions, first_only):
     lists = _candidate_lists(A, B, sequence, restrictions)
     if lists is None:
         return []
+    allowed = [set(pool) for pool in lists]
     found = []
+    pairs = []
 
-    def recurse(i, chosen):
+    def recurse(i, m):
         if i == len(sequence):
-            m = close_map(A, B, list(zip(sequence, chosen)))
-            if m is not None and len(m) == A.order and len(set(m.values())) == B.order:
+            if len(m) == A.order and len(set(m.values())) == B.order:
                 found.append(m)
-                return first_only
-            return False
+            return len(found) == limit
+        g = sequence[i]
+        fixed = m.get(g)
+        if fixed is not None:
+            return fixed in allowed[i] and recurse(i + 1, m)
         for cand in lists[i]:
-            if recurse(i + 1, chosen + [cand]):
+            pairs.append((g, cand))
+            closed = close_map(A, B, pairs, start=m)
+            stop = closed is not None and recurse(i + 1, closed)
+            pairs.pop()
+            if stop:
                 return True
         return False
 
-    recurse(0, [])
+    recurse(0, {A.identity: B.identity})
+    # recurse refers to itself through its closure; unbinding it frees the
+    # search state now instead of at the next full garbage collection
+    del recurse
     return found
 
 
@@ -108,7 +124,7 @@ def find_group_isomorphism(A: PermGroup, B: PermGroup):
     if A.order != B.order or _profile(A) != _profile(B):
         return None
     sequence = list(small_generating_set(A.degree, A.elements()))
-    maps = _search_maps(A, B, sequence, [None] * len(sequence), first_only=True)
+    maps = _search_maps(A, B, sequence, [None] * len(sequence), limit=1)
     if not maps:
         return None
     m = maps[0]
@@ -140,7 +156,7 @@ def find_pair_isomorphism(a: MarkedPair, b: MarkedPair):
         restrictions.append(set(t_class.elements))
     qset = b.subgroup.element_set()
     restrictions.extend([qset] * len(a.subgroup.generators))
-    maps = _search_maps(a.group, b.group, sequence, restrictions, first_only=True)
+    maps = _search_maps(a.group, b.group, sequence, restrictions, limit=1)
     if not maps:
         return None
     m = maps[0]
@@ -152,12 +168,15 @@ def pair_automorphism_maps(mp: MarkedPair):
     """All automorphisms of the marked group sending s to a conjugate of s.
 
     Returned as full element maps.  Preservation of the marked subgroup is
-    asserted afterwards rather than imposed during the search.
+    asserted afterwards rather than imposed during the search.  The search
+    stops with SizeBoundError as soon as it has found more maps than the
+    configured bound, since no group of that order can be built from them.
     """
     G = mp.group
-    if G.order > max_order():
+    bound = max_order()
+    if G.order > bound:
         raise SizeBoundError(
-            f"automorphism search refused for order {G.order} > {max_order()}"
+            f"automorphism search refused for order {G.order} > {bound}"
         )
     sequence = _pair_sequence(mp)
     restrictions = []
@@ -165,7 +184,13 @@ def pair_automorphism_maps(mp: MarkedPair):
         s_class = G.conjugacy_data()[G.class_index_of(mp.element)]
         restrictions.append(set(s_class.elements))
     restrictions.extend([None] * len(mp.subgroup.generators))
-    maps = _search_maps(G, G, sequence, restrictions, first_only=False)
+    maps = _search_maps(G, G, sequence, restrictions, limit=bound + 1)
+    if len(maps) > bound:
+        raise SizeBoundError(
+            f"Aut(L, u) of the pair class (|L|={mp.subgroup.order}, "
+            f"ord u={mp.element.order()}) has more than {bound} elements, "
+            f"over the configured bound {bound}"
+        )
     pset = mp.subgroup.element_set()
     for m in maps:
         for x in mp.subgroup.generators:

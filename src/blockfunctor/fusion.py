@@ -197,8 +197,7 @@ def _iso_tuples(cls: PairClass, obj: FusionObject, l_elements):
     L_group = cls.realization.subgroup.group
     P_group = obj.subgroup.group
     sequence = list(small_generating_set(L_group.degree, L_group.elements()))
-    maps = _search_maps(L_group, P_group, sequence, [None] * len(sequence),
-                        first_only=False)
+    maps = _search_maps(L_group, P_group, sequence, [None] * len(sequence))
     return [tuple(m[x] for x in l_elements) for m in maps]
 
 

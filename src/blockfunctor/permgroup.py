@@ -393,16 +393,27 @@ def sylow_subgroup(G: PermGroup, p: int) -> Subgroup:
     return p_subgroup_classes(G, p)[-1]
 
 
-def close_map(A: PermGroup, B: PermGroup, pairs):
+def close_map(A: PermGroup, B: PermGroup, pairs, start=None):
     """Extend (generator, image) pairs to a map on <generators>, or None
-    when two products of the generators get different images."""
-    m = {A.identity: B.identity}
-    frontier = [A.identity]
+    when two products of the generators get different images.
+
+    ``start``, when given, is the map already closed on the group that
+    every pair but the last generates; the closure resumes from it, so
+    only the last pair is applied to its elements.
+    """
+    if start is None:
+        m = {A.identity: B.identity}
+        frontier = [A.identity]
+        moves = pairs
+    else:
+        m = dict(start)
+        frontier = list(start)
+        moves = pairs[-1:]
     while frontier:
         nxt = []
         for x in frontier:
             mx = m[x]
-            for g, h in pairs:
+            for g, h in moves:
                 y = x * g
                 my = mx * h
                 known = m.get(y)
@@ -412,6 +423,7 @@ def close_map(A: PermGroup, B: PermGroup, pairs):
                 elif known != my:
                     return None
         frontier = nxt
+        moves = pairs
     return m
 
 

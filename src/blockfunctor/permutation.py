@@ -3,11 +3,18 @@
 Points are 0-based internally; all text I/O is 1-based.  The product
 ``a * b`` applies ``a`` first and then ``b``, and conjugation is fixed as
 ``conjugate(g, x) == g * x * g.inverse()`` throughout the package.
+
+Validation happens at the boundary only: ``Permutation(images)``,
+``from_cycles`` and ``parse`` check that the images are a permutation.
+Products, inverses, powers and the identity are permutations by
+construction and skip the check through ``_trusted``.
 """
 
 from __future__ import annotations
 
 from math import lcm
+
+_new = object.__new__
 
 
 class Permutation:
@@ -23,7 +30,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls(range(degree))
+        return _trusted(tuple(range(degree)))
 
     @classmethod
     def from_cycles(cls, degree: int, cycles) -> "Permutation":
@@ -63,13 +70,14 @@ class Permutation:
         return len(self.images)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        return Permutation(other.images[i] for i in self.images)
+        images = other.images
+        return _trusted(tuple([images[i] for i in self.images]))
 
     def inverse(self) -> "Permutation":
         images = [0] * len(self.images)
         for i, j in enumerate(self.images):
             images[j] = i
-        return Permutation(images)
+        return _trusted(tuple(images))
 
     def __pow__(self, n: int) -> "Permutation":
         if n < 0:
@@ -126,6 +134,13 @@ class Permutation:
 
     def __repr__(self):
         return f"Permutation[{self.degree}]{self.cycle_string()}"
+
+
+def _trusted(images: tuple) -> Permutation:
+    """A Permutation on images already known to be a permutation tuple."""
+    perm = _new(Permutation)
+    perm.images = images
+    return perm
 
 
 def conjugate(g: Permutation, x: Permutation) -> Permutation:

@@ -49,6 +49,50 @@ def closure(degree, gens):
     return seen
 
 
+def close_hom(identity_a, identity_b, pairs):
+    """The map on <generators> defined by (generator, image) pairs, or
+    None when two words for one element get different images."""
+    m = {identity_a: identity_b}
+    frontier = [identity_a]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g, h in pairs:
+                y = compose(x, g)
+                image = compose(m[x], h)
+                if y not in m:
+                    m[y] = image
+                    nxt.append(y)
+                elif m[y] != image:
+                    return None
+        frontier = nxt
+    return m
+
+
+def leaf_only_search(identity_a, identity_b, order_a, order_b, sequence,
+                     candidates, limit=None):
+    """Generator-image search that closes only complete candidate tuples.
+
+    Tuples are tried in lexicographic order of the candidate lists; each
+    is closed from the identity and kept when it is a bijection of the
+    whole group.  Stops after ``limit`` maps.
+    """
+    if order_a != order_b:
+        return []
+    if order_a == 1:
+        return [{identity_a: identity_b}]
+    if candidates is None:
+        return []
+    found = []
+    for images in itertools.product(*candidates):
+        m = close_hom(identity_a, identity_b, list(zip(sequence, images)))
+        if m is not None and len(m) == order_a and len(set(m.values())) == order_b:
+            found.append(m)
+            if len(found) == limit:
+                break
+    return found
+
+
 def center(elements):
     """The elements commuting with every element."""
     return [z for z in elements if all(compose(z, x) == compose(x, z) for x in elements)]

@@ -131,6 +131,25 @@ def test_env_var_rejects_a_bad_bound(value):
     assert b"Traceback" not in result.stderr
 
 
+def test_c5_squared_by_c3_cross_checks_under_a_raised_bound(capsys, monkeypatch):
+    # Aut(L, u) of the class (25, 3) has order 600, over the default bound
+    monkeypatch.setenv("BLOCKFUNCTOR_MAX_ORDER", "2000")
+    assert main(["mult", data("f75.grp"), "--formula", "both"]) == 0
+    out = capsys.readouterr().out
+    assert "# cross-check\tfusion route matches on all rows with |L| > 1" in out
+
+
+@pytest.mark.parametrize("name", ["f80.grp", "f240.grp"])
+def test_aut_over_the_bound_is_refused_by_name(name, capsys, monkeypatch):
+    # Aut(C2^4) = GL(4, 2) has order 20160
+    monkeypatch.delenv("BLOCKFUNCTOR_MAX_ORDER", raising=False)
+    assert main(["mult", data(name), "--formula", "both"]) == 3
+    assert capsys.readouterr().err == (
+        "domain error: Aut(L, u) of the pair class (|L|=16, ord u=1) has more "
+        "than 512 elements, over the configured bound 512\n"
+    )
+
+
 @pytest.mark.parametrize("extra", [[], ["--json"]])
 def test_reports_are_byte_deterministic(extra):
     args = ["mult", data("g72.grp"), "--formula", "both", *extra]

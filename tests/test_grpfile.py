@@ -104,6 +104,9 @@ def test_load_group_orders():
         "f21.grp": 21,
         "g72.grp": 72,
         "g56.grp": 56,
+        "f75.grp": 75,
+        "f80.grp": 80,
+        "f240.grp": 240,
     }
     for name, order in expected.items():
         loaded = load_group(parse_group_file((DATA_DIR / name).read_text()))

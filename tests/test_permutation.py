@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockfunctor.permutation import Permutation, conjugate
 
@@ -42,9 +44,59 @@ def test_from_cycles_rejects_bad_input():
     with pytest.raises(ValueError):
         Permutation.from_cycles(3, [(0, 0, 1)])
     with pytest.raises(ValueError):
+        Permutation.from_cycles(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError):
         Permutation.from_cycles(3, [(0, 5)])
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
+    with pytest.raises(ValueError):
+        Permutation((0, 0))
+    with pytest.raises(ValueError):
+        Permutation((1, 2))
+
+
+@pytest.mark.parametrize("text", ["(1,2", "1,2)", "(1,x)", "(1,9)", "(1,2)(2,3)"])
+def test_parse_rejects_bad_text(text):
+    with pytest.raises(ValueError):
+        Permutation.parse(5, text)
+
+
+def _validated_product(a, b):
+    return Permutation(tuple(b.images[i] for i in a.images))
+
+
+def _is_permutation(p):
+    return sorted(p.images) == list(range(p.degree))
+
+
+@settings(max_examples=200, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=13).flatmap(
+        lambda n: st.tuples(
+            st.permutations(range(n)),
+            st.permutations(range(n)),
+            st.integers(min_value=-6, max_value=30),
+        )
+    )
+)
+def test_unvalidated_results_match_a_validated_reference(case):
+    a_images, b_images, n = case
+    a, b = Permutation(a_images), Permutation(b_images)
+    ident = Permutation(range(a.degree))
+    product = a * b
+    reference = _validated_product(a, b)
+    assert _is_permutation(product)
+    assert product == reference and hash(product) == hash(reference)
+    inverse = a.inverse()
+    assert _is_permutation(inverse)
+    assert _validated_product(a, inverse) == ident == _validated_product(inverse, a)
+    assert hash(Permutation.identity(a.degree)) == hash(ident)
+    power = a ** n
+    reference = ident
+    for _ in range(abs(n)):
+        reference = _validated_product(reference, a if n > 0 else inverse)
+    assert _is_permutation(power)
+    assert power == reference and hash(power) == hash(reference)
 
 
 def test_conjugate_is_an_automorphism_action():
