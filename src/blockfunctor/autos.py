@@ -8,6 +8,12 @@ prefix group has its image fixed, so only that one candidate is tried.
 Pruning is exact, so the maps are found in the same depth-first order
 as by closing every full candidate tuple.  Accepted maps are verified
 bijections on the whole group.  Searches are complete and deterministic.
+
+Aut(L, u) is never listed element by element.  It is computed as a
+strong generating set by a stabilizer-chain backtrack whose base is the
+pair's generating sequence [u, l1..lk]: each generator found answers one
+first-hit search, its basic orbits give the order, and the action on the
+element labels is closed from the generators alone.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .permgroup import (
     PermGroup,
     Subgroup,
     close_map,
-    group_from_elements,
+    orbit,
     small_generating_set,
 )
 
@@ -164,13 +170,27 @@ def find_pair_isomorphism(a: MarkedPair, b: MarkedPair):
     return GroupHom(a.group, b.group, pairs)
 
 
-def pair_automorphism_maps(mp: MarkedPair):
-    """All automorphisms of the marked group sending s to a conjugate of s.
+def _basic_orbit(x, maps):
+    """The orbit of x under the automorphisms given as element maps."""
+    return orbit(x, lambda y: [m[y] for m in maps])
 
-    Returned as full element maps.  Preservation of the marked subgroup is
-    asserted afterwards rather than imposed during the search.  The search
-    stops with SizeBoundError as soon as it has found more maps than the
-    configured bound, since no group of that order can be built from them.
+
+def pair_automorphism_maps(mp: MarkedPair):
+    """Strong generators of Aut(L, u), the automorphisms of the marked
+    group that send s to a conjugate of s, as full element maps.
+
+    The base is the pair's generating sequence x1..xk = [s, l1..lk] (s
+    omitted when trivial).  Level i is the subgroup fixing x1..x(i-1), and
+    its basic orbit is the set of images of xi under that subgroup.  The
+    levels are filled from the deepest one up.  At level i every candidate
+    image of xi outside the orbit of the generators found so far is tested
+    by one first-hit search with x1..x(i-1) fixed; a hit is a new strong
+    generator and grows the orbit, a miss is not in the orbit.  So each
+    generator found at level i fixes x1..x(i-1), and |Aut(L, u)| is the
+    product of the basic orbit lengths.  SizeBoundError is raised as soon
+    as that product passes the configured bound, since no group of that
+    order can be built.  Preservation of the marked subgroup is asserted
+    on the generators rather than imposed during the search.
     """
     G = mp.group
     bound = max_order()
@@ -184,13 +204,30 @@ def pair_automorphism_maps(mp: MarkedPair):
         s_class = G.conjugacy_data()[G.class_index_of(mp.element)]
         restrictions.append(set(s_class.elements))
     restrictions.extend([None] * len(mp.subgroup.generators))
-    maps = _search_maps(G, G, sequence, restrictions, limit=bound + 1)
-    if len(maps) > bound:
-        raise SizeBoundError(
-            f"Aut(L, u) of the pair class (|L|={mp.subgroup.order}, "
-            f"ord u={mp.element.order()}) has more than {bound} elements, "
-            f"over the configured bound {bound}"
-        )
+    lists = _candidate_lists(G, G, sequence, restrictions)
+    maps = []
+    order = 1
+    for i in reversed(range(len(sequence))):
+        x = sequence[i]
+        fixed = [{y} for y in sequence[:i]]
+        basic = _basic_orbit(x, maps)
+        for cand in lists[i]:
+            if cand in basic:
+                continue
+            hit = _search_maps(
+                G, G, sequence, fixed + [{cand}] + restrictions[i + 1:], limit=1
+            )
+            if not hit:
+                continue
+            maps.append(hit[0])
+            basic = _basic_orbit(x, maps)
+            if order * len(basic) > bound:
+                raise SizeBoundError(
+                    f"Aut(L, u) of the pair class (|L|={mp.subgroup.order}, "
+                    f"ord u={mp.element.order()}) has more than {bound} elements, "
+                    f"over the configured bound {bound}"
+                )
+        order *= len(basic)
     pset = mp.subgroup.element_set()
     for m in maps:
         for x in mp.subgroup.generators:
@@ -216,11 +253,29 @@ class ElementAction:
         return self.labels[perm.images[self.index[x]]]
 
 
-def action_from_maps(G: PermGroup, maps) -> ElementAction:
-    labels = G.elements()
+def action_from_maps(mp: MarkedPair, maps) -> ElementAction:
+    """Aut(L, u) acting on the element labels of the marked group, closed
+    from the strong generators returned by pair_automorphism_maps.
+
+    The closed order must equal the product of the basic orbit lengths
+    along the base, which holds exactly when the maps are a strong
+    generating set for that base.
+    """
+    labels = mp.group.elements()
     index = {x: i for i, x in enumerate(labels)}
-    perms = sorted(Permutation(index[m[x]] for x in labels) for m in maps)
-    group = group_from_elements(len(labels), perms)
+    group = PermGroup(
+        len(labels), [Permutation(index[m[x]] for x in labels) for m in maps]
+    )
+    sequence = _pair_sequence(mp)
+    expected = 1
+    for i, x in enumerate(sequence):
+        stabilizer = [m for m in maps if all(m[y] == y for y in sequence[:i])]
+        expected *= len(_basic_orbit(x, stabilizer))
+    if group.order != expected:
+        raise InternalCheckError(
+            f"Aut(L, u) closed from its generators has order {group.order}, "
+            f"not the basic orbit product {expected}"
+        )
     return ElementAction(group=group, labels=labels, index=index)
 
 

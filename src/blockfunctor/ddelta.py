@@ -174,7 +174,7 @@ class PairClass:
         if self.aut_action is not None:
             return
         maps = pair_automorphism_maps(self.realization)
-        action = action_from_maps(self.realization.group, maps)
+        action = action_from_maps(self.realization, maps)
         self.aut_action = action
         self.inn = inner_automorphism_subgroup(self.realization.group, action)
         self.out_group, self.out_projection = quotient_group(action.group, self.inn)

@@ -269,15 +269,6 @@ def group_from_generators(degree: int, gens) -> PermGroup:
     return PermGroup(degree, gens)
 
 
-def group_from_elements(degree: int, elements) -> PermGroup:
-    """Construct a group from its full (closed) element list."""
-    elements = tuple(sorted(elements))
-    group = PermGroup(degree, small_generating_set(degree, elements))
-    if group.order != len(elements):
-        raise InternalCheckError("element list is not closed under multiplication")
-    return group
-
-
 def centralizer(G: PermGroup, s: Permutation) -> Subgroup:
     """The centralizer C_G(s)."""
     if not G.contains(s):

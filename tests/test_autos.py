@@ -23,10 +23,14 @@ def v4():
     return group_from_generators(4, [perm(4, "(1,2)(3,4)"), perm(4, "(1,3)(2,4)")])
 
 
+def pair_action(mp):
+    """Aut(L, u) on the element labels, closed from its strong generators."""
+    return action_from_maps(mp, pair_automorphism_maps(mp))
+
+
 def automorphism_action(G):
     """Aut(G) on the element labels: the pair automorphisms of (G, 1)."""
-    maps = pair_automorphism_maps(MarkedPair(G, G.full_subgroup(), G.identity))
-    return action_from_maps(G, maps)
+    return pair_action(MarkedPair(G, G.full_subgroup(), G.identity))
 
 
 def test_automorphism_group_orders():
@@ -123,8 +127,8 @@ def test_pair_automorphism_count_for_a4_marking():
     G = a4()
     gens = [perm(4, "(1,2)(3,4)"), perm(4, "(1,3)(2,4)")]
     mp = marked(G, gens, perm(4, "(1,2,3)"))
-    maps = pair_automorphism_maps(mp)
-    assert len(maps) == 12  # only the inner automorphisms preserve the class
+    # only the inner automorphisms preserve the class
+    assert pair_action(mp).group.order == 12
 
 
 def test_find_group_isomorphism():

@@ -5,8 +5,13 @@ import sys
 
 import pytest
 
+import blockfunctor
 from conftest import DATA_DIR
 from blockfunctor.cli import main
+
+# the directory this process imported the package from, so that the CLI
+# subprocesses run the same code with or without an installed package
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(blockfunctor.__file__))
 
 
 def data(name):
@@ -16,6 +21,9 @@ def data(name):
 def run_cli(args, env_extra=None):
     env = dict(os.environ)
     env.pop("BLOCKFUNCTOR_MAX_ORDER", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [PACKAGE_ROOT] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
