@@ -62,18 +62,12 @@ class MarkedPair:
             raise DomainError("marked subgroup and element do not generate the group")
 
 
-def _invariant(group: PermGroup, x: Permutation):
-    return (x.order(), group.class_size_of(x))
-
-
 def _candidate_lists(A, B, sequence, restrictions):
     """Per-generator candidate images in B, filtered by invariants."""
-    by_invariant = {}
-    for y in B.elements():
-        by_invariant.setdefault(_invariant(B, y), []).append(y)
+    by_invariant = B.elements_by_invariant()
     lists = []
     for i, g in enumerate(sequence):
-        pool = by_invariant.get(_invariant(A, g), [])
+        pool = by_invariant.get(A.invariant(g), ())
         if restrictions[i] is not None:
             pool = [y for y in pool if y in restrictions[i]]
         if not pool:

@@ -7,6 +7,15 @@ per conjugacy orbit, reduced to their faithful quotient (the action of
 pair isomorphism in a registry shared across groups, so that identical
 class labels mean isomorphic faithful pairs on both sides of any later
 comparison.
+
+Each class carries an isomorphism-invariant key, computed once when the
+class is created: |L|, the order of u, the order of the carrier L<u>,
+and the sorted multiset over l in L of (ord l, k(l)), where k(l) is the
+least k >= 0 with u l u^-1 = l^k, or -1 when there is none.  A pair
+isomorphism f sends u to a conjugate g t g^-1 of the target's element,
+and l -> g^-1 f(l) g carries L onto the target's subgroup preserving
+both numbers, so isomorphic pairs have equal keys.  A new pair is
+therefore tested for isomorphism only against the classes with its key.
 """
 
 from __future__ import annotations
@@ -35,6 +44,28 @@ from .permgroup import (
     quotient_group,
 )
 from .permutation import Permutation, conjugate
+
+
+def pair_class_key(marked: MarkedPair) -> tuple:
+    """The isomorphism invariant of a faithful pair (L, u) described in
+    the module docstring."""
+    u = marked.element
+    identity = marked.group.identity
+    profile = []
+    for x in marked.subgroup.elements():
+        image = conjugate(u, x)
+        order = x.order()
+        k, power = 0, identity
+        while k < order and power != image:
+            power = power * x
+            k += 1
+        profile.append((order, k if k < order else -1))
+    return (
+        marked.subgroup.order,
+        u.order(),
+        marked.group.order,
+        tuple(sorted(profile)),
+    )
 
 
 @dataclass(frozen=True)
@@ -149,9 +180,10 @@ class ClassMember:
 class PairClass:
     """An isomorphism class of faithful pairs, shared across groups."""
 
-    def __init__(self, class_id: int, quotient: FaithfulQuotient):
+    def __init__(self, class_id: int, quotient: FaithfulQuotient, key: tuple):
         self.class_id = class_id
         self.realization = quotient.marked
+        self.key = key
         self._founding_quotient = quotient
         self.members = []
         self.aut_action: Optional[ElementAction] = None
@@ -253,12 +285,16 @@ class PairClassRegistry:
     """Classes of faithful pairs discovered so far, shared across groups.
 
     Classification happens in a deterministic enumeration order, so class
-    identifiers and character labels are reproducible; once assigned they
-    are never mutated, which keeps concurrent readers safe.
+    identifiers and character labels are reproducible.  A class keeps its
+    identifier, realization and key once assigned, but it is not frozen:
+    its members grow as later pairs join it, and ensure_aut fills in Aut,
+    Out and their tables on first use.  The registry has no locking, so
+    it must not be shared between threads.
     """
 
     def __init__(self):
         self.classes = []
+        self._by_key = {}  # class key -> classes with it, in creation order
         self._by_group = {}
         self._group_refs = []  # keeps cached groups alive so ids stay unique
 
@@ -276,13 +312,9 @@ class PairClassRegistry:
     def _classify(self, pair: NormalizerPair):
         quotient = faithful_quotient(pair)
         marked = quotient.marked
-        for cls in self.classes:
-            if (
-                cls.subgroup_order != marked.subgroup.order
-                or cls.element_order != marked.element.order()
-                or cls.realization.group.order != marked.group.order
-            ):
-                continue
+        key = pair_class_key(marked)
+        same_key = self._by_key.setdefault(key, [])
+        for cls in same_key:
             iso = find_pair_isomorphism(cls.realization, marked)
             if iso is None:
                 continue
@@ -290,8 +322,9 @@ class PairClassRegistry:
             _verify_witness(cls, member)
             cls.members.append(member)
             return cls, member
-        cls = PairClass(len(self.classes), quotient)
+        cls = PairClass(len(self.classes), quotient, key)
         self.classes.append(cls)
+        same_key.append(cls)
         member = ClassMember(pair, _founding_witness(cls, pair))
         _verify_witness(cls, member)
         cls.members.append(member)

@@ -7,6 +7,11 @@ chain and the transversal representatives are the canonically minimal
 elements.  All derived data (classes, centralizers, p-subgroup classes)
 is computed by exhaustive, deterministic enumeration and cached; groups
 are immutable after construction.
+
+Normalizers are memoized on the ambient group, keyed by the element set
+of the subgroup, so N_G(P) is computed once per (G, P) however many
+Subgroup objects carry P: the p-subgroup layers, the pair orbits, the
+fusion objects and every image of a normalizer in an out group share it.
 """
 
 from __future__ import annotations
@@ -110,6 +115,8 @@ class PermGroup:
         self._classes = None
         self._class_index = None
         self._p_subgroup_cache = {}
+        self._normalizer_cache = {}
+        self._by_invariant = None
 
     def _build_chain(self):
         levels = []
@@ -192,8 +199,23 @@ class PermGroup:
         except KeyError:
             raise DomainError("element does not belong to the group") from None
 
-    def class_size_of(self, x: Permutation) -> int:
-        return self.conjugacy_data()[self.class_index_of(x)].size
+    def invariant(self, x: Permutation) -> tuple:
+        """(element order, class size) of a member; conjugates share it."""
+        return (x.order(), self.conjugacy_data()[self.class_index_of(x)].size)
+
+    def elements_by_invariant(self) -> dict:
+        """The elements grouped by their invariant, each group in canonical
+        order; one order is computed per conjugacy class."""
+        if self._by_invariant is None:
+            classes = self.conjugacy_data()
+            invariants = [(c.rep.order(), c.size) for c in classes]
+            by_invariant = {}
+            for x in self._elements:
+                by_invariant.setdefault(
+                    invariants[self._class_index[x]], []
+                ).append(x)
+            self._by_invariant = {k: tuple(v) for k, v in by_invariant.items()}
+        return self._by_invariant
 
     # -- subgroups ----------------------------------------------------------
 
@@ -287,14 +309,18 @@ def _check_subgroup_of(G: PermGroup, P: Subgroup):
 
 
 def normalizer(G: PermGroup, P: Subgroup) -> Subgroup:
-    """The normalizer N_G(P); always contains P."""
-    _check_subgroup_of(G, P)
+    """The normalizer N_G(P); always contains P.  Memoized on G by the
+    element set of P."""
     pset = P.element_set()
-    members = [
-        g for g in G.elements()
-        if all(conjugate(g, x) in pset for x in P.generators)
-    ]
-    return G.subgroup_from_elements(members)
+    N = G._normalizer_cache.get(pset)
+    if N is None:
+        _check_subgroup_of(G, P)
+        members = [
+            g for g in G.elements()
+            if all(conjugate(g, x) in pset for x in P.generators)
+        ]
+        N = G._normalizer_cache[pset] = G.subgroup_from_elements(members)
+    return N
 
 
 def is_p_element(g: Permutation, p: int) -> bool:

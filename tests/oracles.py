@@ -1,16 +1,22 @@
 """Independent brute-force oracles for the test suite.
 
-Everything here works on raw image tuples and exact Fractions and shares
-no code with the package: subgroups come from closing generating subsets,
-pair orbits from explicit conjugation by every group element, and the
-character sums use hand-written integer tables of the three outer groups
-that occur for the golden fixtures.
+Everything here but ``LinearScanRegistry`` works on raw image tuples and
+exact Fractions and shares no code with the package: subgroups come from
+closing generating subsets, pair orbits and normalizers from explicit
+conjugation by every group element, and the character sums use
+hand-written integer tables of the three outer groups that occur for the
+golden fixtures.  ``LinearScanRegistry`` is the package's registry with
+the classification it had before class keys, kept to show that keyed
+classification changes nothing.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+from blockfunctor import ddelta
+from blockfunctor.autos import find_pair_isomorphism
 
 
 def compose(a, b):
@@ -246,3 +252,42 @@ def orbit_count(degree, gens, p):
     elements = closure(degree, gens)
     subgroups = all_p_subgroups(degree, elements, p)
     return len(pair_orbits(degree, elements, p, subgroups))
+
+
+def normalizer_elements(elements, sub):
+    """The elements g with g P g^-1 = P, by conjugating all of P."""
+    sub = frozenset(sub)
+    return {g for g in elements if frozenset(conj(g, x) for x in sub) == sub}
+
+
+class LinearScanRegistry(ddelta.PairClassRegistry):
+    """Classification by a linear scan over every class, filtered only by
+    |L|, the order of u and the carrier order."""
+
+    def _classify(self, pair):
+        quotient = ddelta.faithful_quotient(pair)
+        marked = quotient.marked
+        for cls in self.classes:
+            if (
+                cls.subgroup_order != marked.subgroup.order
+                or cls.element_order != marked.element.order()
+                or cls.realization.group.order != marked.group.order
+            ):
+                continue
+            iso = find_pair_isomorphism(cls.realization, marked)
+            if iso is None:
+                continue
+            member = ddelta.ClassMember(
+                pair, ddelta._witness_from_isomorphism(cls, quotient, iso, pair)
+            )
+            ddelta._verify_witness(cls, member)
+            cls.members.append(member)
+            return cls, member
+        cls = ddelta.PairClass(
+            len(self.classes), quotient, ddelta.pair_class_key(marked)
+        )
+        self.classes.append(cls)
+        member = ddelta.ClassMember(pair, ddelta._founding_witness(cls, pair))
+        ddelta._verify_witness(cls, member)
+        cls.members.append(member)
+        return cls, member
