@@ -187,11 +187,9 @@ class PairClass:
         self._founding_quotient = quotient
         self.members = []
         self.aut_action: Optional[ElementAction] = None
-        self.inn: Optional[Subgroup] = None
         self.out_group: Optional[PermGroup] = None
         self.out_projection: Optional[GroupHom] = None
         self.out_table: Optional[CharacterTable] = None
-        self._out_section = None
 
     @property
     def subgroup_order(self) -> int:
@@ -202,25 +200,15 @@ class PairClass:
         return self.realization.element.order()
 
     def ensure_aut(self):
-        """Populate Aut, Out, the out character table and a coset section."""
+        """Populate Aut, Out with its projection, and the out character table."""
         if self.aut_action is not None:
             return
         maps = pair_automorphism_maps(self.realization)
         action = action_from_maps(self.realization, maps)
         self.aut_action = action
-        self.inn = inner_automorphism_subgroup(self.realization.group, action)
-        self.out_group, self.out_projection = quotient_group(action.group, self.inn)
+        inn = inner_automorphism_subgroup(self.realization.group, action)
+        self.out_group, self.out_projection = quotient_group(action.group, inn)
         self.out_table = character_table(self.out_group)
-        section = {}
-        projection = self.out_projection.mapping()
-        for aut_elt in action.group.elements():
-            image = projection[aut_elt]
-            section.setdefault(image, aut_elt)
-        self._out_section = section
-
-    def out_section(self) -> dict:
-        self.ensure_aut()
-        return self._out_section
 
     def __repr__(self):
         return (

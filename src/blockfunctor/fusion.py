@@ -5,13 +5,19 @@ verifier matching triple orbits with pair orbits.
 Hypotheses are checked up front with explicit witnesses: the Sylow
 p-subgroup must be normal and abelian and every nonidentity complement
 element must move every nonidentity Sylow element.
+
+Triple orbits work on label indices: pi: L -> P is the tuple of
+obj.index[pi(l)] over the sorted elements of L.  Iso(L, P) = Aut(P) . pi0
+for one pi0 found by a first-hit search, with Aut(P) closed once per
+object.  The route reads no pair orbits or witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .autos import _search_maps
+from .autos import MarkedPair, _search_maps, pair_automorphism_maps
 from .ddelta import (
     NormalizerPair,
     PairClass,
@@ -28,7 +34,6 @@ from .permgroup import (
     normalizer,
     orbit,
     p_subgroup_classes,
-    small_generating_set,
     sylow_subgroup,
 )
 from .permutation import Permutation, conjugate
@@ -131,9 +136,16 @@ class FusionObject:
     index: dict
     aut_f: PermGroup  # automorphisms of P induced by the normalizer
 
-    def restriction_perm(self, g: Permutation) -> Permutation:
-        return Permutation(
-            self.index[conjugate(g, x)] for x in self.labels
+    @cached_property
+    def automorphisms(self) -> set:
+        """Aut(P) as index tuples over the labels, closed from the strong
+        generators of the automorphism search on the pair (P, P, 1)."""
+        P = self.subgroup.group
+        maps = pair_automorphism_maps(MarkedPair(P, P.full_subgroup(), P.identity))
+        gens = [tuple([self.index[m[x]] for x in self.labels]) for m in maps]
+        return orbit(
+            tuple(range(len(self.labels))),
+            lambda a: [tuple([g[j] for j in a]) for g in gens],
         )
 
 
@@ -155,7 +167,10 @@ def build_fusion(G: PermGroup, p: int) -> FusionData:
     objects = []
     for P in p_subgroup_classes(G, p):
         if not P.element_set() <= dset:
-            raise InternalCheckError("p-subgroup class leaves the normal Sylow")
+            raise InternalCheckError(
+                f"fusion route, |P|={P.order}: p-subgroup class leaves the "
+                f"normal Sylow of order {D.order}"
+            )
         N = normalizer(G, P)
         labels = P.elements()
         index = {x: i for i, x in enumerate(labels)}
@@ -192,35 +207,49 @@ class TripleOrbit:
     orbit_size: int
 
 
-def _iso_tuples(cls: PairClass, obj: FusionObject, l_elements):
-    """All isomorphisms L -> P as image tuples over the L element list."""
+def _where(cls: PairClass, obj: FusionObject) -> str:
+    return (
+        f"fusion route, class {cls.class_id} (|L|={cls.subgroup_order}, "
+        f"ord u={cls.element_order}), |P|={obj.subgroup.order}"
+    )
+
+
+def admissible_isomorphisms(cls: PairClass, obj: FusionObject) -> set:
+    """The isomorphisms pi: L -> P, as index tuples, with pi . i_u . pi^-1
+    induced by the normalizer; empty when L and P are not isomorphic."""
     L_group = cls.realization.subgroup.group
-    P_group = obj.subgroup.group
-    sequence = list(small_generating_set(L_group.degree, L_group.elements()))
-    maps = _search_maps(L_group, P_group, sequence, [None] * len(sequence))
-    return [tuple(m[x] for x in l_elements) for m in maps]
-
-
-def _admissible(cls: PairClass, obj: FusionObject, pi_tuple, l_elements, l_index):
-    """Whether pi . i_u . pi^-1 lies in the fusion automorphisms of P."""
-    u = cls.realization.element
-    inverse = {img: l_elements[i] for i, img in enumerate(pi_tuple)}
-    images = []
-    for x in obj.labels:
-        l_elt = inverse[x]
-        moved = conjugate(u, l_elt)
-        images.append(obj.index[pi_tuple[l_index[moved]]])
-    return obj.aut_f.contains(Permutation(images))
+    sequence = list(L_group.generators)
+    found = _search_maps(
+        L_group, obj.subgroup.group, sequence, [None] * len(sequence), limit=1
+    )
+    if not found:
+        return set()
+    l_elements = L_group.elements()
+    l_index = {x: i for i, x in enumerate(l_elements)}
+    c_u = [l_index[conjugate(cls.realization.element, x)] for x in l_elements]
+    pi0 = [obj.index[found[0][x]] for x in l_elements]
+    induced = {a.images for a in obj.aut_f.elements()}
+    admissible = set()
+    images = [0] * len(pi0)
+    for alpha in obj.automorphisms:
+        pi = tuple([alpha[j] for j in pi0])
+        for i, j in enumerate(c_u):
+            images[pi[i]] = pi[j]
+        if tuple(images) in induced:
+            admissible.add(pi)
+    return admissible
 
 
 def triple_orbits(F: FusionData, cls: PairClass):
     """Double-coset orbits of admissible isomorphisms, with stabilizers.
 
-    For each object P isomorphic to the class subgroup L: enumerate the
-    isomorphisms pi: L -> P with pi . i_u . pi^-1 induced by the
-    normalizer, split them under the left normalizer action and the right
-    action of the pair automorphisms, and compute for each orbit the
-    stabilizer inside the out group by direct test over a coset section.
+    The normalizer acts on the left (by obj.aut_f) and Aut(L, u) on the
+    right.  Each double coset is walked once, as the Aut(L, u)-orbit of its
+    left orbits (blocks), with a transversal T_k from the first block to
+    the k-th.  Products compose left to right, so generator psi steps from
+    block k by psi * T_k, and on landing in a known block j gives the
+    Schreier generator T_j^-1 * psi * T_k of the first block's stabilizer,
+    whose image in Out is the orbit's stabilizer.
     """
     if cls.subgroup_order == 1:
         raise DomainError("triple orbits are defined for nontrivial subgroups only")
@@ -228,72 +257,60 @@ def triple_orbits(F: FusionData, cls: PairClass):
     L_sub = cls.realization.subgroup
     l_elements = L_sub.elements()
     l_index = {x: i for i, x in enumerate(l_elements)}
-
-    # right action data: index permutations of the L labels per generator
-    aut_gens_l = []
-    for psi in cls.aut_action.group.generators:
-        aut_gens_l.append(
-            tuple(l_index[cls.aut_action.apply(psi, x)] for x in l_elements)
-        )
+    action = cls.aut_action
+    steps = [
+        (psi, [l_index[action.apply(psi, x)] for x in l_elements])
+        for psi in action.group.generators
+    ]
+    projection = cls.out_projection.mapping()
 
     orbits = []
     for obj in F.objects:
         if obj.subgroup.order != L_sub.order:
             continue
-        tuples = [
-            t
-            for t in _iso_tuples(cls, obj, l_elements)
-            if _admissible(cls, obj, t, l_elements, l_index)
-        ]
-        if not tuples:
-            continue
-        admissible = set(tuples)
-        n_gens = obj.normalizer.generators
+        admissible = admissible_isomorphisms(cls, obj)
+        left = [a.images for a in obj.aut_f.generators]
 
-        def left_moves(t):
-            return [tuple(conjugate(g, x) for x in t) for g in n_gens]
-
-        def right_moves(t):
-            return [tuple(t[row[i]] for i in range(len(t))) for row in aut_gens_l]
+        def left_orbit(t):
+            block = orbit(t, lambda x: [tuple([a[j] for j in x]) for a in left])
+            if not block <= admissible:
+                raise InternalCheckError(
+                    f"{_where(cls, obj)}: orbit action left the admissible set"
+                )
+            return block
 
         remaining = set(admissible)
-        total = 0
         while remaining:
             start = min(remaining)
-            double = orbit(start, lambda t: left_moves(t) + right_moves(t))
-            if not double <= admissible:
-                raise InternalCheckError("orbit action left the admissible set")
-            remaining -= double
-            total += len(double)
-            left_orbit = orbit(start, left_moves)
-
-            stabilizer_elements = []
-            for out_elt, aut_elt in sorted(cls.out_section().items()):
-                row = tuple(
-                    l_index[cls.aut_action.apply(aut_elt, x)] for x in l_elements
-                )
-                moved = tuple(start[row[i]] for i in range(len(start)))
-                if moved in left_orbit:
-                    stabilizer_elements.append(out_elt)
-            stabilizer = cls.out_group.subgroup_from_elements(stabilizer_elements)
-
-            pi = GroupHom(
-                L_sub.group,
-                obj.subgroup.group,
-                [(g, start[l_index[g]]) for g in L_sub.generators]
-                or [(L_sub.group.identity, obj.subgroup.group.identity)],
-            )
+            reps, transversal = [start], [action.group.identity]
+            block_of = dict.fromkeys(left_orbit(start), 0)
+            schreier = {}
+            for k, rep in enumerate(reps):  # reps grows as blocks are found
+                for psi, row in steps:
+                    moved = tuple([rep[i] for i in row])
+                    j = block_of.get(moved)
+                    if j is None:
+                        block_of.update(dict.fromkeys(left_orbit(moved), len(reps)))
+                        reps.append(moved)
+                        transversal.append(psi * transversal[k])
+                    else:
+                        s = transversal[j].inverse() * psi * transversal[k]
+                        schreier[projection[s]] = None
+            remaining.difference_update(block_of)
+            pairs = [(g, obj.labels[start[l_index[g]]]) for g in L_sub.generators]
             orbits.append(
                 TripleOrbit(
                     object=obj,
-                    rep=start,
-                    pi=pi,
-                    stabilizer=stabilizer,
-                    orbit_size=len(double),
+                    rep=tuple(obj.labels[j] for j in start),
+                    pi=GroupHom(L_sub.group, obj.subgroup.group, pairs),
+                    stabilizer=cls.out_group.subgroup(schreier),
+                    orbit_size=len(block_of),
                 )
             )
-        if total != len(admissible):
-            raise InternalCheckError("double-coset orbits do not partition")
+        if sum(o.orbit_size for o in orbits if o.object is obj) != len(admissible):
+            raise InternalCheckError(
+                f"{_where(cls, obj)}: double-coset orbits do not partition"
+            )
     return orbits
 
 
@@ -305,20 +322,16 @@ def psi_pair(F: FusionData, cls: PairClass, orbit: TripleOrbit) -> NormalizerPai
     as an internal error.
     """
     obj = orbit.object
-    u = cls.realization.element
     l_elements = cls.realization.subgroup.elements()
-    l_index = {x: i for i, x in enumerate(l_elements)}
-    inverse = {img: l_elements[i] for i, img in enumerate(orbit.rep)}
-    target = {
-        x: orbit.rep[l_index[conjugate(u, inverse[x])]] for x in obj.labels
-    }
+    pi, pi_inv = dict(zip(l_elements, orbit.rep)), dict(zip(orbit.rep, l_elements))
+    gens = obj.subgroup.generators
+    target = [pi[conjugate(cls.realization.element, pi_inv[x])] for x in gens]
     for s in obj.normalizer.elements():
-        if not is_p_prime_element(s, F.p):
-            continue
-        if all(conjugate(s, x) == target[x] for x in obj.subgroup.generators):
+        if is_p_prime_element(s, F.p) and [conjugate(s, x) for x in gens] == target:
             return NormalizerPair(F.group, F.p, obj.subgroup, s)
     raise InternalCheckError(
-        "no p'-element of the normalizer induces the required action"
+        f"{_where(cls, obj)}: no p'-element of the normalizer induces the "
+        f"required action"
     )
 
 

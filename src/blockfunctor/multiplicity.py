@@ -56,9 +56,6 @@ class MultiplicityTable:
     def class_ids(self):
         return sorted({cid for cid, _ in self.rows})
 
-    def row_items(self):
-        return sorted(self.rows.items())
-
 
 def mult_table_pairs(
     G: PermGroup, p: int, registry: PairClassRegistry, name: str = "group"

@@ -7,7 +7,9 @@ conjugation by every group element, and the character sums use
 hand-written integer tables of the three outer groups that occur for the
 golden fixtures.  ``LinearScanRegistry`` is the package's registry with
 the classification it had before class keys, kept to show that keyed
-classification changes nothing.
+classification changes nothing.  ``section_scan_triple_orbits`` is the
+fusion route as it was before it moved to label indices, kept to show
+that the index-tuple walk and its Schreier stabilizers change nothing.
 """
 
 from __future__ import annotations
@@ -16,7 +18,10 @@ import itertools
 from fractions import Fraction
 
 from blockfunctor import ddelta
-from blockfunctor.autos import find_pair_isomorphism
+from blockfunctor.autos import _search_maps, find_pair_isomorphism
+from blockfunctor.permgroup import orbit, small_generating_set
+from blockfunctor.permutation import Permutation
+from blockfunctor.permutation import conjugate as package_conjugate
 
 
 def compose(a, b):
@@ -291,3 +296,76 @@ class LinearScanRegistry(ddelta.PairClassRegistry):
         ddelta._verify_witness(cls, member)
         cls.members.append(member)
         return cls, member
+
+
+def all_isomorphisms(cls, obj):
+    """Every isomorphism L -> P from an unlimited search, as image tuples
+    over the sorted elements of L."""
+    L_group = cls.realization.subgroup.group
+    sequence = list(small_generating_set(L_group.degree, L_group.elements()))
+    maps = _search_maps(L_group, obj.subgroup.group, sequence, [None] * len(sequence))
+    return [tuple(m[x] for x in L_group.elements()) for m in maps]
+
+
+def section_scan_triple_orbits(F, cls):
+    """The fusion route before label indices, one entry per object with an
+    admissible isomorphism: (object, admissible set, orbits), each orbit
+    as (representative, orbit size, stabilizer element set).
+
+    Each isomorphism is tested by conjugating degree-|G| permutations, each
+    double coset is walked whole and then by its left orbit, and each
+    stabilizer is found by testing one preimage of every element of Out.
+    """
+    cls.ensure_aut()
+    u = cls.realization.element
+    l_elements = cls.realization.subgroup.elements()
+    l_index = {x: i for i, x in enumerate(l_elements)}
+    aut = cls.aut_action
+    projection = cls.out_projection.mapping()
+    section = {}
+    for aut_elt in aut.group.elements():
+        section.setdefault(projection[aut_elt], aut_elt)
+    aut_gens_l = [
+        tuple(l_index[aut.apply(psi, x)] for x in l_elements)
+        for psi in aut.group.generators
+    ]
+
+    def admissible(obj, t):
+        inverse = {img: l_elements[i] for i, img in enumerate(t)}
+        images = [
+            obj.index[t[l_index[package_conjugate(u, inverse[x])]]]
+            for x in obj.labels
+        ]
+        return obj.aut_f.contains(Permutation(images))
+
+    out = []
+    for obj in F.objects:
+        if obj.subgroup.order != len(l_elements):
+            continue
+        tuples = {t for t in all_isomorphisms(cls, obj) if admissible(obj, t)}
+        if not tuples:
+            continue
+        n_gens = obj.normalizer.generators
+
+        def left_moves(t):
+            return [tuple(package_conjugate(g, x) for x in t) for g in n_gens]
+
+        def right_moves(t):
+            return [tuple(t[row[i]] for i in range(len(t))) for row in aut_gens_l]
+
+        remaining = set(tuples)
+        orbits = []
+        while remaining:
+            start = min(remaining)
+            double = orbit(start, lambda t: left_moves(t) + right_moves(t))
+            assert double <= tuples
+            remaining -= double
+            left_orbit = orbit(start, left_moves)
+            stabilizer = set()
+            for out_elt, aut_elt in sorted(section.items()):
+                row = tuple(l_index[aut.apply(aut_elt, x)] for x in l_elements)
+                if tuple(start[row[i]] for i in range(len(start))) in left_orbit:
+                    stabilizer.add(out_elt)
+            orbits.append((start, len(double), stabilizer))
+        out.append((obj, tuples, orbits))
+    return out
