@@ -9,11 +9,13 @@ Pruning is exact, so the maps are found in the same depth-first order
 as by closing every full candidate tuple.  Accepted maps are verified
 bijections on the whole group.  Searches are complete and deterministic.
 
-Aut(L, u) is never listed element by element.  It is computed as a
-strong generating set by a stabilizer-chain backtrack whose base is the
-pair's generating sequence [u, l1..lk]: each generator found answers one
-first-hit search, its basic orbits give the order, and the action on the
-element labels is closed from the generators alone.
+Out(L, u) is C / N with C = C_Aut(L)(c_u) and N the conjugations by u
+and by C_L(u): every pair automorphism fixes u after composing with an
+inner one, and the inner automorphisms that fix u are those in N.  C is
+never listed element by element.  It is computed as a strong generating
+set by a stabilizer-chain backtrack on the levels below u of the pair's
+generating sequence [u, l1..lk]: each generator found answers one
+first-hit search, and its basic orbits give |C| before any closure.
 """
 
 from __future__ import annotations
@@ -170,56 +172,48 @@ def _basic_orbit(x, maps):
 
 
 def pair_automorphism_maps(mp: MarkedPair):
-    """Strong generators of Aut(L, u), the automorphisms of the marked
-    group that send s to a conjugate of s, as full element maps.
+    """Strong generators of the pair automorphisms that fix s, as full
+    element maps; restricted to L they generate C = C_Aut(L)(c_u).
 
-    The base is the pair's generating sequence x1..xk = [s, l1..lk] (s
-    omitted when trivial).  Level i is the subgroup fixing x1..x(i-1), and
-    its basic orbit is the set of images of xi under that subgroup.  The
-    levels are filled from the deepest one up.  At level i every candidate
-    image of xi outside the orbit of the generators found so far is tested
-    by one first-hit search with x1..x(i-1) fixed; a hit is a new strong
-    generator and grows the orbit, a miss is not in the orbit.  So each
-    generator found at level i fixes x1..x(i-1), and |Aut(L, u)| is the
-    product of the basic orbit lengths.  SizeBoundError is raised as soon
-    as that product passes the configured bound, since no group of that
-    order can be built.  Preservation of the marked subgroup is asserted
-    on the generators rather than imposed during the search.
+    An automorphism of the carrier L<s> that fixes s maps L onto itself
+    (checked on the generators) and commutes there with conjugation by
+    s; conversely every such automorphism of L extends by fixing s.  The
+    base is the pair's generating sequence x1..xk = [s, l1..lk] (s omitted
+    when trivial), and only the levels below s are searched.  Level i is
+    the subgroup fixing x1..x(i-1), and its basic orbit is the set of
+    images of xi under that subgroup.  The levels are filled from the
+    deepest one up.  At level i every candidate image of xi outside the
+    orbit of the generators found so far is tested by one first-hit
+    search with x1..x(i-1) fixed; a hit is a new strong generator and
+    grows the orbit, a miss is not in the orbit.  So |C| is the product
+    of the basic orbit lengths, and SizeBoundError is raised as soon as
+    that product passes the configured bound, before any group is built.
     """
     G = mp.group
     bound = max_order()
-    if G.order > bound:
-        raise SizeBoundError(
-            f"automorphism search refused for order {G.order} > {bound}"
-        )
     sequence = _pair_sequence(mp)
-    restrictions = []
-    if not mp.element.is_identity():
-        s_class = G.conjugacy_data()[G.class_index_of(mp.element)]
-        restrictions.append(set(s_class.elements))
-    restrictions.extend([None] * len(mp.subgroup.generators))
-    lists = _candidate_lists(G, G, sequence, restrictions)
+    first = 0 if mp.element.is_identity() else 1
+    free = [None] * len(sequence)
+    lists = _candidate_lists(G, G, sequence, free)
     maps = []
     order = 1
-    for i in reversed(range(len(sequence))):
+    for i in reversed(range(first, len(sequence))):
         x = sequence[i]
         fixed = [{y} for y in sequence[:i]]
         basic = _basic_orbit(x, maps)
         for cand in lists[i]:
             if cand in basic:
                 continue
-            hit = _search_maps(
-                G, G, sequence, fixed + [{cand}] + restrictions[i + 1:], limit=1
-            )
+            hit = _search_maps(G, G, sequence, fixed + [{cand}] + free[i + 1:], limit=1)
             if not hit:
                 continue
             maps.append(hit[0])
             basic = _basic_orbit(x, maps)
             if order * len(basic) > bound:
                 raise SizeBoundError(
-                    f"Aut(L, u) of the pair class (|L|={mp.subgroup.order}, "
-                    f"ord u={mp.element.order()}) has more than {bound} elements, "
-                    f"over the configured bound {bound}"
+                    f"automorphism search, pair class (|L|={mp.subgroup.order}, "
+                    f"ord u={mp.element.order()}): C_Aut(L)(c_u) has more than "
+                    f"{bound} elements, over the configured bound {bound}"
                 )
         order *= len(basic)
     pset = mp.subgroup.element_set()
@@ -230,53 +224,3 @@ def pair_automorphism_maps(mp: MarkedPair):
                     "pair automorphism moved the marked subgroup"
                 )
     return maps
-
-
-@dataclass(frozen=True)
-class ElementAction:
-    """A group of automorphisms realized as permutations of element labels."""
-
-    group: PermGroup
-    labels: tuple
-    index: dict
-
-    def perm_from_map(self, m) -> Permutation:
-        return Permutation(self.index[m[x]] for x in self.labels)
-
-    def apply(self, perm: Permutation, x: Permutation) -> Permutation:
-        return self.labels[perm.images[self.index[x]]]
-
-
-def action_from_maps(mp: MarkedPair, maps) -> ElementAction:
-    """Aut(L, u) acting on the element labels of the marked group, closed
-    from the strong generators returned by pair_automorphism_maps.
-
-    The closed order must equal the product of the basic orbit lengths
-    along the base, which holds exactly when the maps are a strong
-    generating set for that base.
-    """
-    labels = mp.group.elements()
-    index = {x: i for i, x in enumerate(labels)}
-    group = PermGroup(
-        len(labels), [Permutation(index[m[x]] for x in labels) for m in maps]
-    )
-    sequence = _pair_sequence(mp)
-    expected = 1
-    for i, x in enumerate(sequence):
-        stabilizer = [m for m in maps if all(m[y] == y for y in sequence[:i])]
-        expected *= len(_basic_orbit(x, stabilizer))
-    if group.order != expected:
-        raise InternalCheckError(
-            f"Aut(L, u) closed from its generators has order {group.order}, "
-            f"not the basic orbit product {expected}"
-        )
-    return ElementAction(group=group, labels=labels, index=index)
-
-
-def inner_automorphism_subgroup(G: PermGroup, action: ElementAction) -> Subgroup:
-    """Inn(G) inside an automorphism action on the elements of G."""
-    perms = [
-        action.perm_from_map({x: conjugate(g, x) for x in action.labels})
-        for g in G.generators
-    ]
-    return action.group.subgroup(perms)

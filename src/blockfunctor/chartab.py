@@ -73,21 +73,40 @@ def _kernel_basis(mat, q):
 
 
 def _charpoly(mat, q):
-    """Characteristic polynomial coefficients [1, c1, ..., cn] mod q."""
+    """Characteristic polynomial coefficients [1, c1, ..., cn] mod q: the
+    matrix is reduced by similarity to upper Hessenberg form h, whose
+    leading minors p(k) satisfy p(k+1) = (x - h[k][k]) p(k) - sum over
+    i < k of h[i][k] h[i+1][i] ... h[k][k-1] p(i)."""
     n = len(mat)
-    coeffs = [1]
-    work = [[int(i == j) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        work = [
-            [sum(mat[i][t] * work[t][j] for t in range(n)) % q for j in range(n)]
-            for i in range(n)
-        ]
-        trace = sum(work[i][i] for i in range(n)) % q
-        ck = (-trace * pow(k, -1, q)) % q
-        coeffs.append(ck)
-        for i in range(n):
-            work[i][i] = (work[i][i] + ck) % q
-    return coeffs
+    h = [[v % q for v in row] for row in mat]
+    for m in range(1, n - 1):
+        pivot = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if pivot is None:
+            continue
+        if pivot != m:
+            h[m], h[pivot] = h[pivot], h[m]
+            for row in h:
+                row[m], row[pivot] = row[pivot], row[m]
+        inv = pow(h[m][m - 1], -1, q)
+        for i in range(m + 1, n):
+            t = h[i][m - 1] * inv % q
+            if t:
+                h[i] = [(a - t * b) % q for a, b in zip(h[i], h[m])]
+                for row in h:
+                    row[m] = (row[m] + t * row[i]) % q
+    polys = [[1]]  # minors of h, lowest degree first
+    for k in range(n):
+        nxt = [0] + polys[k]
+        for j, c in enumerate(polys[k]):
+            nxt[j] = (nxt[j] - h[k][k] * c) % q
+        chain = 1
+        for i in range(k - 1, -1, -1):
+            chain = chain * h[i + 1][i] % q
+            factor = h[i][k] * chain % q
+            for j, c in enumerate(polys[i]):
+                nxt[j] = (nxt[j] - factor * c) % q
+        polys.append(nxt)
+    return polys[n][::-1]
 
 
 def _poly_roots(coeffs, q):

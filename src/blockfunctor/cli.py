@@ -163,10 +163,10 @@ def _table_classes_doc(table):
         rows = [
             {
                 "irr_index": irr,
-                "irr_degree": cls.out_table.degrees[irr],
+                "irr_degree": cls.aut_table.degrees[row],
                 "multiplicity": table.rows[(cid, irr)],
             }
-            for irr in range(cls.out_table.n_classes)
+            for irr, row in enumerate(cls.out_rows)
             if (cid, irr) in table.rows
         ]
         classes.append(
@@ -174,7 +174,7 @@ def _table_classes_doc(table):
                 "class_id": cid,
                 "L_order": cls.subgroup_order,
                 "u_order": cls.element_order,
-                "out_order": cls.out_group.order,
+                "out_order": cls.out_order,
                 "rows": rows,
             }
         )

@@ -16,22 +16,26 @@ isomorphism f sends u to a conjugate g t g^-1 of the target's element,
 and l -> g^-1 f(l) g carries L onto the target's subgroup preserving
 both numbers, so isomorphic pairs have equal keys.  A new pair is
 therefore tested for isomorphism only against the classes with its key.
+
+Out(L, u) is never built as a group.  A class holds C = C_Aut(L)(c_u)
+acting on the labels of L and its normal subgroup N = <c_u, c_x : x in
+C_L(u)>, with Out(L, u) = C / N.  A subgroup of Out is carried by its
+preimage in C, which contains N, and the irreducibles of Out are the
+characters of C with N in their kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .autos import (
-    ElementAction,
     MarkedPair,
-    action_from_maps,
     find_pair_isomorphism,
-    inner_automorphism_subgroup,
     pair_automorphism_maps,
 )
-from .chartab import CharacterTable, character_table
+from .chartab import CharacterTable, character_table, fixed_point_dim
 from .errors import DomainError, InternalCheckError
 from .permgroup import (
     GroupHom,
@@ -41,7 +45,7 @@ from .permgroup import (
     normalizer,
     orbit,
     p_subgroup_classes,
-    quotient_group,
+    small_generating_set,
 )
 from .permutation import Permutation, conjugate
 
@@ -186,10 +190,13 @@ class PairClass:
         self.key = key
         self._founding_quotient = quotient
         self.members = []
-        self.aut_action: Optional[ElementAction] = None
-        self.out_group: Optional[PermGroup] = None
-        self.out_projection: Optional[GroupHom] = None
-        self.out_table: Optional[CharacterTable] = None
+        labels = quotient.marked.subgroup.elements()
+        self.labels = labels  # the elements of L, sorted
+        self.label_index = {x: i for i, x in enumerate(labels)}
+        self.aut: Optional[PermGroup] = None  # C = C_Aut(L)(c_u) on the labels
+        self.inner: Optional[Subgroup] = None  # N, the kernel of C -> Out
+        self.aut_table: Optional[CharacterTable] = None
+        self.out_rows: tuple = ()  # the rows of aut_table inflated from Out
 
     @property
     def subgroup_order(self) -> int:
@@ -199,16 +206,61 @@ class PairClass:
     def element_order(self) -> int:
         return self.realization.element.order()
 
+    @property
+    def out_order(self) -> int:
+        return self.aut.order // self.inner.order
+
+    def label_perm(self, automorphism) -> Permutation:
+        """The permutation of the labels of L made by a map on L."""
+        return Permutation(self.label_index[automorphism(x)] for x in self.labels)
+
     def ensure_aut(self):
-        """Populate Aut, Out with its projection, and the out character table."""
-        if self.aut_action is not None:
+        """Populate C, N and the irreducibles of Out = C / N.
+
+        The irreducibles of Out are the rows of the table of C that equal
+        their degree on every class meeting N, kept in table order.
+        """
+        if self.aut is not None:
             return
-        maps = pair_automorphism_maps(self.realization)
-        action = action_from_maps(self.realization, maps)
-        self.aut_action = action
-        inn = inner_automorphism_subgroup(self.realization.group, action)
-        self.out_group, self.out_projection = quotient_group(action.group, inn)
-        self.out_table = character_table(self.out_group)
+        gens = [self.label_perm(m.__getitem__) for m in pair_automorphism_maps(self.realization)]
+        aut = PermGroup(len(self.labels), gens)
+        # strong generators along the base l1..lk exactly when the closed
+        # order is the product of their basic orbit lengths
+        base = [self.label_index[x] for x in self.realization.subgroup.generators]
+        expected = 1
+        for i, point in enumerate(base):
+            level = [g.images for g in gens if all(g.images[y] == y for y in base[:i])]
+            expected *= len(orbit(point, lambda y: [a[y] for a in level]))
+        if aut.order != expected:
+            raise InternalCheckError(
+                f"C_Aut(L)(c_u) closed from its generators has order {aut.order}, "
+                f"not the basic orbit product {expected}"
+            )
+        u = self.realization.element
+        fixing_u = [x for x in self.labels if x * u == u * x]
+        inner = [
+            self.label_perm(partial(conjugate, g))
+            for g in (u,) + small_generating_set(u.degree, fixing_u)
+        ]
+        if not all(aut.contains(c) for c in inner):
+            raise InternalCheckError("an inner automorphism fixing u is not in C")
+        self.inner = aut.subgroup(inner)
+        table = character_table(aut)
+        kernel = {aut.class_index_of(n) for n in self.inner.elements()}
+        self.out_rows = tuple(
+            r for r, d in enumerate(table.degrees)
+            if all(table.values[r][j] == d for j in kernel)
+        )
+        self.aut_table = table
+        self.aut = aut
+
+    def out_dims(self, H: Subgroup) -> list:
+        """The fixed-point dimension of each irreducible of Out on the
+        image of H, for H <= C containing N: the average of the inflated
+        character over H."""
+        if not self.inner.element_set() <= H.element_set():
+            raise InternalCheckError("a preimage in C does not contain N")
+        return [fixed_point_dim(self.aut_table, r, H) for r in self.out_rows]
 
     def __repr__(self):
         return (
@@ -335,12 +387,12 @@ def image_of_normalizer(
     element: Permutation,
     witness: GroupHom,
 ) -> Subgroup:
-    """The image of N_G(P, s) in Out(L, u) through a witness phi.
+    """The preimage in C of the image of N_G(P, s) in Out(L, u), through
+    a witness phi.
 
-    Each generator g of N_G(P) /\\ C_G(s) induces the automorphism of the
-    realization acting as phi^-1 . i_g . phi on the translations and
-    fixing the marked element; the result is the subgroup of the out
-    group generated by their images.
+    Each generator g of N_G(P) /\\ C_G(s) induces phi^-1 . c_g . phi on
+    L, which must lie in C; the result is the subgroup of C generated by
+    these and N.
     """
     cls.ensure_aut()
     n_sub = normalizer(ambient, subgroup)
@@ -349,28 +401,15 @@ def image_of_normalizer(
 
     phi = witness.mapping()
     phi_inv = {v: k for k, v in phi.items()}
-    realization = cls.realization.group
-    u = cls.realization.element
-    projection = cls.out_projection.mapping()
-
-    out_generators = []
+    induced = []
     for g in n_ps.generators:
-        pairs = []
-        for gen in realization.generators:
-            if gen == u and not u.is_identity():
-                pairs.append((gen, u))
-            else:
-                moved = phi_inv.get(conjugate(g, phi[gen]))
-                if moved is None:
-                    raise InternalCheckError(
-                        "normalizer action leaves the witness image"
-                    )
-                pairs.append((gen, moved))
-        alpha = GroupHom(realization, realization, pairs)
-        perm = cls.aut_action.perm_from_map(alpha.mapping())
-        if not cls.aut_action.group.contains(perm):
+        moved = [phi_inv.get(conjugate(g, phi[x])) for x in cls.labels]
+        if None in moved:
+            raise InternalCheckError("normalizer action leaves the witness image")
+        perm = Permutation(cls.label_index[y] for y in moved)
+        if not cls.aut.contains(perm):
             raise InternalCheckError(
                 "induced map is not a pair automorphism (intertwining violation)"
             )
-        out_generators.append(projection[perm])
-    return cls.out_group.subgroup(out_generators)
+        induced.append(perm)
+    return cls.aut.subgroup(induced + list(cls.inner.generators))

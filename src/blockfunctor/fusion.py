@@ -196,8 +196,9 @@ class TripleOrbit:
     """A double-coset orbit of admissible isomorphisms onto an object.
 
     The representative is the tuple of images of the class realization's
-    translation elements in canonical order; the stabilizer lives in the
-    class's out group.
+    translation elements in canonical order; the stabilizer is the
+    preimage in the class's C of the orbit's stabilizer in Out, so it
+    contains N.
     """
 
     object: FusionObject
@@ -224,10 +225,8 @@ def admissible_isomorphisms(cls: PairClass, obj: FusionObject) -> set:
     )
     if not found:
         return set()
-    l_elements = L_group.elements()
-    l_index = {x: i for i, x in enumerate(l_elements)}
-    c_u = [l_index[conjugate(cls.realization.element, x)] for x in l_elements]
-    pi0 = [obj.index[found[0][x]] for x in l_elements]
+    c_u = [cls.label_index[conjugate(cls.realization.element, x)] for x in cls.labels]
+    pi0 = [obj.index[found[0][x]] for x in cls.labels]
     induced = {a.images for a in obj.aut_f.elements()}
     admissible = set()
     images = [0] * len(pi0)
@@ -244,25 +243,21 @@ def triple_orbits(F: FusionData, cls: PairClass):
     """Double-coset orbits of admissible isomorphisms, with stabilizers.
 
     The normalizer acts on the left (by obj.aut_f) and Aut(L, u) on the
-    right.  Each double coset is walked once, as the Aut(L, u)-orbit of its
-    left orbits (blocks), with a transversal T_k from the first block to
-    the k-th.  Products compose left to right, so generator psi steps from
-    block k by psi * T_k, and on landing in a known block j gives the
-    Schreier generator T_j^-1 * psi * T_k of the first block's stabilizer,
-    whose image in Out is the orbit's stabilizer.
+    right; L is abelian, so Aut(L, u) acts on L through C = C_Aut(L)(c_u).
+    Each double coset is walked once, as the C-orbit of its left orbits
+    (blocks), with a transversal T_k from the first block to the k-th.
+    Products compose left to right, so generator psi steps from block k
+    by psi * T_k, and on landing in a known block j gives the Schreier
+    generator T_j^-1 * psi * T_k of the first block's stabilizer in C.
+    N fixes every block (c_u is admissible), so the stabilizer is
+    <Schreier generators, N>, the preimage of the orbit's stabilizer in
+    Out.
     """
     if cls.subgroup_order == 1:
         raise DomainError("triple orbits are defined for nontrivial subgroups only")
     cls.ensure_aut()
     L_sub = cls.realization.subgroup
-    l_elements = L_sub.elements()
-    l_index = {x: i for i, x in enumerate(l_elements)}
-    action = cls.aut_action
-    steps = [
-        (psi, [l_index[action.apply(psi, x)] for x in l_elements])
-        for psi in action.group.generators
-    ]
-    projection = cls.out_projection.mapping()
+    C = cls.aut
 
     orbits = []
     for obj in F.objects:
@@ -282,28 +277,27 @@ def triple_orbits(F: FusionData, cls: PairClass):
         remaining = set(admissible)
         while remaining:
             start = min(remaining)
-            reps, transversal = [start], [action.group.identity]
+            reps, transversal = [start], [C.identity]
             block_of = dict.fromkeys(left_orbit(start), 0)
-            schreier = {}
+            schreier = list(cls.inner.generators)
             for k, rep in enumerate(reps):  # reps grows as blocks are found
-                for psi, row in steps:
-                    moved = tuple([rep[i] for i in row])
+                for psi in C.generators:
+                    moved = tuple([rep[i] for i in psi.images])
                     j = block_of.get(moved)
                     if j is None:
                         block_of.update(dict.fromkeys(left_orbit(moved), len(reps)))
                         reps.append(moved)
                         transversal.append(psi * transversal[k])
                     else:
-                        s = transversal[j].inverse() * psi * transversal[k]
-                        schreier[projection[s]] = None
+                        schreier.append(transversal[j].inverse() * psi * transversal[k])
             remaining.difference_update(block_of)
-            pairs = [(g, obj.labels[start[l_index[g]]]) for g in L_sub.generators]
+            pairs = [(g, obj.labels[start[cls.label_index[g]]]) for g in L_sub.generators]
             orbits.append(
                 TripleOrbit(
                     object=obj,
                     rep=tuple(obj.labels[j] for j in start),
                     pi=GroupHom(L_sub.group, obj.subgroup.group, pairs),
-                    stabilizer=cls.out_group.subgroup(schreier),
+                    stabilizer=C.subgroup(dict.fromkeys(schreier)),
                     orbit_size=len(block_of),
                 )
             )
@@ -364,8 +358,9 @@ def verify_class(F: FusionData, cls: PairClass, registry: PairClassRegistry) -> 
 
     The induced map from triple orbits to pair orbits must be defined,
     injective and onto the class members of this group, and for every
-    matched orbit the image of N_G(P, s) in the out group (computed with
-    the same pi) must equal the triple stabilizer as a literal subgroup.
+    matched orbit the image of N_G(P, s) in Out (computed with the same
+    pi) must equal the triple stabilizer as a literal subgroup; both are
+    carried by their preimages in C.
     Any failure raises InternalCheckError naming the orbit.
     """
     members = registry.members_for(F.group, cls)
@@ -412,7 +407,7 @@ def verify_class(F: FusionData, cls: PairClass, registry: PairClassRegistry) -> 
                 f"class {cid}: stabilizer mismatch on triple orbit {i} "
                 f"(|image| = {image.order}, |stabilizer| = {orbit.stabilizer.order})"
             )
-        stab_orders.append(orbit.stabilizer.order)
+        stab_orders.append(orbit.stabilizer.order // cls.inner.order)
     if len(assigned) != len(members):
         raise InternalCheckError(f"class {cid}: orbit matching is not onto")
     return ClassCheck(

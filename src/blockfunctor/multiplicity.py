@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chartab import fixed_point_dim
 from .ddelta import PairClassRegistry, image_of_normalizer
 from .errors import DomainError, InternalCheckError
 from .fusion import FusionData, triple_orbits
@@ -63,7 +62,7 @@ def mult_table_pairs(
     """Multiplicity table through the pair route.
 
     m(class, chi) is the sum over the class members (P, s) of the fixed
-    point dimension of chi on the image of N_G(P, s) in the out group.
+    point dimension of chi on the image of N_G(P, s) in Out.
     """
     assignments = registry.classify_group(G, p)
     rows = {}
@@ -76,9 +75,9 @@ def mult_table_pairs(
             member.pair.element,
             member.phi,
         )
-        for irr in range(cls.out_table.n_classes):
+        for irr, dim in enumerate(cls.out_dims(image)):
             key = (cls.class_id, irr)
-            rows[key] = rows.get(key, 0) + fixed_point_dim(cls.out_table, irr, image)
+            rows[key] = rows.get(key, 0) + dim
     k, l, _ = invariants_kl(G, p)
     table = MultiplicityTable(
         group_name=name,
@@ -120,11 +119,9 @@ def mult_table_fusion(
         if not orbits:
             continue
         for orbit in orbits:
-            for irr in range(cls.out_table.n_classes):
+            for irr, dim in enumerate(cls.out_dims(orbit.stabilizer)):
                 key = (cls.class_id, irr)
-                rows[key] = rows.get(key, 0) + fixed_point_dim(
-                    cls.out_table, irr, orbit.stabilizer
-                )
+                rows[key] = rows.get(key, 0) + dim
     k, l, _ = invariants_kl(G, F.p)
     return MultiplicityTable(
         group_name=name,

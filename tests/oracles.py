@@ -1,6 +1,6 @@
 """Independent brute-force oracles for the test suite.
 
-Everything here but ``LinearScanRegistry`` works on raw image tuples and
+Everything before ``LinearScanRegistry`` works on raw image tuples and
 exact Fractions and shares no code with the package: subgroups come from
 closing generating subsets, pair orbits and normalizers from explicit
 conjugation by every group element, and the character sums use
@@ -10,16 +10,34 @@ the classification it had before class keys, kept to show that keyed
 classification changes nothing.  ``section_scan_triple_orbits`` is the
 fusion route as it was before it moved to label indices, kept to show
 that the index-tuple walk and its Schreier stabilizers change nothing.
+``carrier_out`` is Out(L, u) as it was built before C / N: Aut(L, u)
+from a search of every level (the level of u included), closed on the
+labels of the carrier, Inn inside it, and the coset action of Aut on
+Inn with its projection.  ``leverrier_charpoly`` is the characteristic
+polynomial by Faddeev-LeVerrier, as the character tables had it before
+the Hessenberg recurrence.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
-from blockfunctor import ddelta
+from blockfunctor import autos, ddelta
 from blockfunctor.autos import _search_maps, find_pair_isomorphism
-from blockfunctor.permgroup import orbit, small_generating_set
+from blockfunctor.chartab import CharacterTable, character_table
+from blockfunctor.config import max_order
+from blockfunctor.errors import InternalCheckError, SizeBoundError
+from blockfunctor.permgroup import (
+    GroupHom,
+    PermGroup,
+    Subgroup,
+    normalizer,
+    orbit,
+    quotient_group,
+    small_generating_set,
+)
 from blockfunctor.permutation import Permutation
 from blockfunctor.permutation import conjugate as package_conjugate
 
@@ -307,7 +325,129 @@ def all_isomorphisms(cls, obj):
     return [tuple(m[x] for x in L_group.elements()) for m in maps]
 
 
-def section_scan_triple_orbits(F, cls):
+def carrier_automorphism_maps(mp):
+    """Strong generators of Aut(L, u) as full element maps of the carrier,
+    from the stabilizer-chain backtrack over every level of the pair
+    sequence [u, l1..lk]; at the level of u the candidates are the
+    conjugates of u."""
+    G = mp.group
+    bound = max_order()
+    sequence = autos._pair_sequence(mp)
+    restrictions = []
+    if not mp.element.is_identity():
+        s_class = G.conjugacy_data()[G.class_index_of(mp.element)]
+        restrictions.append(set(s_class.elements))
+    restrictions.extend([None] * len(mp.subgroup.generators))
+    lists = autos._candidate_lists(G, G, sequence, restrictions)
+    maps = []
+    order = 1
+    for i in reversed(range(len(sequence))):
+        x = sequence[i]
+        fixed = [{y} for y in sequence[:i]]
+        basic = autos._basic_orbit(x, maps)
+        for cand in lists[i]:
+            if cand in basic:
+                continue
+            hit = _search_maps(
+                G, G, sequence, fixed + [{cand}] + restrictions[i + 1:], limit=1
+            )
+            if hit:
+                maps.append(hit[0])
+                basic = autos._basic_orbit(x, maps)
+                if order * len(basic) > bound:
+                    raise SizeBoundError(f"Aut(L, u) has more than {bound} elements")
+        order *= len(basic)
+    return maps
+
+
+@dataclass(frozen=True)
+class CarrierOut:
+    """Aut(L, u) on the labels of the carrier, and Out(L, u) as the
+    action of Aut(L, u) on the cosets of Inn."""
+
+    aut: PermGroup
+    labels: tuple
+    index: dict
+    inn: Subgroup
+    out_group: PermGroup
+    projection: dict
+    table: CharacterTable
+
+    def perm_from_map(self, m):
+        return Permutation(self.index[m[x]] for x in self.labels)
+
+    def project_c(self, cls, c):
+        """The image in Out of c in C: the carrier automorphism fixing u
+        that acts on L as c (on the class's labels), projected."""
+        u = cls.realization.element
+        powers = [cls.realization.group.identity]
+        for _ in range(1, u.order()):
+            powers.append(powers[-1] * u)
+        m = {
+            l * power: cls.labels[c.images[i]] * power
+            for i, l in enumerate(cls.labels)
+            for power in powers
+        }
+        return self.projection[self.perm_from_map(m)]
+
+
+def carrier_out(cls):
+    """Out(L, u) of a pair class by the carrier route."""
+    mp = cls.realization
+    maps = carrier_automorphism_maps(mp)
+    labels = mp.group.elements()
+    index = {x: i for i, x in enumerate(labels)}
+    aut = PermGroup(len(labels), [Permutation(index[m[x]] for x in labels) for m in maps])
+    sequence = autos._pair_sequence(mp)
+    expected = 1
+    for i, x in enumerate(sequence):
+        stabilizer = [m for m in maps if all(m[y] == y for y in sequence[:i])]
+        expected *= len(autos._basic_orbit(x, stabilizer))
+    assert aut.order == expected
+    inn = aut.subgroup(
+        Permutation(index[package_conjugate(g, x)] for x in labels)
+        for g in mp.group.generators
+    )
+    out_group, projection = quotient_group(aut, inn)
+    return CarrierOut(
+        aut=aut,
+        labels=labels,
+        index=index,
+        inn=inn,
+        out_group=out_group,
+        projection=projection.mapping(),
+        table=character_table(out_group),
+    )
+
+
+def carrier_image_of_normalizer(out, cls, ambient, subgroup, element, witness):
+    """The image of N_G(P, s) in the carrier route's Out, as a subgroup:
+    each generator g of N_G(P) /\\ C_G(s) gives the pair automorphism
+    acting as phi^-1 . c_g . phi on the translations and fixing u."""
+    n_ps = [
+        g for g in normalizer(ambient, subgroup).elements()
+        if g * element == element * g
+    ]
+    phi = witness.mapping()
+    phi_inv = {v: k for k, v in phi.items()}
+    realization = cls.realization.group
+    u = cls.realization.element
+    images = []
+    for g in ambient.subgroup_from_elements(n_ps).generators:
+        pairs = []
+        for gen in realization.generators:
+            if gen == u and not u.is_identity():
+                pairs.append((gen, u))
+            else:
+                pairs.append((gen, phi_inv[package_conjugate(g, phi[gen])]))
+        perm = out.perm_from_map(GroupHom(realization, realization, pairs).mapping())
+        if not out.aut.contains(perm):
+            raise InternalCheckError("induced map is not a pair automorphism")
+        images.append(out.projection[perm])
+    return out.out_group.subgroup(images)
+
+
+def section_scan_triple_orbits(F, cls, out_data):
     """The fusion route before label indices, one entry per object with an
     admissible isomorphism: (object, admissible set, orbits), each orbit
     as (representative, orbit size, stabilizer element set).
@@ -315,19 +455,24 @@ def section_scan_triple_orbits(F, cls):
     Each isomorphism is tested by conjugating degree-|G| permutations, each
     double coset is walked whole and then by its left orbit, and each
     stabilizer is found by testing one preimage of every element of Out.
+    Aut(L, u), Out and the projection are those of ``out_data``, the
+    class's ``carrier_out``, and the stabilizers are element sets of its
+    Out.
     """
-    cls.ensure_aut()
     u = cls.realization.element
     l_elements = cls.realization.subgroup.elements()
     l_index = {x: i for i, x in enumerate(l_elements)}
-    aut = cls.aut_action
-    projection = cls.out_projection.mapping()
+    projection = out_data.projection
+
+    def apply(aut_elt, x):
+        return out_data.labels[aut_elt.images[out_data.index[x]]]
+
     section = {}
-    for aut_elt in aut.group.elements():
+    for aut_elt in out_data.aut.elements():
         section.setdefault(projection[aut_elt], aut_elt)
     aut_gens_l = [
-        tuple(l_index[aut.apply(psi, x)] for x in l_elements)
-        for psi in aut.group.generators
+        tuple(l_index[apply(psi, x)] for x in l_elements)
+        for psi in out_data.aut.generators
     ]
 
     def admissible(obj, t):
@@ -363,9 +508,29 @@ def section_scan_triple_orbits(F, cls):
             left_orbit = orbit(start, left_moves)
             stabilizer = set()
             for out_elt, aut_elt in sorted(section.items()):
-                row = tuple(l_index[aut.apply(aut_elt, x)] for x in l_elements)
+                row = tuple(l_index[apply(aut_elt, x)] for x in l_elements)
                 if tuple(start[row[i]] for i in range(len(start))) in left_orbit:
                     stabilizer.add(out_elt)
             orbits.append((start, len(double), stabilizer))
         out.append((obj, tuples, orbits))
     return out
+
+
+def leverrier_charpoly(mat, q):
+    """Characteristic polynomial coefficients [1, c1, ..., cn] mod q by
+    Faddeev-LeVerrier: n matrix products, each step dividing a trace by k
+    (so q must exceed n)."""
+    n = len(mat)
+    coeffs = [1]
+    work = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        work = [
+            [sum(mat[i][t] * work[t][j] for t in range(n)) % q for j in range(n)]
+            for i in range(n)
+        ]
+        trace = sum(work[i][i] for i in range(n)) % q
+        ck = (-trace * pow(k, -1, q)) % q
+        coeffs.append(ck)
+        for i in range(n):
+            work[i][i] = (work[i][i] + ck) % q
+    return coeffs

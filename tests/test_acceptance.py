@@ -102,11 +102,11 @@ def _package_table_with_labels(table):
     out = {}
     for (cid, irr), value in table.rows.items():
         cls = table.registry.classes[cid]
-        labels = labels_by_out_order[cls.out_group.order]
+        labels = labels_by_out_order[cls.out_order]
         # sanity of the label map: index 0 is the all-ones row
-        assert all(v == 1 for v in cls.out_table.values[0])
+        assert all(v == 1 for v in cls.aut_table.values[cls.out_rows[0]])
         if len(labels) == 3:
-            assert cls.out_table.degrees == (1, 1, 2)
+            assert tuple(cls.aut_table.degrees[r] for r in cls.out_rows) == (1, 1, 2)
         out[((cls.subgroup_order, cls.element_order), labels[irr])] = value
     return out
 

@@ -1,11 +1,14 @@
-"""Aut(L, u) from strong generators against the full enumeration.
+"""C = C_Aut(L)(c_u) from strong generators against full enumerations.
 
 The stabilizer-chain backtrack keeps one automorphism per new basic orbit
 point, so each of its searches is a first-hit search.  That every search
 is exact is shown in test_search_equivalence; here the group closed from
-the generators must be the whole of Aut(L, u): its element set must equal
-the set of every automorphism listed by ``oracles.leaf_only_search`` over
-the same candidate lists.
+the generators must be the whole of C.  On the pair classes of the
+fixtures its element set must equal that of every automorphism of L
+commuting with conjugation by u, found by closing every tuple of images
+in L of the generators of L.  On random small groups G, marked (G, G, 1)
+so that C = Aut(G), it must equal the set of every automorphism listed
+by ``oracles.leaf_only_search`` over the search's own candidate lists.
 """
 
 import math
@@ -17,9 +20,9 @@ from hypothesis import strategies as st
 import oracles
 from conftest import DATA_DIR
 from blockfunctor import autos
-from blockfunctor.autos import MarkedPair, action_from_maps, pair_automorphism_maps
+from blockfunctor.autos import MarkedPair, pair_automorphism_maps
 from blockfunctor.config import max_order
-from blockfunctor.ddelta import PairClassRegistry
+from blockfunctor.ddelta import FaithfulQuotient, PairClass, PairClassRegistry
 from blockfunctor.errors import SizeBoundError
 from blockfunctor.grpfile import load_group, parse_group_file
 from blockfunctor.permgroup import group_from_generators
@@ -29,47 +32,58 @@ FIXTURES = ("s3", "c3", "a4", "s4", "f20", "f20b", "f21", "g72", "g56")
 
 
 def candidate_lists(mp):
-    """The candidate lists pair_automorphism_maps draws its images from."""
+    """The candidate lists pair_automorphism_maps draws its images from
+    on a marking (G, G, 1)."""
     G = mp.group
-    restrictions = []
-    if not mp.element.is_identity():
-        restrictions.append(set(G.conjugacy_data()[G.class_index_of(mp.element)].elements))
-    restrictions.extend([None] * len(mp.subgroup.generators))
-    return autos._candidate_lists(G, G, autos._pair_sequence(mp), restrictions)
+    return autos._candidate_lists(G, G, autos._pair_sequence(mp), [None] * len(G.generators))
 
 
-def enumerated_automorphisms(mp, lists):
-    """Every automorphism of the leaf-only search, as label permutations."""
-    G = mp.group
-    index = {x.images: i for i, x in enumerate(G.elements())}
-    maps = oracles.leaf_only_search(
+def enumerated_automorphisms(G, gens, lists):
+    """Every automorphism of G from the leaf-only search over images of
+    gens drawn from lists, as maps on image tuples."""
+    return oracles.leaf_only_search(
         G.identity.images,
         G.identity.images,
         G.order,
         G.order,
-        [g.images for g in autos._pair_sequence(mp)],
+        [g.images for g in gens],
         [[y.images for y in pool] for pool in lists],
     )
+
+
+def as_label_perms(G, maps):
+    index = {x.images: i for i, x in enumerate(G.elements())}
     return {tuple(index[m[x]] for x in index) for m in maps}
 
 
 def closed_automorphisms(mp):
-    action = action_from_maps(mp, pair_automorphism_maps(mp))
-    return {g.images for g in action.group.elements()}
+    """C closed by the package on the sorted elements of L."""
+    cls = PairClass(0, FaithfulQuotient(mp, (), 0), ())
+    cls.ensure_aut()
+    return {g.images for g in cls.aut.elements()}
+
+
+def commuting_automorphisms(mp):
+    """Every automorphism of L that commutes with conjugation by u, from
+    closing every tuple of images in L of the generators of L."""
+    L = mp.subgroup.group
+    u = mp.element.images
+    maps = enumerated_automorphisms(L, L.generators, [L.elements()] * len(L.generators))
+    commuting = [
+        m for m in maps if all(m[oracles.conj(u, x)] == oracles.conj(u, m[x]) for x in m)
+    ]
+    return as_label_perms(L, commuting)
 
 
 @pytest.mark.parametrize("name", FIXTURES + ("f75",))
-def test_generators_close_to_every_pair_automorphism(name, monkeypatch):
-    if name == "f75":
-        # Aut(L, u) of the class (25, 3) has order 600
-        monkeypatch.setenv("BLOCKFUNCTOR_MAX_ORDER", "2000")
+def test_generators_close_to_every_pair_automorphism(name):
     loaded = load_group(parse_group_file((DATA_DIR / f"{name}.grp").read_text()))
     registry = PairClassRegistry()
     registry.classify_group(loaded.group, loaded.p)
     assert registry.classes
     for cls in registry.classes:
         mp = cls.realization
-        assert closed_automorphisms(mp) == enumerated_automorphisms(mp, candidate_lists(mp))
+        assert closed_automorphisms(mp) == commuting_automorphisms(mp)
 
 
 def permutations_of(n):
@@ -93,7 +107,7 @@ def test_automorphism_group_order_matches_enumeration(G):
     lists = candidate_lists(mp)
     # the oracle closes every candidate tuple; keep its cost small
     assume(math.prod(len(pool) for pool in lists) <= 2000)
-    expected = enumerated_automorphisms(mp, lists)
+    expected = as_label_perms(G, enumerated_automorphisms(G, autos._pair_sequence(mp), lists))
     if len(expected) > max_order():
         with pytest.raises(SizeBoundError):
             pair_automorphism_maps(mp)

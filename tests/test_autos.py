@@ -3,13 +3,11 @@ import pytest
 import oracles
 from blockfunctor.autos import (
     MarkedPair,
-    action_from_maps,
     find_group_isomorphism,
     find_pair_isomorphism,
-    inner_automorphism_subgroup,
-    pair_automorphism_maps,
 )
 from blockfunctor.battery import a4, c3, s3, s4
+from blockfunctor.ddelta import FaithfulQuotient, PairClass
 from blockfunctor.errors import DomainError
 from blockfunctor.permgroup import group_from_generators
 from blockfunctor.permutation import Permutation
@@ -23,38 +21,41 @@ def v4():
     return group_from_generators(4, [perm(4, "(1,2)(3,4)"), perm(4, "(1,3)(2,4)")])
 
 
-def pair_action(mp):
-    """Aut(L, u) on the element labels, closed from its strong generators."""
-    return action_from_maps(mp, pair_automorphism_maps(mp))
+def pair_class(mp):
+    """A class realized by the marked pair, with C and N computed."""
+    cls = PairClass(0, FaithfulQuotient(mp, (), 0), ())
+    cls.ensure_aut()
+    return cls
 
 
-def automorphism_action(G):
-    """Aut(G) on the element labels: the pair automorphisms of (G, 1)."""
-    return pair_action(MarkedPair(G, G.full_subgroup(), G.identity))
+def automorphism_class(G):
+    """The class of (G, 1): C is Aut(G) on the element labels and N is
+    Inn(G)."""
+    return pair_class(MarkedPair(G, G.full_subgroup(), G.identity))
 
 
 def test_automorphism_group_orders():
-    assert automorphism_action(c3()).group.order == 2
-    assert automorphism_action(v4()).group.order == 6
-    assert automorphism_action(a4()).group.order == 24
+    assert automorphism_class(c3()).aut.order == 2
+    assert automorphism_class(v4()).aut.order == 6
+    assert automorphism_class(a4()).aut.order == 24
 
 
 def test_inner_automorphisms_are_members_and_divide():
     for G in (s3(), a4(), v4(), c3()):
-        action = automorphism_action(G)
-        inn = inner_automorphism_subgroup(G, action)
+        cls = automorphism_class(G)
+        inn = cls.inner
         center = oracles.center([x.images for x in G.elements()])
         assert inn.order == G.order // len(center)
-        assert action.group.order % inn.order == 0
+        assert cls.aut.order % inn.order == 0
         for g in inn.generators:
-            assert action.group.contains(g)
+            assert cls.aut.contains(g)
 
 
 def test_automorphism_perms_act_on_element_labels():
-    action = automorphism_action(c3())
-    nontrivial = next(g for g in action.group.elements() if not g.is_identity())
+    cls = automorphism_class(c3())
+    nontrivial = next(g for g in cls.aut.elements() if not g.is_identity())
     g = perm(3, "(1,2,3)")
-    assert action.apply(nontrivial, g) == g.inverse()
+    assert cls.labels[nontrivial.images[cls.label_index[g]]] == g.inverse()
 
 
 def marked(G, sub_gens, s):
@@ -128,7 +129,11 @@ def test_pair_automorphism_count_for_a4_marking():
     gens = [perm(4, "(1,2)(3,4)"), perm(4, "(1,3)(2,4)")]
     mp = marked(G, gens, perm(4, "(1,2,3)"))
     # only the inner automorphisms preserve the class
-    assert pair_action(mp).group.order == 12
+    assert oracles.carrier_out(pair_class(mp)).aut.order == 12
+    # the 3 of them that fix u restrict to C, which is N = <c_u>
+    cls = pair_class(mp)
+    assert cls.aut.order == 3
+    assert cls.inner.element_set() == cls.aut.element_set()
 
 
 def test_find_group_isomorphism():

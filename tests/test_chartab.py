@@ -1,7 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from blockfunctor.battery import a4, c3, f20, f21, g56, g72, s3, s4
-from blockfunctor.chartab import character_prime, character_table, fixed_point_dim
+from blockfunctor.chartab import (
+    _charpoly,
+    character_prime,
+    character_table,
+    fixed_point_dim,
+)
 from blockfunctor.ddelta import PairClassRegistry
 from blockfunctor.errors import DomainError
 from blockfunctor.permgroup import group_from_generators, sylow_subgroup
@@ -41,7 +49,10 @@ def test_out_group_table_of_klein_pair():
         if c.subgroup_order == 4 and c.element_order == 1
     )
     cls.ensure_aut()
-    table = cls.out_table
+    # N is trivial here, so C is Out and every row of its table is kept
+    assert cls.inner.order == 1
+    table = cls.aut_table
+    assert cls.out_rows == (0, 1, 2)
     assert table.degrees == (1, 1, 2)
     q = table.modulus
     transposition_cols = [
@@ -150,3 +161,20 @@ def test_rejects_foreign_subgroup():
     table = character_table(s3())
     with pytest.raises(DomainError):
         fixed_point_dim(table, 0, s4().subgroup([perm(4, "(1,2,3,4)")]))
+
+
+@st.composite
+def matrices_mod_q(draw):
+    """A square matrix of size d <= 12 mod a prime q from character_prime,
+    with q > d so that Faddeev-LeVerrier can divide by 1..d."""
+    d = draw(st.integers(0, 12))
+    q = character_prime(draw(st.integers(1, 24)), draw(st.integers(6, 200)))
+    entries = st.one_of(st.just(0), st.integers(0, q - 1))
+    return [[draw(entries) for _ in range(d)] for _ in range(d)], q
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(matrices_mod_q())
+def test_hessenberg_charpoly_matches_leverrier(case):
+    mat, q = case
+    assert _charpoly(mat, q) == oracles.leverrier_charpoly(mat, q)

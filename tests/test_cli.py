@@ -140,21 +140,35 @@ def test_env_var_rejects_a_bad_bound(value):
 
 
 def test_c5_squared_by_c3_cross_checks_under_a_raised_bound(capsys, monkeypatch):
-    # Aut(L, u) of the class (25, 3) has order 600, over the default bound
     monkeypatch.setenv("BLOCKFUNCTOR_MAX_ORDER", "2000")
     assert main(["mult", data("f75.grp"), "--formula", "both"]) == 0
     out = capsys.readouterr().out
     assert "# cross-check\tfusion route matches on all rows with |L| > 1" in out
 
 
+@pytest.mark.parametrize("command", [["mult", "--formula", "both"], ["verify-psi"]])
+def test_c5_squared_by_c3_needs_no_raised_bound(command, capsys, monkeypatch):
+    # Aut(L, u) of the class (25, 3) has order 600, but C = C_Aut(L)(c_u)
+    # has order 24, so the default bound is enough
+    args = [command[0], data("f75.grp"), *command[1:]]
+    monkeypatch.delenv("BLOCKFUNCTOR_MAX_ORDER", raising=False)
+    assert main(args) == 0
+    default = capsys.readouterr()
+    monkeypatch.setenv("BLOCKFUNCTOR_MAX_ORDER", "2000")
+    assert main(args) == 0
+    raised = capsys.readouterr()
+    assert default.err == raised.err == ""
+    assert default.out == raised.out
+
+
 @pytest.mark.parametrize("name", ["f80.grp", "f240.grp"])
 def test_aut_over_the_bound_is_refused_by_name(name, capsys, monkeypatch):
-    # Aut(C2^4) = GL(4, 2) has order 20160
+    # C = Aut(C2^4) = GL(4, 2) has order 20160
     monkeypatch.delenv("BLOCKFUNCTOR_MAX_ORDER", raising=False)
     assert main(["mult", data(name), "--formula", "both"]) == 3
     assert capsys.readouterr().err == (
-        "domain error: Aut(L, u) of the pair class (|L|=16, ord u=1) has more "
-        "than 512 elements, over the configured bound 512\n"
+        "domain error: automorphism search, pair class (|L|=16, ord u=1): "
+        "C_Aut(L)(c_u) has more than 512 elements, over the configured bound 512\n"
     )
 
 

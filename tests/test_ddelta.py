@@ -3,7 +3,6 @@ import pytest
 import oracles
 from blockfunctor.autos import find_pair_isomorphism
 from blockfunctor.battery import a4, c3, f20, f21, g56, g72, s3, s4
-from blockfunctor.chartab import fixed_point_dim
 from blockfunctor.ddelta import (
     NormalizerPair,
     PairClassRegistry,
@@ -146,20 +145,26 @@ def test_out_group_examples():
     by_shape = {
         (c.subgroup_order, c.element_order): c for c in registry.classes
     }
+    def out_degrees(cls):
+        return tuple(cls.aut_table.degrees[row] for row in cls.out_rows)
+
     trivial = by_shape[(1, 1)]
     trivial.ensure_aut()
-    assert trivial.out_group.order == 1
-    assert trivial.out_table.degrees == (1,)
+    assert trivial.out_order == 1
+    assert out_degrees(trivial) == (1,)
 
     c3_class = by_shape[(3, 1)]
     c3_class.ensure_aut()
-    assert c3_class.out_group.order == 2
-    assert c3_class.out_table.degrees == (1, 1)
+    assert c3_class.out_order == 2
+    assert out_degrees(c3_class) == (1, 1)
 
     klein_moved = by_shape[(4, 3)]
     klein_moved.ensure_aut()
-    assert klein_moved.aut_action.group.order == 12
-    assert klein_moved.out_group.order == 1
+    assert oracles.carrier_out(klein_moved).aut.order == 12
+    assert klein_moved.out_order == 1
+    # C = N = <c_u>: the automorphisms fixing u are the conjugations by u
+    assert klein_moved.aut.order == 3
+    assert klein_moved.inner.element_set() == klein_moved.aut.element_set()
 
 
 def test_witness_intertwining_for_all_members():
@@ -184,9 +189,10 @@ def test_image_of_normalizer_examples():
             cls, s3(), member.pair.subgroup, member.pair.element, member.phi
         )
         if (cls.subgroup_order, cls.element_order) == (3, 1):
-            assert image.order == 2  # the full out group
+            assert cls.out_order == 2
+            assert image.element_set() == cls.aut.element_set()  # all of Out
         if (cls.subgroup_order, cls.element_order) == (3, 2):
-            assert image.order == 1
+            assert image.element_set() == cls.inner.element_set()  # trivial
 
     registry = PairClassRegistry()
     assignments = registry.classify_group(a4(), 2)
@@ -198,8 +204,9 @@ def test_image_of_normalizer_examples():
     image = image_of_normalizer(
         cls, a4(), member.pair.subgroup, member.pair.element, member.phi
     )
+    assert cls.inner.order == 1
     assert image.order == 3
-    assert cls.out_group.order == 6
+    assert cls.out_order == 6
 
 
 def test_fixed_dims_are_witness_independent():
@@ -218,10 +225,7 @@ def test_fixed_dims_are_witness_independent():
         if g * pair.element == pair.element * g
     ]
     base = image_of_normalizer(cls, s3(), pair.subgroup, pair.element, member.phi)
-    base_dims = [
-        fixed_point_dim(cls.out_table, row, base)
-        for row in range(cls.out_table.n_classes)
-    ]
+    base_dims = cls.out_dims(base)
     source = cls.realization.subgroup.group
     seen_alternative = False
     for n in n_ps:
@@ -233,11 +237,7 @@ def test_fixed_dims_are_witness_independent():
             continue
         seen_alternative = True
         alt = image_of_normalizer(cls, s3(), pair.subgroup, pair.element, alt_phi)
-        alt_dims = [
-            fixed_point_dim(cls.out_table, row, alt)
-            for row in range(cls.out_table.n_classes)
-        ]
-        assert alt_dims == base_dims
+        assert cls.out_dims(alt) == base_dims
     assert seen_alternative
 
 

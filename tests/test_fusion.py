@@ -98,7 +98,8 @@ def test_triple_orbit_examples():
     )
     orbits = triple_orbits(F, cls)
     assert len(orbits) == 1
-    assert orbits[0].stabilizer.order == 2  # the full out group
+    assert cls.out_order == 2
+    assert orbits[0].stabilizer.element_set() == cls.aut.element_set()  # all of Out
 
     registry = PairClassRegistry()
     registry.classify_group(a4(), 2)
@@ -109,7 +110,8 @@ def test_triple_orbit_examples():
     )
     orbits = triple_orbits(F, moved)
     assert len(orbits) == 2
-    assert all(o.stabilizer.order == 1 for o in orbits)
+    # trivial in Out: the stabilizers are N itself
+    assert all(o.stabilizer.element_set() == moved.inner.element_set() for o in orbits)
 
     fixed = next(
         c for c in registry.classes
@@ -117,8 +119,9 @@ def test_triple_orbit_examples():
     )
     orbits = triple_orbits(F, fixed)
     assert len(orbits) == 1
+    assert fixed.inner.order == 1
     assert orbits[0].stabilizer.order == 3
-    assert fixed.out_group.order == 6
+    assert fixed.out_order == 6
 
 
 def test_triple_orbits_need_nontrivial_subgroup():
@@ -160,8 +163,6 @@ def test_psi_image_is_orbit_invariant():
         c for c in registry.classes
         if c.subgroup_order == 4 and c.element_order == 3
     )
-    l_elements = cls.realization.subgroup.elements()
-    l_index = {x: i for i, x in enumerate(l_elements)}
     for orbit in triple_orbits(F, cls):
         base = psi_pair(F, cls, orbit)
         obj = orbit.object
@@ -172,10 +173,8 @@ def test_psi_image_is_orbit_invariant():
                 for x in obj.subgroup.generators
             ):
                 continue  # stay at the same object
-            psi_aut = rng.choice(cls.aut_action.group.elements())
-            row = tuple(
-                l_index[cls.aut_action.apply(psi_aut, x)] for x in l_elements
-            )
+            # L is abelian, so Aut(L, u) acts on L through C
+            row = rng.choice(cls.aut.elements()).images
             twisted = tuple(conjugate(g, orbit.rep[row[i]]) for i in range(len(row)))
             moved_orbit = type(orbit)(
                 object=obj,

@@ -7,15 +7,17 @@ is the route before that change: an unlimited search for every
 isomorphism, a membership test of degree |G| for each, two walks per
 double coset and a scan of all of Out for each stabilizer.  On every
 pair class of the D : E fixtures and of F75, both must give the same
-admissible sets, the same orbit representatives in the same order, the
-same orbit sizes and the same stabilizer element sets.
+admissible sets, the same orbit representatives in the same order and
+the same orbit sizes.  The oracle takes Out from ``oracles.carrier_out``
+(Aut(L, u) on the carrier, modulo Inn); each stabilizer here is a
+subgroup of C = C_Aut(L)(c_u) containing N, and its image in that Out
+must be the oracle's stabilizer element set.
 """
 
 import pytest
 
 import oracles
 from conftest import DATA_DIR
-from blockfunctor.autos import ElementAction
 from blockfunctor.ddelta import PairClassRegistry
 from blockfunctor.errors import InternalCheckError
 from blockfunctor.fusion import admissible_isomorphisms, build_fusion, triple_orbits
@@ -29,7 +31,7 @@ DE_FIXTURES = ("s3", "c3", "a4", "f20", "f20b", "f21", "g72", "g56")
 
 def fusion_setup(name, monkeypatch):
     if name == "f75":
-        # Aut(L, u) of the class (25, 3) has order 600
+        # the oracle's Aut(L, u) of the class (25, 3) has order 600
         monkeypatch.setenv("BLOCKFUNCTOR_MAX_ORDER", "2000")
     loaded = load_group(parse_group_file((DATA_DIR / f"{name}.grp").read_text()))
     registry = PairClassRegistry()
@@ -44,7 +46,8 @@ def test_triple_orbits_match_the_section_scan(name, monkeypatch):
     F, classes = fusion_setup(name, monkeypatch)
     compared = 0
     for cls in classes:
-        expected = oracles.section_scan_triple_orbits(F, cls)
+        out = oracles.carrier_out(cls)
+        expected = oracles.section_scan_triple_orbits(F, cls, out)
         by_object = {id(obj): tuples for obj, tuples, _ in expected}
         for obj in F.objects:
             if obj.subgroup.order != cls.subgroup_order:
@@ -54,10 +57,13 @@ def test_triple_orbits_match_the_section_scan(name, monkeypatch):
                 for t in admissible_isomorphisms(cls, obj)
             }
             assert admissible == by_object.get(id(obj), set())
-        got = [
-            (id(o.object), o.rep, o.orbit_size, o.stabilizer.element_set())
-            for o in triple_orbits(F, cls)
-        ]
+        got = []
+        for o in triple_orbits(F, cls):
+            # the stabilizer is a preimage in C: it contains N, and its
+            # image in the carrier route's Out is the oracle's stabilizer
+            image = {out.project_c(cls, c) for c in o.stabilizer.elements()}
+            assert o.stabilizer.order == cls.inner.order * len(image)
+            got.append((id(o.object), o.rep, o.orbit_size, image))
         assert got == [
             (id(obj), rep, size, stabilizer)
             for obj, _, orbits in expected
@@ -88,16 +94,10 @@ def test_a_corrupted_right_action_is_named(monkeypatch):
     F, classes = fusion_setup("a4", monkeypatch)
     cls = next(c for c in classes if c.subgroup_order == 4 and c.element_order == 1)
     cls.ensure_aut()
-    action = cls.aut_action
     # swapping the identity with another label is no automorphism
-    swap = list(range(len(action.labels)))
+    swap = list(range(len(cls.labels)))
     swap[0], swap[1] = 1, 0
-    corrupted = ElementAction(
-        group=PermGroup(len(action.labels), [Permutation(swap)]),
-        labels=action.labels,
-        index=action.index,
-    )
-    monkeypatch.setattr(cls, "aut_action", corrupted)
+    monkeypatch.setattr(cls, "aut", PermGroup(len(cls.labels), [Permutation(swap)]))
     with pytest.raises(InternalCheckError) as failure:
         triple_orbits(F, cls)
     assert str(failure.value) == (

@@ -93,20 +93,16 @@ def compare_summary(doc):
     )
 
 
-def summaries(name, path):
-    with pytest.MonkeyPatch.context() as patch:
-        if name == "f75":
-            # Aut(L, u) of the class (25, 3) has order 600
-            patch.setenv("BLOCKFUNCTOR_MAX_ORDER", "2000")
-        return (
-            verify_summary(report(["verify-psi", path])),
-            mult_summary(report(["mult", path, "--formula", "both"])),
-        )
+def summaries(path):
+    return (
+        verify_summary(report(["verify-psi", path])),
+        mult_summary(report(["mult", path, "--formula", "both"])),
+    )
 
 
 @lru_cache(maxsize=None)
 def fixture_summaries(name):
-    return summaries(name, str(DATA_DIR / f"{name}.grp"))
+    return summaries(str(DATA_DIR / f"{name}.grp"))
 
 
 @pytest.mark.parametrize("name", DE_FIXTURES)
@@ -114,7 +110,7 @@ def fixture_summaries(name):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_relabeling_keeps_verify_psi_and_mult(name, seed, tmp_path_factory):
     moved = write_relabeled(tmp_path_factory.mktemp("relabeled"), name, seed)
-    assert summaries(name, moved) == fixture_summaries(name)
+    assert summaries(moved) == fixture_summaries(name)
 
 
 @pytest.mark.parametrize("left,right", COMPARE_PAIRS)

@@ -83,10 +83,7 @@ def assert_same_as_linear_scan(groups, p):
 
 
 @pytest.mark.parametrize("name", FIXTURES + ("f75",))
-def test_keyed_classification_matches_the_linear_scan(name, monkeypatch):
-    if name == "f75":
-        # Aut(L, u) of the class (25, 3) has order 600
-        monkeypatch.setenv("BLOCKFUNCTOR_MAX_ORDER", "2000")
+def test_keyed_classification_matches_the_linear_scan(name):
     loaded = load(name)
     assert_same_as_linear_scan([loaded.group], loaded.p)
 

@@ -64,10 +64,7 @@ def assert_same_as_leaf_only(calls):
 
 
 @pytest.mark.parametrize("name", FIXTURES + ("f75",))
-def test_every_pair_class_search_matches_leaf_only(name, searches, monkeypatch):
-    if name == "f75":
-        # Aut(L, u) of the class (25, 3) has order 600
-        monkeypatch.setenv("BLOCKFUNCTOR_MAX_ORDER", "2000")
+def test_every_pair_class_search_matches_leaf_only(name, searches):
     loaded = load(name)
     registry = PairClassRegistry()
     registry.classify_group(loaded.group, loaded.p)
