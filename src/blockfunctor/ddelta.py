@@ -41,6 +41,7 @@ from .permgroup import (
     GroupHom,
     PermGroup,
     Subgroup,
+    centralizer,
     is_p_prime_element,
     normalizer,
     orbit,
@@ -395,9 +396,7 @@ def image_of_normalizer(
     these and N.
     """
     cls.ensure_aut()
-    n_sub = normalizer(ambient, subgroup)
-    stabilizing = [g for g in n_sub.elements() if g * element == element * g]
-    n_ps = ambient.subgroup_from_elements(stabilizing)
+    n_ps = centralizer(normalizer(ambient, subgroup).group, element)
 
     phi = witness.mapping()
     phi_inv = {v: k for k, v in phi.items()}

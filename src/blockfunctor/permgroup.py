@@ -10,7 +10,7 @@ are immutable after construction.
 
 Normalizers are memoized on the ambient group, keyed by the element set
 of the subgroup, so N_G(P) is computed once per (G, P) however many
-Subgroup objects carry P: the p-subgroup layers, the pair orbits, the
+Subgroup objects carry P: the Sylow chain, the pair orbits, the
 fusion objects and every image of a normalizer in an out group share it.
 """
 
@@ -49,7 +49,8 @@ def _closure(degree, gens, cap):
                 if y not in seen:
                     if len(seen) >= cap:
                         raise SizeBoundError(
-                            f"group order exceeds the configured bound {cap}"
+                            f"group of degree {degree} on {len(gens)} generators: "
+                            f"order exceeds the configured bound {cap}"
                         )
                     seen.add(y)
                     out.append(y)
@@ -323,11 +324,6 @@ def normalizer(G: PermGroup, P: Subgroup) -> Subgroup:
     return N
 
 
-def is_p_element(g: Permutation, p: int) -> bool:
-    n = g.order()
-    return p_part(n, p) == n
-
-
 def is_p_prime_element(g: Permutation, p: int) -> bool:
     return g.order() % p != 0
 
@@ -360,9 +356,11 @@ def _all_subgroups_of(degree, elements):
 def p_subgroup_classes(G: PermGroup, p: int):
     """One canonical representative per conjugacy class of p-subgroups.
 
-    Built by layered normalizer extension with conjugacy deduplication;
-    when the p-elements of G form a (then unique and normal) Sylow
-    subgroup, enumeration shortcuts to the subgroups of that Sylow.
+    By Sylow's theorem these are the G-classes of the subgroups of one
+    Sylow subgroup S, each given by its minimal conjugate.  S is grown from
+    the trivial group: P below the Sylow order lies properly in a Sylow Q,
+    and N_Q(P) / P is a nontrivial p-group, so some x in N_G(P) - P has x^p
+    in P, and <P, x> has order p|P|.
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
@@ -370,35 +368,23 @@ def p_subgroup_classes(G: PermGroup, p: int):
         return G._p_subgroup_cache[p]
 
     sylow_order = p_part(G.order, p)
-    p_elements = [x for x in G.elements() if is_p_element(x, p)]
-    canonical = set()
-    if len(p_elements) == sylow_order and sylow_order > 1:
-        # normal Sylow subgroup: every p-subgroup sits inside it
-        for sub in _all_subgroups_of(G.degree, p_elements):
-            canonical.add(_canonical_conjugate(G, sub))
-    else:
-        ident = Permutation.identity(G.degree)
-        trivial = frozenset([ident])
-        canonical.add(trivial)
-        layer = [trivial]
-        while layer:
-            new_sets = set()
-            for pset in layer:
-                P = G.subgroup_from_elements(pset)
-                N = normalizer(G, P)
-                for x in N.elements():
-                    if x in pset or (x ** p) not in pset:
-                        continue
-                    extended = frozenset(
-                        _closure(G.degree, list(P.generators) + [x], G.order + 1)
-                    )
-                    if len(extended) != p * len(pset):
-                        raise InternalCheckError("layered extension gave a wrong order")
-                    new_sets.add(_canonical_conjugate(G, extended))
-            new_sets -= canonical
-            canonical |= new_sets
-            layer = sorted(new_sets, key=_set_key)
+    P = G.trivial_subgroup()
+    while P.order < sylow_order:
+        pset = P.element_set()
+        N = normalizer(G, P)
+        x = next((x for x in N.elements() if x not in pset and x ** p in pset), None)
+        if x is None:
+            raise InternalCheckError(
+                f"p-subgroup classes, p={p}: no element of N_G(P) extends "
+                f"|P|={P.order} toward the Sylow order {sylow_order}"
+            )
+        P = G.subgroup(P.generators + (x,))
+        if P.order != p * len(pset):
+            raise InternalCheckError("layered extension gave a wrong order")
 
+    canonical = {
+        _canonical_conjugate(G, s) for s in _all_subgroups_of(G.degree, P.elements())
+    }
     reps = sorted(canonical, key=lambda s: (len(s), _set_key(s)))
     result = [G.subgroup_from_elements(s) for s in reps]
     G._p_subgroup_cache[p] = result
@@ -590,11 +576,18 @@ def frobenius_group(p: int, rank: int, matrix) -> FrobeniusGroup:
     m = tuple(tuple(v % p for v in row) for row in matrix)
     if len(m) != rank or any(len(row) != rank for row in m):
         raise DomainError(f"matrix must be {rank}x{rank}")
+    bound, where = max_order(), f"frobenius form, p={p}, rank {rank}"
+    if p ** rank > bound:
+        raise SizeBoundError(f"{where}: the translations alone have order {p}^{rank} "
+                             f"= {p ** rank}, over the configured bound {bound}")
     if not _mat_invertible(m, p):
         raise DomainError("matrix is not invertible mod p")
     order = _mat_order(m, p)
     if order % p == 0:
         raise DomainError(f"matrix order {order} is divisible by p = {p}")
+    if p ** rank * order > bound:
+        raise SizeBoundError(f"{where}: order {p}^{rank} * {order} = {p ** rank * order}, "
+                             f"over the configured bound {bound}")
 
     vectors = [
         tuple((v // p ** i) % p for i in range(rank))

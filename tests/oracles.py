@@ -15,7 +15,9 @@ from a search of every level (the level of u included), closed on the
 labels of the carrier, Inn inside it, and the coset action of Aut on
 Inn with its projection.  ``leverrier_charpoly`` is the characteristic
 polynomial by Faddeev-LeVerrier, as the character tables had it before
-the Hessenberg recurrence.
+the Hessenberg recurrence.  ``layered_p_subgroup_classes`` is the
+p-subgroup enumeration by layered normalizer extension, as every group
+without a normal Sylow subgroup had it before one Sylow subgroup.
 """
 
 from __future__ import annotations
@@ -534,3 +536,45 @@ def leverrier_charpoly(mat, q):
         for i in range(n):
             work[i][i] = (work[i][i] + ck) % q
     return coeffs
+
+
+def layered_p_subgroup_classes(G, p):
+    """The p-subgroup class representatives by layered normalizer
+    extension, as the package built them before it enumerated the
+    subgroups of one Sylow subgroup: each class of order p|P| is reached
+    from a representative P by some x in N_G(P) outside P with x^p in P,
+    so every layer extends every representative of the layer below by
+    every such x and keeps the minimal conjugates.  Works on raw image
+    tuples, conjugating by every element; returns element sets in the
+    package's order, by (order, sorted images)."""
+    elements = sorted(closure(G.degree, [g.images for g in G.generators]))
+
+    def minimal_conjugate(sub):
+        return min(tuple(sorted(conj(g, x) for x in sub)) for g in elements)
+
+    def power(x, n):
+        out = identity(G.degree)
+        for _ in range(n):
+            out = compose(out, x)
+        return out
+
+    trivial = (identity(G.degree),)
+    canonical = {trivial}
+    layer = [trivial]
+    while layer:
+        new = set()
+        for sub in layer:
+            members = set(sub)
+            for x in sorted(normalizer_elements(elements, sub)):
+                if x in members or power(x, p) not in members:
+                    continue
+                extended = closure(G.degree, list(sub) + [x])
+                assert len(extended) == p * len(sub), "layered extension gave a wrong order"
+                new.add(minimal_conjugate(extended))
+        new -= canonical
+        canonical |= new
+        layer = sorted(new)
+    return [
+        frozenset(Permutation(x) for x in sub)
+        for sub in sorted(canonical, key=lambda sub: (len(sub), sub))
+    ]

@@ -172,6 +172,16 @@ def test_aut_over_the_bound_is_refused_by_name(name, capsys, monkeypatch):
     )
 
 
+def test_oversize_frobenius_form_is_refused_before_it_is_built(capsys, monkeypatch):
+    # companion matrix of x^11 + x^2 + 1 over F_2: 2^11 translations
+    monkeypatch.delenv("BLOCKFUNCTOR_MAX_ORDER", raising=False)
+    assert main(["invariants", data("f2r11.grp")]) == 3
+    assert capsys.readouterr().err == (
+        "domain error: frobenius form, p=2, rank 11: the translations alone "
+        "have order 2^11 = 2048, over the configured bound 512\n"
+    )
+
+
 @pytest.mark.parametrize("extra", [[], ["--json"]])
 def test_reports_are_byte_deterministic(extra):
     args = ["mult", data("g72.grp"), "--formula", "both", *extra]

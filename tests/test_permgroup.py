@@ -1,10 +1,14 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
+from conftest import DATA_DIR
 from blockfunctor.battery import a4, c3, f20, f21, g72, s3, s4
 from blockfunctor.errors import DomainError, InternalCheckError, SizeBoundError
+from blockfunctor.grpfile import load_group, parse_group_file
 from blockfunctor.permgroup import (
     centralizer,
     direct_product,
@@ -24,6 +28,36 @@ def perm(degree, text):
 
 
 SMALL_FIXTURES = [s3, c3, a4, s4, f20, f21]  # orders at most 200
+
+
+def a5():
+    return group_from_generators(5, [perm(5, "(1,2,3)"), perm(5, "(1,2,3,4,5)")])
+
+
+def s5():
+    return group_from_generators(5, [perm(5, "(1,2,3,4,5)"), perm(5, "(1,2)")])
+
+
+def psl27():
+    return group_from_generators(7, [perm(7, "(1,2,3,4,5,6,7)"), perm(7, "(3,5)(6,7)")])
+
+
+def a6():
+    return group_from_generators(6, [perm(6, "(1,2,3)"), perm(6, "(2,3,4,5,6)")])
+
+
+def s3xs3():
+    return group_from_generators(
+        6, [perm(6, c) for c in ("(1,2,3)", "(1,2)", "(4,5,6)", "(4,5)")]
+    )
+
+
+def fixture(name):
+    return load_group(parse_group_file((DATA_DIR / f"{name}.grp").read_text())).group
+
+
+def primes_dividing(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
 
 
 def test_group_orders_match_examples():
@@ -119,18 +153,76 @@ def test_p_subgroup_classes_examples():
     assert [P.order for P in p_subgroup_classes(s4(), 2)] == [1, 2, 2, 4, 4, 4, 8]
 
 
-@pytest.mark.parametrize("builder,p", [(s3, 3), (a4, 2), (s4, 2), (f20, 5)])
+@pytest.mark.parametrize("builder,p", [
+    (s3, 3), (a4, 2), (s4, 2), (f20, 5),
+    (a5, 2), (a5, 5), (s5, 3), (psl27, 7), (s3xs3, 2),
+])
 def test_p_subgroup_classes_against_exhaustive_enumeration(builder, p):
     G = builder()
     reps = p_subgroup_classes(G, p)
     rep_sets = [frozenset(x.images for x in P.elements()) for P in reps]
     raw_elements = oracles.closure(G.degree, [g.images for g in G.generators])
-    for sub in oracles.all_p_subgroups(G.degree, raw_elements, p):
-        conjugates = {
+    # a group of order p^k has a generating set of at most k elements
+    exponent = round(math.log(p_part(G.order, p), p))
+    classes = set()
+    for sub in oracles.all_p_subgroups(G.degree, raw_elements, p, max_gens=exponent):
+        conjugates = frozenset(
             frozenset(oracles.conj(g, x) for x in sub) for g in raw_elements
-        }
+        )
+        classes.add(conjugates)
         hits = [i for i, rset in enumerate(rep_sets) if rset in conjugates]
         assert len(hits) == 1
+    assert len(reps) == len(classes)
+
+
+BUILDERS = {
+    **{name: (lambda name=name: fixture(name)) for name in
+       ("s3", "c3", "a4", "s4", "f20", "f20b", "f21", "g72", "g56", "f75")},
+    "s5": s5, "a5": a5, "psl27": psl27, "a6": a6, "s3xs3": s3xs3,
+}
+ORACLE_CASES = [
+    (name, p) for name, builder in BUILDERS.items()
+    for p in primes_dividing(builder().order)
+]
+
+
+def assert_matches_layered_oracle(G, p):
+    package = [P.element_set() for P in p_subgroup_classes(G, p)]
+    assert package == oracles.layered_p_subgroup_classes(G, p)
+    return package
+
+
+@pytest.mark.parametrize("name,p", ORACLE_CASES, ids=[f"{n}-p{p}" for n, p in ORACLE_CASES])
+def test_p_subgroup_classes_match_the_layered_extension(name, p):
+    G = BUILDERS[name]()
+    package = assert_matches_layered_oracle(G, p)
+    assert package[0] == {G.identity}
+    assert len(package[-1]) == p_part(G.order, p)
+
+
+@st.composite
+def relabeled_small_groups(draw):
+    n = draw(st.integers(1, 7))
+    gens = [draw(st.permutations(range(n))), draw(st.permutations(range(n)))]
+    points = draw(st.permutations(range(n)))
+    relabel = [tuple(points[g[points.index(i)]] for i in range(n)) for g in gens]
+    try:
+        return (
+            group_from_generators(n, [Permutation(g) for g in gens]),
+            group_from_generators(n, [Permutation(g) for g in relabel]),
+        )
+    except SizeBoundError:
+        assume(False)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(relabeled_small_groups())
+def test_relabeled_random_groups_match_the_layered_extension(groups):
+    G, H = groups
+    assert G.order == H.order
+    for p in primes_dividing(G.order):
+        orders = [len(s) for s in assert_matches_layered_oracle(G, p)]
+        assert [len(s) for s in assert_matches_layered_oracle(H, p)] == orders
 
 
 def test_sylow_subgroup_order():
@@ -179,6 +271,24 @@ def test_frobenius_group_rejections():
         frobenius_group(3, 2, [[2, 0], [0, 1]])  # fixes a nonzero vector
 
 
+def test_frobenius_group_is_refused_on_its_order_before_it_is_built(monkeypatch):
+    matrix = [[0, 1], [1, 2]]  # order 8 on 3^2 translations
+    monkeypatch.setenv("BLOCKFUNCTOR_MAX_ORDER", "8")
+    with pytest.raises(SizeBoundError, match=(
+        r"^frobenius form, p=3, rank 2: the translations alone have order "
+        r"3\^2 = 9, over the configured bound 8$"
+    )):
+        frobenius_group(3, 2, matrix)
+    monkeypatch.setenv("BLOCKFUNCTOR_MAX_ORDER", "71")
+    with pytest.raises(SizeBoundError, match=(
+        r"^frobenius form, p=3, rank 2: order 3\^2 \* 8 = 72, "
+        r"over the configured bound 71$"
+    )):
+        frobenius_group(3, 2, matrix)
+    monkeypatch.setenv("BLOCKFUNCTOR_MAX_ORDER", "72")
+    assert frobenius_group(3, 2, matrix).group.order == 72
+
+
 def test_quotient_group_examples():
     G = s3()
     Q, proj = quotient_group(G, G.subgroup([perm(3, "(1,2,3)")]))
@@ -222,7 +332,9 @@ def test_group_hom_detects_non_homomorphism():
 
 def test_size_bound(monkeypatch):
     monkeypatch.setenv("BLOCKFUNCTOR_MAX_ORDER", "5")
-    with pytest.raises(SizeBoundError):
+    with pytest.raises(SizeBoundError, match=(
+        r"^group of degree 3 on 2 generators: order exceeds the configured bound 5$"
+    )):
         group_from_generators(3, [perm(3, "(1,2,3)"), perm(3, "(1,2)")])
     monkeypatch.setenv("BLOCKFUNCTOR_MAX_ORDER", "6")
     assert group_from_generators(3, [perm(3, "(1,2,3)"), perm(3, "(1,2)")]).order == 6
