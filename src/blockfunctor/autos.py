@@ -12,10 +12,11 @@ bijections on the whole group.  Searches are complete and deterministic.
 Out(L, u) is C / N with C = C_Aut(L)(c_u) and N the conjugations by u
 and by C_L(u): every pair automorphism fixes u after composing with an
 inner one, and the inner automorphisms that fix u are those in N.  C is
-never listed element by element.  It is computed as a strong generating
-set by a stabilizer-chain backtrack on the levels below u of the pair's
-generating sequence [u, l1..lk]: each generator found answers one
-first-hit search, and its basic orbits give |C| before any closure.
+never listed element by element.  It is computed on L alone, as a
+strong generating set by a stabilizer-chain backtrack along the
+generators l1..lk of L: each generator found answers one first-hit
+search whose maps are closed on L and accepted only if they commute with
+conjugation by u, and its basic orbits give |C| before any closure.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import max_order
-from .errors import DomainError, InternalCheckError, SizeBoundError
+from .errors import DomainError, SizeBoundError
 from .permutation import Permutation, conjugate
 from .permgroup import (
     GroupHom,
@@ -78,9 +79,14 @@ def _candidate_lists(A, B, sequence, restrictions):
     return lists
 
 
-def _search_maps(A, B, sequence, restrictions, limit=None):
+def _search_maps(A, B, sequence, restrictions, limit=None, commuting=None):
     """The isomorphisms A -> B respecting the restrictions, in depth-first
-    order of the candidate images; the search stops after ``limit`` maps."""
+    order of the candidate images; the search stops after ``limit`` maps.
+
+    With ``commuting`` an element c normalizing A and B, a full map m is kept
+    only if m(c x c^-1) = c m(x) c^-1 for each x of the sequence; since
+    both sides are homomorphisms in x, the relation then holds on all of A.
+    """
     if A.order != B.order:
         return []
     if A.order == 1:
@@ -94,7 +100,14 @@ def _search_maps(A, B, sequence, restrictions, limit=None):
 
     def recurse(i, m):
         if i == len(sequence):
-            if len(m) == A.order and len(set(m.values())) == B.order:
+            if (
+                len(m) == A.order
+                and len(set(m.values())) == B.order
+                and (commuting is None or all(
+                    m[conjugate(commuting, x)] == conjugate(commuting, m[x])
+                    for x in sequence
+                ))
+            ):
                 found.append(m)
             return len(found) == limit
         g = sequence[i]
@@ -172,55 +185,51 @@ def _basic_orbit(x, maps):
 
 
 def pair_automorphism_maps(mp: MarkedPair):
-    """Strong generators of the pair automorphisms that fix s, as full
-    element maps; restricted to L they generate C = C_Aut(L)(c_u).
+    """Strong generators of C = C_Aut(L)(c_u), as element maps on L.
 
-    An automorphism of the carrier L<s> that fixes s maps L onto itself
-    (checked on the generators) and commutes there with conjugation by
-    s; conversely every such automorphism of L extends by fixing s.  The
-    base is the pair's generating sequence x1..xk = [s, l1..lk] (s omitted
-    when trivial), and only the levels below s are searched.  Level i is
-    the subgroup fixing x1..x(i-1), and its basic orbit is the set of
-    images of xi under that subgroup.  The levels are filled from the
-    deepest one up.  At level i every candidate image of xi outside the
-    orbit of the generators found so far is tested by one first-hit
-    search with x1..x(i-1) fixed; a hit is a new strong generator and
-    grows the orbit, a miss is not in the orbit.  So |C| is the product
-    of the basic orbit lengths, and SizeBoundError is raised as soon as
-    that product passes the configured bound, before any group is built.
+    An automorphism of the carrier L<u> that fixes u maps L onto itself
+    (L is its normal Sylow subgroup) and commutes there with conjugation
+    by u; conversely every automorphism of L that commutes with c_u
+    extends by fixing u.  So C is searched on L alone: a candidate map is
+    closed on L, and a full map is accepted only if it commutes with c_u
+    on the generators l1..lk of L.  The candidate image lists are those of
+    the carrier (element order and carrier class size), restricted to L.
+    The base is l1..lk.  Level i is the subgroup fixing l1..l(i-1), and
+    its basic orbit is the set of images of li under that subgroup.  The
+    levels are filled from the deepest one up.  At level i every
+    candidate image of li outside the orbit of the generators found so
+    far is tested by one first-hit search with l1..l(i-1) fixed; a hit is
+    a new strong generator and grows the orbit, a miss is not in the
+    orbit.  So |C| is the product of the basic orbit lengths, and
+    SizeBoundError is raised as soon as that product passes the
+    configured bound, before any group is built.
     """
-    G = mp.group
+    L = mp.subgroup.group
+    u = mp.element
     bound = max_order()
-    sequence = _pair_sequence(mp)
-    first = 0 if mp.element.is_identity() else 1
-    free = [None] * len(sequence)
-    lists = _candidate_lists(G, G, sequence, free)
+    commuting = None if u.is_identity() else u
+    sequence = list(L.generators)
+    lists = _candidate_lists(mp.group, mp.group, sequence, [L.element_set()] * len(sequence))
+    free = [set(pool) for pool in lists]
     maps = []
     order = 1
-    for i in reversed(range(first, len(sequence))):
+    for i in reversed(range(len(sequence))):
         x = sequence[i]
         fixed = [{y} for y in sequence[:i]]
         basic = _basic_orbit(x, maps)
         for cand in lists[i]:
             if cand in basic:
                 continue
-            hit = _search_maps(G, G, sequence, fixed + [{cand}] + free[i + 1:], limit=1)
+            hit = _search_maps(L, L, sequence, fixed + [{cand}] + free[i + 1:], 1, commuting)
             if not hit:
                 continue
             maps.append(hit[0])
             basic = _basic_orbit(x, maps)
             if order * len(basic) > bound:
                 raise SizeBoundError(
-                    f"automorphism search, pair class (|L|={mp.subgroup.order}, "
-                    f"ord u={mp.element.order()}): C_Aut(L)(c_u) has more than "
+                    f"automorphism search, pair class (|L|={L.order}, "
+                    f"ord u={u.order()}): C_Aut(L)(c_u) has more than "
                     f"{bound} elements, over the configured bound {bound}"
                 )
         order *= len(basic)
-    pset = mp.subgroup.element_set()
-    for m in maps:
-        for x in mp.subgroup.generators:
-            if m[x] not in pset:
-                raise InternalCheckError(
-                    "pair automorphism moved the marked subgroup"
-                )
     return maps

@@ -4,9 +4,11 @@ Character values are residues modulo a prime q with q = 1 (mod exponent)
 and q > 2|G|: the class-multiplication matrices are simultaneously
 diagonalized over F_q, the one-dimensional common eigenspaces are the
 central characters, and degrees are recovered as the unique integer
-square roots below sqrt(|G|).  Every reported quantity (degrees, fixed
-point dimensions) is a bounded rational integer, so residue arithmetic
-plus bounded lifting is exact.
+square roots below sqrt(|G|).  For an abelian G every character is
+linear, and the table lists Hom(G, F_q^*) directly, extended one
+generator at a time, with the same q and the same row order.  Every
+reported quantity (degrees, fixed point dimensions) is a bounded
+rational integer, so residue arithmetic plus bounded lifting is exact.
 """
 
 from __future__ import annotations
@@ -208,15 +210,10 @@ def _split_space(basis, mat, k, q):
     return pieces
 
 
-def character_table(G: PermGroup) -> CharacterTable:
-    """The exact character table of G over a suitable prime field."""
-    if G.order > max_order():
-        raise SizeBoundError(
-            f"character table refused for order {G.order} > {max_order()}"
-        )
-    classes = G.conjugacy_data()
+def _class_matrix_rows(G: PermGroup, classes, q):
+    """(degree, values) of every irreducible, from the central characters
+    that the class-multiplication matrices separate."""
     k = len(classes)
-    q = character_prime(G.exponent(), G.order)
     class_of = {x: i for i, cls in enumerate(classes) for x in cls.elements}
     inv_class = [class_of[cls.rep.inverse()] for cls in classes]
     sizes = [cls.size for cls in classes]
@@ -256,18 +253,87 @@ def character_table(G: PermGroup) -> CharacterTable:
             degree * omega[j] % q * pow(sizes[j], -1, q) % q for j in range(k)
         )
         rows.append((degree, values))
-    rows.sort()
+    return rows
 
+
+def _roots_of_unity(n, q):
+    """The n-th roots of unity in F_q, for n dividing q - 1, as the powers
+    of a primitive one."""
+    for g in range(2, q):
+        w = pow(g, (q - 1) // n, q)
+        roots = [pow(w, j, q) for j in range(n)]
+        if len(set(roots)) == n:
+            return roots
+    raise InternalCheckError(f"no primitive {n}-th root of unity mod {q}")
+
+
+def _linear_rows(G: PermGroup, classes, q):
+    """(1, values) of every character of an abelian G: Hom(G, F_q^*),
+    extended along the generators.  When g^r is the first power of g in
+    H = <g1..g(i-1)>, each character chi of H extends to <H, g> in r ways,
+    chi(h g^j) = chi(h) zeta^j with zeta^r = chi(g^r)."""
+    roots = _roots_of_unity(G.exponent(), q)
+    elements = [G.identity]
+    chars = [[1]]
+    for g in G.generators:
+        index = {x: i for i, x in enumerate(elements)}
+        power, r = g, 1
+        while power not in index:
+            power, r = power * g, r + 1
+        layers = [elements]
+        for _ in range(1, r):
+            layers.append([x * g for x in layers[-1]])
+        elements = [x for layer in layers for x in layer]
+        unity = [z for z in roots if pow(z, r, q) == 1]
+        extended = []
+        for chi in chars:
+            target = chi[index[power]]
+            first = next(z for z in roots if pow(z, r, q) == target)
+            for root in unity:
+                zeta = first * root % q
+                z, values = 1, []
+                for _ in range(r):
+                    values.extend(v * z % q for v in chi)
+                    z = z * zeta % q
+                extended.append(values)
+        chars = extended
+    position = {x: i for i, x in enumerate(elements)}
+    columns = [position[cls.rep] for cls in classes]
+    return [(1, tuple(chi[c] for c in columns)) for chi in chars]
+
+
+def _table(G: PermGroup, rows_of) -> CharacterTable:
+    """The table whose rows rows_of(G, classes, q) lists, sorted by
+    (degree, values) and verified."""
+    classes = G.conjugacy_data()
+    q = character_prime(G.exponent(), G.order)
+    rows = sorted(rows_of(G, classes, q))
     table = CharacterTable(
         group=G,
         modulus=q,
         class_reps=tuple(cls.rep for cls in classes),
-        class_sizes=tuple(sizes),
+        class_sizes=tuple(cls.size for cls in classes),
         degrees=tuple(d for d, _ in rows),
         values=tuple(v for _, v in rows),
     )
     _verify_table(table)
     return table
+
+
+def character_table(G: PermGroup) -> CharacterTable:
+    """The exact character table of G over a suitable prime field.
+
+    For an abelian G the rows are the linear characters, listed directly;
+    otherwise they come from the class-multiplication matrices.  Both give
+    the same prime, the same row order and the same verified table.
+    """
+    bound = max_order()
+    if G.order > bound:
+        raise SizeBoundError(
+            f"character table: the group has order {G.order}, over the "
+            f"configured bound {bound}"
+        )
+    return _table(G, _linear_rows if G.is_abelian() else _class_matrix_rows)
 
 
 def _verify_table(table: CharacterTable):

@@ -21,13 +21,17 @@ Out(L, u) is never built as a group.  A class holds C = C_Aut(L)(c_u)
 acting on the labels of L and its normal subgroup N = <c_u, c_x : x in
 C_L(u)>, with Out(L, u) = C / N.  A subgroup of Out is carried by its
 preimage in C, which contains N, and the irreducibles of Out are the
-characters of C with N in their kernel.
+characters of C with N in their kernel.  ensure_aut builds C, from
+strong generators found by a search on L alone, and N; the character
+table of C is built only when a multiplicity or a report first reads
+it, so commands that need only subgroups of Out, such as verify-psi,
+build no table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Optional
 
 from .autos import (
@@ -36,7 +40,7 @@ from .autos import (
     pair_automorphism_maps,
 )
 from .chartab import CharacterTable, character_table, fixed_point_dim
-from .errors import DomainError, InternalCheckError
+from .errors import DomainError, InternalCheckError, SizeBoundError
 from .permgroup import (
     GroupHom,
     PermGroup,
@@ -196,8 +200,6 @@ class PairClass:
         self.label_index = {x: i for i, x in enumerate(labels)}
         self.aut: Optional[PermGroup] = None  # C = C_Aut(L)(c_u) on the labels
         self.inner: Optional[Subgroup] = None  # N, the kernel of C -> Out
-        self.aut_table: Optional[CharacterTable] = None
-        self.out_rows: tuple = ()  # the rows of aut_table inflated from Out
 
     @property
     def subgroup_order(self) -> int:
@@ -208,6 +210,11 @@ class PairClass:
         return self.realization.element.order()
 
     @property
+    def name(self) -> str:
+        """The class as error messages name it."""
+        return f"pair class (|L|={self.subgroup_order}, ord u={self.element_order})"
+
+    @property
     def out_order(self) -> int:
         return self.aut.order // self.inner.order
 
@@ -216,11 +223,8 @@ class PairClass:
         return Permutation(self.label_index[automorphism(x)] for x in self.labels)
 
     def ensure_aut(self):
-        """Populate C, N and the irreducibles of Out = C / N.
-
-        The irreducibles of Out are the rows of the table of C that equal
-        their degree on every class meeting N, kept in table order.
-        """
+        """Populate C and N; the characters of Out = C / N are built only
+        when first read, by aut_table and out_rows."""
         if self.aut is not None:
             return
         gens = [self.label_perm(m.__getitem__) for m in pair_automorphism_maps(self.realization)]
@@ -234,8 +238,9 @@ class PairClass:
             expected *= len(orbit(point, lambda y: [a[y] for a in level]))
         if aut.order != expected:
             raise InternalCheckError(
-                f"C_Aut(L)(c_u) closed from its generators has order {aut.order}, "
-                f"not the basic orbit product {expected}"
+                f"Out(L, u), {self.name}: C_Aut(L)(c_u) closed from its "
+                f"generators has order {aut.order}, not the basic orbit "
+                f"product {expected}"
             )
         u = self.realization.element
         fixing_u = [x for x in self.labels if x * u == u * x]
@@ -244,23 +249,42 @@ class PairClass:
             for g in (u,) + small_generating_set(u.degree, fixing_u)
         ]
         if not all(aut.contains(c) for c in inner):
-            raise InternalCheckError("an inner automorphism fixing u is not in C")
+            raise InternalCheckError(
+                f"Out(L, u), {self.name}: an inner automorphism fixing u is "
+                f"not in C_Aut(L)(c_u) of order {aut.order}"
+            )
         self.inner = aut.subgroup(inner)
-        table = character_table(aut)
-        kernel = {aut.class_index_of(n) for n in self.inner.elements()}
-        self.out_rows = tuple(
+        self.aut = aut
+
+    @cached_property
+    def aut_table(self) -> CharacterTable:
+        """The character table of C, built on first read."""
+        self.ensure_aut()
+        try:
+            return character_table(self.aut)
+        except (SizeBoundError, InternalCheckError) as exc:
+            raise type(exc)(f"Out(L, u), {self.name}: {exc}") from exc
+
+    @cached_property
+    def out_rows(self) -> tuple:
+        """The rows of aut_table inflated from Out: those equal to their
+        degree on every class meeting N, in table order."""
+        table = self.aut_table
+        kernel = {self.aut.class_index_of(n) for n in self.inner.elements()}
+        return tuple(
             r for r, d in enumerate(table.degrees)
             if all(table.values[r][j] == d for j in kernel)
         )
-        self.aut_table = table
-        self.aut = aut
 
     def out_dims(self, H: Subgroup) -> list:
         """The fixed-point dimension of each irreducible of Out on the
         image of H, for H <= C containing N: the average of the inflated
         character over H."""
         if not self.inner.element_set() <= H.element_set():
-            raise InternalCheckError("a preimage in C does not contain N")
+            raise InternalCheckError(
+                f"Out(L, u), {self.name}: a preimage in C of order {H.order} "
+                f"does not contain N of order {self.inner.order}"
+            )
         return [fixed_point_dim(self.aut_table, r, H) for r in self.out_rows]
 
     def __repr__(self):
@@ -328,9 +352,9 @@ class PairClassRegistry:
     Classification happens in a deterministic enumeration order, so class
     identifiers and character labels are reproducible.  A class keeps its
     identifier, realization and key once assigned, but it is not frozen:
-    its members grow as later pairs join it, and ensure_aut fills in Aut,
-    Out and their tables on first use.  The registry has no locking, so
-    it must not be shared between threads.
+    its members grow as later pairs join it, ensure_aut fills in C and N
+    on first use, and the table of C is built when first read.  The
+    registry has no locking, so it must not be shared between threads.
     """
 
     def __init__(self):

@@ -342,15 +342,30 @@ def _set_key(element_set):
 
 
 def _all_subgroups_of(degree, elements):
-    """Every subgroup of the group given by its element list."""
-    return orbit(
-        frozenset([Permutation.identity(degree)]),
-        lambda s: [
-            frozenset(_closure(degree, list(s) + [x], len(elements) + 1))
-            for x in elements
-            if x not in s
-        ],
-    )
+    """Every subgroup of the group given by its element list.
+
+    Each subgroup s found keeps the generating set it was first closed
+    from, and is extended by one x per coset s x outside s: <s, h x> is
+    <s, x> for every h in s.
+    """
+    cap = len(elements) + 1
+    trivial = frozenset([Permutation.identity(degree)])
+    generators = {trivial: ()}
+
+    def extensions(s):
+        found = []
+        covered = set(s)
+        for x in elements:
+            if x in covered:
+                continue
+            covered.update(h * x for h in s)
+            gens = generators[s] + (x,)
+            t = frozenset(_closure(degree, gens, cap))
+            generators.setdefault(t, gens)
+            found.append(t)
+        return found
+
+    return orbit(trivial, extensions)
 
 
 def p_subgroup_classes(G: PermGroup, p: int):

@@ -101,12 +101,13 @@ def close_hom(identity_a, identity_b, pairs):
 
 
 def leaf_only_search(identity_a, identity_b, order_a, order_b, sequence,
-                     candidates, limit=None):
+                     candidates, limit=None, commuting=None):
     """Generator-image search that closes only complete candidate tuples.
 
     Tuples are tried in lexicographic order of the candidate lists; each
     is closed from the identity and kept when it is a bijection of the
-    whole group.  Stops after ``limit`` maps.
+    whole group and, given ``commuting`` = c, when it commutes with
+    conjugation by c on every element.  Stops after ``limit`` maps.
     """
     if order_a != order_b:
         return []
@@ -117,7 +118,11 @@ def leaf_only_search(identity_a, identity_b, order_a, order_b, sequence,
     found = []
     for images in itertools.product(*candidates):
         m = close_hom(identity_a, identity_b, list(zip(sequence, images)))
-        if m is not None and len(m) == order_a and len(set(m.values())) == order_b:
+        if m is None or len(m) != order_a or len(set(m.values())) != order_b:
+            continue
+        if commuting is None or all(
+            m[conj(commuting, x)] == conj(commuting, y) for x, y in m.items()
+        ):
             found.append(m)
             if len(found) == limit:
                 break

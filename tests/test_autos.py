@@ -5,12 +5,13 @@ from blockfunctor.autos import (
     MarkedPair,
     find_group_isomorphism,
     find_pair_isomorphism,
+    pair_automorphism_maps,
 )
 from blockfunctor.battery import a4, c3, s3, s4
 from blockfunctor.ddelta import FaithfulQuotient, PairClass
 from blockfunctor.errors import DomainError
 from blockfunctor.permgroup import group_from_generators
-from blockfunctor.permutation import Permutation
+from blockfunctor.permutation import Permutation, conjugate
 
 
 def perm(degree, text):
@@ -134,6 +135,13 @@ def test_pair_automorphism_count_for_a4_marking():
     cls = pair_class(mp)
     assert cls.aut.order == 3
     assert cls.inner.element_set() == cls.aut.element_set()
+    # its strong generators are maps on L, not on the carrier A4, and
+    # commute there with conjugation by u
+    maps = pair_automorphism_maps(mp)
+    assert len(maps) == 1
+    for m in maps:
+        assert set(m) == set(m.values()) == mp.subgroup.element_set()
+        assert all(m[conjugate(mp.element, x)] == conjugate(mp.element, m[x]) for x in m)
 
 
 def test_find_group_isomorphism():

@@ -1,8 +1,12 @@
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import DATA_DIR
+from blockfunctor import chartab
 from blockfunctor.battery import a4, c3, f20, f21, g56, g72, s3, s4
 from blockfunctor.chartab import (
     _charpoly,
@@ -12,6 +16,7 @@ from blockfunctor.chartab import (
 )
 from blockfunctor.ddelta import PairClassRegistry
 from blockfunctor.errors import DomainError
+from blockfunctor.grpfile import load_group, parse_group_file
 from blockfunctor.permgroup import group_from_generators, sylow_subgroup
 from blockfunctor.permutation import Permutation
 
@@ -178,3 +183,54 @@ def matrices_mod_q(draw):
 def test_hessenberg_charpoly_matches_leverrier(case):
     mat, q = case
     assert _charpoly(mat, q) == oracles.leverrier_charpoly(mat, q)
+
+
+def assert_linear_path_matches_class_matrices(G):
+    assert G.is_abelian()
+    linear = chartab._table(G, chartab._linear_rows)
+    assert linear == chartab._table(G, chartab._class_matrix_rows)
+    assert linear == character_table(G)
+
+
+def test_linear_characters_match_class_matrices_on_every_abelian_c():
+    # every abelian C = C_Aut(L)(c_u) met on the fixtures
+    seen = 0
+    for name in ("s3", "c3", "a4", "s4", "f20", "f20b", "f21", "g72", "g56", "f75"):
+        loaded = load_group(parse_group_file((DATA_DIR / f"{name}.grp").read_text()))
+        registry = PairClassRegistry()
+        registry.classify_group(loaded.group, loaded.p)
+        for cls in registry.classes:
+            cls.ensure_aut()
+            if cls.aut.is_abelian():
+                assert_linear_path_matches_class_matrices(cls.aut)
+                seen += 1
+    assert seen == 39
+
+
+@st.composite
+def relabeled_cycle_products(draw):
+    """A product of cycles on disjoint, shuffled points, generated by a
+    product of powers of the cycles followed by the cycles in any order."""
+    lengths = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
+    assume(math.prod(lengths) <= 40)
+    degree = sum(lengths)
+    points = draw(st.permutations(range(degree)))
+    cycles, start = [], 0
+    for n in lengths:
+        images = list(range(degree))
+        block = points[start:start + n]
+        for a, b in zip(block, block[1:] + block[:1]):
+            images[a] = b
+        cycles.append(Permutation(images))
+        start += n
+    mixed = Permutation.identity(degree)
+    for cycle, n in zip(cycles, lengths):
+        mixed = mixed * cycle ** draw(st.integers(0, n - 1))
+    gens = [mixed] + draw(st.permutations(cycles))
+    return group_from_generators(degree, gens)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(relabeled_cycle_products())
+def test_linear_characters_match_class_matrices_on_random_abelian_groups(G):
+    assert_linear_path_matches_class_matrices(G)

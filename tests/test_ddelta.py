@@ -1,6 +1,9 @@
+import re
+
 import pytest
 
 import oracles
+from blockfunctor import chartab, ddelta
 from blockfunctor.autos import find_pair_isomorphism
 from blockfunctor.battery import a4, c3, f20, f21, g56, g72, s3, s4
 from blockfunctor.ddelta import (
@@ -10,7 +13,7 @@ from blockfunctor.ddelta import (
     image_of_normalizer,
     pair_orbit_reps,
 )
-from blockfunctor.errors import DomainError
+from blockfunctor.errors import DomainError, InternalCheckError, SizeBoundError
 from blockfunctor.multiplicity import invariants_kl
 from blockfunctor.permgroup import GroupHom, normalizer
 from blockfunctor.permutation import Permutation, conjugate
@@ -244,3 +247,65 @@ def test_fixed_dims_are_witness_independent():
 def test_normalizer_pair_validation():
     with pytest.raises(DomainError):
         NormalizerPair(s3(), 3, s3().subgroup([perm(3, "(1,2,3)")]), perm(3, "(1,2,3)"))
+
+
+def a4_class(subgroup_order, element_order):
+    """A fresh class of A4 at p=2, with C and N not yet computed."""
+    registry = PairClassRegistry()
+    registry.classify_group(a4(), 2)
+    return next(
+        cls for cls in registry.classes
+        if (cls.subgroup_order, cls.element_order) == (subgroup_order, element_order)
+    )
+
+
+def as_maps(cls, perms):
+    """Label permutations of C as element maps on L."""
+    return [{x: cls.labels[g.images[i]] for i, x in enumerate(cls.labels)} for g in perms]
+
+
+def test_out_errors_name_the_pair_class(monkeypatch):
+    # (V4, u of order 3): C = N = <c_u> has order 3
+    cls = a4_class(4, 3)
+    cls.ensure_aut()
+    with pytest.raises(InternalCheckError, match=re.escape(
+        "Out(L, u), pair class (|L|=4, ord u=3): a preimage in C of order 1 "
+        "does not contain N of order 3"
+    )):
+        cls.out_dims(cls.aut.trivial_subgroup())
+
+    monkeypatch.setattr(ddelta, "pair_automorphism_maps", lambda mp: [])
+    with pytest.raises(InternalCheckError, match=re.escape(
+        "Out(L, u), pair class (|L|=4, ord u=3): an inner automorphism fixing "
+        "u is not in C_Aut(L)(c_u) of order 1"
+    )):
+        a4_class(4, 3).ensure_aut()
+
+
+def test_non_strong_generators_are_refused_by_name(monkeypatch):
+    # (V4, 1): C = Aut(V4) = S3 on the labels; two generators that both
+    # move the first base point close to S3 but give the orbit product 3
+    cls = a4_class(4, 1)
+    cls.ensure_aut()
+    first = cls.label_index[cls.realization.subgroup.generators[0]]
+    moving = [g for g in cls.aut.elements() if g.images[first] != first]
+    gens = next(
+        (a, b) for a in moving for b in moving if cls.aut.subgroup([a, b]).order == 6
+    )
+    monkeypatch.setattr(ddelta, "pair_automorphism_maps", lambda mp: as_maps(cls, gens))
+    with pytest.raises(InternalCheckError, match=re.escape(
+        "Out(L, u), pair class (|L|=4, ord u=1): C_Aut(L)(c_u) closed from its "
+        "generators has order 6, not the basic orbit product 3"
+    )):
+        a4_class(4, 1).ensure_aut()
+
+
+def test_character_table_refusal_names_the_pair_class(monkeypatch):
+    cls = a4_class(4, 1)
+    cls.ensure_aut()
+    monkeypatch.setattr(chartab, "max_order", lambda: 5)
+    with pytest.raises(SizeBoundError, match=re.escape(
+        "Out(L, u), pair class (|L|=4, ord u=1): character table: the group "
+        "has order 6, over the configured bound 5"
+    )):
+        cls.aut_table

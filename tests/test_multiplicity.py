@@ -1,5 +1,6 @@
 import pytest
 
+from blockfunctor import ddelta
 from blockfunctor.battery import (
     GOLDEN_A4,
     GOLDEN_S3,
@@ -144,3 +145,30 @@ def test_s4_pairs_table_still_works():
     trivial = registry.trivial_class()
     assert table.rows[(trivial.class_id, 0)] == table.l == 2
     assert table.defect_order == 8
+
+
+@pytest.mark.parametrize(
+    "builders,p",
+    [((s3,), 3), ((a4,), 2), ((f20,), 5), ((f21,), 7), ((g72,), 3), ((g56,), 2),
+     ((f20, f20_relabeled), 5), ((s3, c3), 3)],
+)
+def test_one_character_table_per_class_with_members(builders, p, monkeypatch):
+    built = []
+    table_of = ddelta.character_table
+
+    def counting(group):
+        built.append(group)
+        return table_of(group)
+
+    monkeypatch.setattr(ddelta, "character_table", counting)
+    registry = PairClassRegistry()
+    groups = [builder() for builder in builders]
+    for G in groups:
+        mult_table_pairs(G, p, registry)
+        if len(groups) == 1:
+            mult_table_fusion(build_fusion(G, p), registry)
+    with_members = [
+        cls for cls in registry.classes
+        if any(registry.members_for(G, cls) for G in groups)
+    ]
+    assert sorted(map(id, built)) == sorted(id(cls.aut) for cls in with_members)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -223,6 +224,17 @@ def test_relabeled_random_groups_match_the_layered_extension(groups):
     for p in primes_dividing(G.order):
         orders = [len(s) for s in assert_matches_layered_oracle(G, p)]
         assert [len(s) for s in assert_matches_layered_oracle(H, p)] == orders
+
+
+def test_p_subgroup_classes_of_a_sylow_subgroup_of_order_64():
+    # S4 x C2^3 at p=2: 567 classes of subgroups of its Sylow subgroup of
+    # order 64, counted by the enumeration that closed every element of s
+    # plus each x outside s
+    c2_cubed = group_from_generators(6, [perm(6, c) for c in ("(1,2)", "(3,4)", "(5,6)")])
+    G = direct_product(s4(), c2_cubed)
+    orders = Counter(P.order for P in p_subgroup_classes(G, 2))
+    assert sum(orders.values()) == 567
+    assert orders == {1: 1, 2: 23, 4: 122, 8: 226, 16: 163, 32: 31, 64: 1}
 
 
 def test_sylow_subgroup_order():

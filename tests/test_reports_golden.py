@@ -17,6 +17,7 @@ import sys
 import pytest
 
 from conftest import DATA_DIR
+from blockfunctor import ddelta
 from blockfunctor.cli import main
 
 GOLDEN = DATA_DIR / "reports.golden"
@@ -70,6 +71,31 @@ def test_golden_file_covers_exactly_the_cases():
 def test_report_matches_golden(case, monkeypatch):
     monkeypatch.delenv("BLOCKFUNCTOR_MAX_ORDER", raising=False)
     assert render(case) == _golden_blocks()[f"=== {' '.join(case)}"]
+
+
+def refuse_tables(monkeypatch):
+    def refuse(group):
+        raise AssertionError(f"a character table of a group of order {group.order}")
+
+    monkeypatch.setattr(ddelta, "character_table", refuse)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_verify_psi_builds_no_character_table(name, monkeypatch):
+    # verify-psi reports stabilizer orders only, so no table of C is read
+    monkeypatch.delenv("BLOCKFUNCTOR_MAX_ORDER", raising=False)
+    refuse_tables(monkeypatch)
+    case = ("verify-psi", name)
+    assert render(case) == _golden_blocks()[f"=== {' '.join(case)}"]
+
+
+def test_verify_psi_on_f75_builds_no_character_table(monkeypatch):
+    monkeypatch.delenv("BLOCKFUNCTOR_MAX_ORDER", raising=False)
+    case = ("verify-psi", "f75.grp")
+    expected = render(case)
+    assert expected.startswith(f"=== {' '.join(case)}\nexit 0\n")
+    refuse_tables(monkeypatch)
+    assert render(case) == expected
 
 
 if __name__ == "__main__":

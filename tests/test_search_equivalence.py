@@ -4,8 +4,11 @@ Every call the pipeline makes to the search while classifying pairs,
 computing Aut(L, u), running the fusion route and comparing groups is
 recorded, then repeated with ``oracles.leaf_only_search`` over the same
 candidate lists.  Pruning is exact only if both return the same maps in
-the same order; for the first-hit searches (pair and group isomorphism)
-that means the same witness.
+the same order; for the first-hit searches (pair and group isomorphism,
+and the strong generators of C_Aut(L)(c_u)) that means the same witness.
+The searches for C run on L and accept a map only if it commutes with
+conjugation by u on the generators of L; the oracle checks that relation
+on every element of L.
 """
 
 import itertools
@@ -33,9 +36,9 @@ def searches(monkeypatch):
     calls = []
     search = autos._search_maps
 
-    def recording(A, B, sequence, restrictions, limit=None):
-        found = search(A, B, sequence, restrictions, limit)
-        calls.append((A, B, sequence, restrictions, limit, found))
+    def recording(A, B, sequence, restrictions, limit=None, commuting=None):
+        found = search(A, B, sequence, restrictions, limit, commuting)
+        calls.append((A, B, sequence, restrictions, limit, commuting, found))
         return found
 
     monkeypatch.setattr(autos, "_search_maps", recording)
@@ -49,7 +52,7 @@ def images(m):
 
 def assert_same_as_leaf_only(calls):
     assert calls
-    for A, B, sequence, restrictions, limit, found in calls:
+    for A, B, sequence, restrictions, limit, commuting, found in calls:
         lists = autos._candidate_lists(A, B, sequence, restrictions)
         expected = oracles.leaf_only_search(
             A.identity.images,
@@ -59,6 +62,7 @@ def assert_same_as_leaf_only(calls):
             [g.images for g in sequence],
             None if lists is None else [[y.images for y in pool] for pool in lists],
             limit,
+            None if commuting is None else commuting.images,
         )
         assert [images(m) for m in found] == expected
 
@@ -70,6 +74,10 @@ def test_every_pair_class_search_matches_leaf_only(name, searches):
     registry.classify_group(loaded.group, loaded.p)
     for cls in registry.classes:
         cls.ensure_aut()  # runs pair_automorphism_maps once per class
+    # a class with nontrivial u has c_u in C, so its search tests maps
+    # against the commutation relation
+    with_u = any(cls.element_order > 1 for cls in registry.classes)
+    assert any(call[5] is not None for call in searches) == with_u
     if name != "s4":
         mult_table_fusion(build_fusion(loaded.group, loaded.p), registry, name)
     assert_same_as_leaf_only(searches)
