@@ -9,14 +9,15 @@ Pruning is exact, so the maps are found in the same depth-first order
 as by closing every full candidate tuple.  Accepted maps are verified
 bijections on the whole group.  Searches are complete and deterministic.
 
-Out(L, u) is C / N with C = C_Aut(L)(c_u) and N the conjugations by u
-and by C_L(u): every pair automorphism fixes u after composing with an
-inner one, and the inner automorphisms that fix u are those in N.  C is
-never listed element by element.  It is computed on L alone, as a
-strong generating set by a stabilizer-chain backtrack along the
-generators l1..lk of L: each generator found answers one first-hit
-search whose maps are closed on L and accepted only if they commute with
-conjugation by u, and its basic orbits give |C| before any closure.
+A pair (L, u) is a group L with an element u normalizing it, and both
+pair searches run on L alone.  The closure of a partial map is also
+closed under x -> u x u^-1 with image u' m(x) u'^-1, so a map that
+breaks the intertwining relation conflicts as soon as its prefix does.
+An isomorphism of pairs is an isomorphism L -> L' found this way, and
+C = C_Aut(L)(c_u) is computed as a strong generating set by a
+stabilizer-chain backtrack along the generators l1..lk of L: each
+generator found answers one first-hit search, and the basic orbits give
+|C| before any closure.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .permutation import Permutation, conjugate
 from .permgroup import (
     GroupHom,
     PermGroup,
-    Subgroup,
     close_map,
     orbit,
     small_generating_set,
@@ -38,31 +38,22 @@ from .permgroup import (
 
 @dataclass(frozen=True)
 class MarkedPair:
-    """A group generated by a marked subgroup P and a marked element s.
+    """A pair (L, u): a group L and an element u normalizing it.
 
-    The element must normalize the subgroup and together they must
-    generate the whole group.
+    Two pairs are isomorphic when some isomorphism f: L -> L' satisfies
+    f(u x u^-1) = u' f(x) u'^-1 on L.
     """
 
-    group: PermGroup
-    subgroup: Subgroup
+    subgroup: PermGroup
     element: Permutation
 
     def __post_init__(self):
-        if not self.group.contains(self.element):
-            raise DomainError("marked element is not a member of the marked group")
+        if self.element.degree != self.subgroup.degree:
+            raise DomainError("marked element does not act on the points of the subgroup")
         pset = self.subgroup.element_set()
         for x in self.subgroup.generators:
-            if not self.group.contains(x):
-                raise DomainError("marked subgroup is not inside the marked group")
             if conjugate(self.element, x) not in pset:
                 raise DomainError("marked element does not normalize the subgroup")
-        span = self.group.subgroup(
-            tuple(self.subgroup.generators)
-            + ((self.element,) if not self.element.is_identity() else ())
-        )
-        if span.order != self.group.order:
-            raise DomainError("marked subgroup and element do not generate the group")
 
 
 def _candidate_lists(A, B, sequence, restrictions):
@@ -83,9 +74,10 @@ def _search_maps(A, B, sequence, restrictions, limit=None, commuting=None):
     """The isomorphisms A -> B respecting the restrictions, in depth-first
     order of the candidate images; the search stops after ``limit`` maps.
 
-    With ``commuting`` an element c normalizing A and B, a full map m is kept
-    only if m(c x c^-1) = c m(x) c^-1 for each x of the sequence; since
-    both sides are homomorphisms in x, the relation then holds on all of A.
+    With ``commuting`` = (c, d), c normalizing A and d normalizing B, every
+    partial map is closed under x -> c x c^-1 with image d m(x) d^-1 as
+    well, so a conflict with m(c x c^-1) = d m(x) d^-1 drops the subtree
+    and every full map found intertwines the two conjugations on A.
     """
     if A.order != B.order:
         return []
@@ -100,14 +92,7 @@ def _search_maps(A, B, sequence, restrictions, limit=None, commuting=None):
 
     def recurse(i, m):
         if i == len(sequence):
-            if (
-                len(m) == A.order
-                and len(set(m.values())) == B.order
-                and (commuting is None or all(
-                    m[conjugate(commuting, x)] == conjugate(commuting, m[x])
-                    for x in sequence
-                ))
-            ):
+            if len(m) == A.order and len(set(m.values())) == B.order:
                 found.append(m)
             return len(found) == limit
         g = sequence[i]
@@ -116,7 +101,7 @@ def _search_maps(A, B, sequence, restrictions, limit=None, commuting=None):
             return fixed in allowed[i] and recurse(i + 1, m)
         for cand in lists[i]:
             pairs.append((g, cand))
-            closed = close_map(A, B, pairs, start=m)
+            closed = close_map(A, B, pairs, start=m, twist=commuting)
             stop = closed is not None and recurse(i + 1, closed)
             pairs.pop()
             if stop:
@@ -146,37 +131,22 @@ def find_group_isomorphism(A: PermGroup, B: PermGroup):
     return GroupHom(A, B, [(g, m[g]) for g in sequence] or [(A.identity, B.identity)])
 
 
-def _pair_sequence(mp: MarkedPair):
-    """Generating sequence [s] + generators of P (s omitted when trivial)."""
-    seq = [] if mp.element.is_identity() else [mp.element]
-    seq.extend(mp.subgroup.generators)
-    return seq
-
-
 def find_pair_isomorphism(a: MarkedPair, b: MarkedPair):
-    """An isomorphism f of the marked groups with f(P) = Q and f(s)
-    conjugate to t, or None when no such isomorphism exists."""
-    if a.group.order != b.group.order:
+    """An isomorphism f: L -> L' with f(u x u^-1) = u' f(x) u'^-1, as a
+    GroupHom on the generators of L, or None when there is none."""
+    L, M = a.subgroup, b.subgroup
+    if L.order != M.order or a.element.order() != b.element.order():
         return None
-    if a.subgroup.order != b.subgroup.order:
+    if _profile(L) != _profile(M):
         return None
-    if a.element.order() != b.element.order():
-        return None
-    if _profile(a.group) != _profile(b.group):
-        return None
-    sequence = _pair_sequence(a)
-    restrictions = []
-    if not a.element.is_identity():
-        t_class = b.group.conjugacy_data()[b.group.class_index_of(b.element)]
-        restrictions.append(set(t_class.elements))
-    qset = b.subgroup.element_set()
-    restrictions.extend([qset] * len(a.subgroup.generators))
-    maps = _search_maps(a.group, b.group, sequence, restrictions, limit=1)
+    # u and u' have one order, so both or neither are trivial
+    twist = None if a.element.is_identity() else (a.element, b.element)
+    sequence = list(L.generators)
+    maps = _search_maps(L, M, sequence, [None] * len(sequence), 1, twist)
     if not maps:
         return None
     m = maps[0]
-    pairs = [(g, m[g]) for g in sequence] or [(a.group.identity, b.group.identity)]
-    return GroupHom(a.group, b.group, pairs)
+    return GroupHom(L, M, [(g, m[g]) for g in sequence] or [(L.identity, M.identity)])
 
 
 def _basic_orbit(x, maps):
@@ -187,29 +157,25 @@ def _basic_orbit(x, maps):
 def pair_automorphism_maps(mp: MarkedPair):
     """Strong generators of C = C_Aut(L)(c_u), as element maps on L.
 
-    An automorphism of the carrier L<u> that fixes u maps L onto itself
-    (L is its normal Sylow subgroup) and commutes there with conjugation
-    by u; conversely every automorphism of L that commutes with c_u
-    extends by fixing u.  So C is searched on L alone: a candidate map is
-    closed on L, and a full map is accepted only if it commutes with c_u
-    on the generators l1..lk of L.  The candidate image lists are those of
-    the carrier (element order and carrier class size), restricted to L.
-    The base is l1..lk.  Level i is the subgroup fixing l1..l(i-1), and
-    its basic orbit is the set of images of li under that subgroup.  The
-    levels are filled from the deepest one up.  At level i every
-    candidate image of li outside the orbit of the generators found so
-    far is tested by one first-hit search with l1..l(i-1) fixed; a hit is
-    a new strong generator and grows the orbit, a miss is not in the
-    orbit.  So |C| is the product of the basic orbit lengths, and
-    SizeBoundError is raised as soon as that product passes the
-    configured bound, before any group is built.
+    Every candidate map is closed on L under multiplication and under
+    c_u (see _search_maps), so each map found commutes with c_u.  The
+    candidate images of the generators l1..lk of L are the elements of L
+    with the same order and L-class size.  The base is l1..lk.  Level i
+    is the subgroup fixing l1..l(i-1), and its basic orbit is the set of
+    images of li under that subgroup.  The levels are filled from the
+    deepest one up.  At level i every candidate image of li outside the
+    orbit of the generators found so far is tested by one first-hit
+    search with l1..l(i-1) fixed; a hit is a new strong generator and
+    grows the orbit, a miss is not in the orbit.  So |C| is the product
+    of the basic orbit lengths, and SizeBoundError is raised as soon as
+    that product passes the configured bound, before any group is built.
     """
-    L = mp.subgroup.group
+    L = mp.subgroup
     u = mp.element
     bound = max_order()
-    commuting = None if u.is_identity() else u
+    commuting = None if u.is_identity() else (u, u)
     sequence = list(L.generators)
-    lists = _candidate_lists(mp.group, mp.group, sequence, [L.element_set()] * len(sequence))
+    lists = _candidate_lists(L, L, sequence, [None] * len(sequence))
     free = [set(pool) for pool in lists]
     maps = []
     order = 1

@@ -8,14 +8,17 @@ pair isomorphism in a registry shared across groups, so that identical
 class labels mean isomorphic faithful pairs on both sides of any later
 comparison.
 
-Each class carries an isomorphism-invariant key, computed once when the
-class is created: |L|, the order of u, the order of the carrier L<u>,
-and the sorted multiset over l in L of (ord l, k(l)), where k(l) is the
+A faithful pair is a group L with an element u acting faithfully on it,
+and (L, u) is isomorphic to (L', u') when some isomorphism f: L -> L'
+satisfies f(u l u^-1) = u' f(l) u'^-1; autos.find_pair_isomorphism
+searches for f on L alone.  Each class carries an isomorphism-invariant
+key, computed once when the class is created: |L|, the order of u, and
+the sorted multiset over l in L of (ord l, k(l)), where k(l) is the
 least k >= 0 with u l u^-1 = l^k, or -1 when there is none.  A pair
-isomorphism f sends u to a conjugate g t g^-1 of the target's element,
-and l -> g^-1 f(l) g carries L onto the target's subgroup preserving
-both numbers, so isomorphic pairs have equal keys.  A new pair is
-therefore tested for isomorphism only against the classes with its key.
+isomorphism f preserves both numbers, so isomorphic pairs have equal
+keys, and a new pair is tested for isomorphism only against the classes
+with its key.  The witness of a member is f followed by decoding the
+translations of its quotient into its own subgroup P.
 
 Out(L, u) is never built as a group.  A class holds C = C_Aut(L)(c_u)
 acting on the labels of L and its normal subgroup N = <c_u, c_x : x in
@@ -59,7 +62,7 @@ def pair_class_key(marked: MarkedPair) -> tuple:
     """The isomorphism invariant of a faithful pair (L, u) described in
     the module docstring."""
     u = marked.element
-    identity = marked.group.identity
+    identity = marked.subgroup.identity
     profile = []
     for x in marked.subgroup.elements():
         image = conjugate(u, x)
@@ -69,12 +72,7 @@ def pair_class_key(marked: MarkedPair) -> tuple:
             power = power * x
             k += 1
         profile.append((order, k if k < order else -1))
-    return (
-        marked.subgroup.order,
-        u.order(),
-        marked.group.order,
-        tuple(sorted(profile)),
-    )
+    return (marked.subgroup.order, u.order(), tuple(sorted(profile)))
 
 
 @dataclass(frozen=True)
@@ -114,7 +112,10 @@ def pair_orbit_reps(G: PermGroup, p: int):
                 continue
             conj_class = orbit(s, lambda y: [conjugate(g, y) for g in N.generators])
             if not conj_class <= eligible_set:
-                raise InternalCheckError("conjugation left the p'-elements")
+                raise InternalCheckError(
+                    f"pair orbits, p={p}, |P|={P.order}: conjugation in "
+                    f"N_G(P) left the p'-elements"
+                )
             seen |= conj_class
             class_reps.append(s)
         class_reps.sort(key=lambda s: (s.order(), s.images))
@@ -126,9 +127,9 @@ def pair_orbit_reps(G: PermGroup, p: int):
 class FaithfulQuotient:
     """The pair (P, image of s) realized faithfully on the points of P.
 
-    The carrier group is generated by the right translations of P and the
-    conjugation action of s; its marked subgroup is the translation copy
-    of P and its marked element the conjugation permutation.
+    The marked subgroup L is the group of right translations of P on its
+    elements and the marked element u is the conjugation action of s on
+    them, so u acts on L as s acts on P, and faithfully.
     """
 
     marked: MarkedPair
@@ -157,18 +158,17 @@ def faithful_quotient(pair: NormalizerPair) -> FaithfulQuotient:
     s_inv = s.inverse()
     sigma = Permutation(index[conjugate(s_inv, labels[i])] for i in range(degree))
 
-    carrier = PermGroup(degree, tau_gens + [sigma])
-    translations = Subgroup(carrier, tau_gens)
-    marked = MarkedPair(carrier, translations, sigma)
-
     # the cyclic part must act with trivial centralizer on the translations
     for j in range(1, sigma.order()):
         power = sigma ** j
         if all(power * t == t * power for t in tau_gens):
-            raise InternalCheckError("faithful quotient has a central cyclic part")
+            raise InternalCheckError(
+                f"faithful quotient, |P|={P.order}, ord s={s.order()}: "
+                f"sigma^{j} centralizes the translations"
+            )
 
     return FaithfulQuotient(
-        marked=marked,
+        marked=MarkedPair(PermGroup(degree, tau_gens), sigma),
         point_labels=labels,
         identity_point=index[P.group.identity],
     )
@@ -193,7 +193,6 @@ class PairClass:
         self.class_id = class_id
         self.realization = quotient.marked
         self.key = key
-        self._founding_quotient = quotient
         self.members = []
         labels = quotient.marked.subgroup.elements()
         self.labels = labels  # the elements of L, sorted
@@ -294,35 +293,19 @@ class PairClass:
         )
 
 
-def _founding_witness(cls: PairClass, pair: NormalizerPair) -> GroupHom:
-    quotient = cls._founding_quotient
-    source = cls.realization.subgroup.group
-    pairs = [(tau, quotient.decode(tau)) for tau in source.generators]
-    return GroupHom(source, pair.subgroup.group, pairs)
-
-
-def _witness_from_isomorphism(
-    cls: PairClass, quotient: FaithfulQuotient, iso: GroupHom, pair: NormalizerPair
+def _witness(
+    cls: PairClass, quotient: FaithfulQuotient, pair: NormalizerPair, iso=None
 ) -> GroupHom:
-    """Turn a pair isomorphism onto a member's quotient into a witness.
+    """The witness phi: L -> P of a member: decode . f on the generators of L.
 
-    The isomorphism sends the class element u to a conjugate of the
-    member's sigma; composing with an inner automorphism makes the image
-    exactly sigma, after which restricting to the translations and
-    decoding gives phi: L -> P with phi(u l u^-1) = s phi(l) s^-1.
+    f: L -> L' is a pair isomorphism onto the member's quotient, with
+    f(u l u^-1) = sigma f(l) sigma^-1, or the identity when the member
+    founds the class.  Decoding carries sigma tau_x sigma^-1 = tau_(s x s^-1)
+    to s x s^-1, so phi(u l u^-1) = s phi(l) s^-1.
     """
-    u = cls.realization.element
-    sigma = quotient.marked.element
-    image = iso(u)
-    carrier = quotient.marked.group
-    adjust = next(
-        (h for h in carrier.elements() if conjugate(h, image) == sigma), None
-    )
-    if adjust is None:
-        raise InternalCheckError("pair isomorphism image is not conjugate to sigma")
-    source = cls.realization.subgroup.group
+    source = cls.realization.subgroup
     pairs = [
-        (tau, quotient.decode(conjugate(adjust, iso(tau))))
+        (tau, quotient.decode(tau if iso is None else iso(tau)))
         for tau in source.generators
     ]
     return GroupHom(source, pair.subgroup.group, pairs)
@@ -338,12 +321,19 @@ def _verify_witness(cls: PairClass, member: ClassMember):
         right = conjugate(s, phi[tau])
         if left is None or left != right:
             raise InternalCheckError(
-                f"witness fails the intertwining relation on {tau.cycle_string()}"
+                f"classification, {cls.name}: witness fails the intertwining "
+                f"relation on {tau.cycle_string()}"
             )
     if not member.phi.is_bijective():
-        raise InternalCheckError("witness is not a bijection onto the subgroup")
+        raise InternalCheckError(
+            f"classification, {cls.name}: witness is not a bijection onto the "
+            f"subgroup of order {member.pair.subgroup.order}"
+        )
     if set(member.phi.mapping().values()) != set(member.pair.subgroup.elements()):
-        raise InternalCheckError("witness image is not the member subgroup")
+        raise InternalCheckError(
+            f"classification, {cls.name}: witness image is not the member "
+            f"subgroup of order {member.pair.subgroup.order}"
+        )
 
 
 class PairClassRegistry:
@@ -381,16 +371,14 @@ class PairClassRegistry:
         same_key = self._by_key.setdefault(key, [])
         for cls in same_key:
             iso = find_pair_isomorphism(cls.realization, marked)
-            if iso is None:
-                continue
-            member = ClassMember(pair, _witness_from_isomorphism(cls, quotient, iso, pair))
-            _verify_witness(cls, member)
-            cls.members.append(member)
-            return cls, member
-        cls = PairClass(len(self.classes), quotient, key)
-        self.classes.append(cls)
-        same_key.append(cls)
-        member = ClassMember(pair, _founding_witness(cls, pair))
+            if iso is not None:
+                break
+        else:
+            iso = None
+            cls = PairClass(len(self.classes), quotient, key)
+            self.classes.append(cls)
+            same_key.append(cls)
+        member = ClassMember(pair, _witness(cls, quotient, pair, iso))
         _verify_witness(cls, member)
         cls.members.append(member)
         return cls, member
@@ -428,11 +416,16 @@ def image_of_normalizer(
     for g in n_ps.generators:
         moved = [phi_inv.get(conjugate(g, phi[x])) for x in cls.labels]
         if None in moved:
-            raise InternalCheckError("normalizer action leaves the witness image")
+            raise InternalCheckError(
+                f"normalizer image, {cls.name}: the action of "
+                f"{g.cycle_string()} leaves the witness image"
+            )
         perm = Permutation(cls.label_index[y] for y in moved)
         if not cls.aut.contains(perm):
             raise InternalCheckError(
-                "induced map is not a pair automorphism (intertwining violation)"
+                f"normalizer image, {cls.name}: the map induced by "
+                f"{g.cycle_string()} is not in C_Aut(L)(c_u) of order "
+                f"{cls.aut.order} (intertwining violation)"
             )
         induced.append(perm)
     return cls.aut.subgroup(induced + list(cls.inner.generators))

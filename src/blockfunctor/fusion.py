@@ -139,9 +139,9 @@ class FusionObject:
     @cached_property
     def automorphisms(self) -> set:
         """Aut(P) as index tuples over the labels, closed from the strong
-        generators of the automorphism search on the pair (P, P, 1)."""
+        generators of the automorphism search on the pair (P, 1)."""
         P = self.subgroup.group
-        maps = pair_automorphism_maps(MarkedPair(P, P.full_subgroup(), P.identity))
+        maps = pair_automorphism_maps(MarkedPair(P, P.identity))
         gens = [tuple([self.index[m[x]] for x in self.labels]) for m in maps]
         return orbit(
             tuple(range(len(self.labels))),
@@ -218,7 +218,7 @@ def _where(cls: PairClass, obj: FusionObject) -> str:
 def admissible_isomorphisms(cls: PairClass, obj: FusionObject) -> set:
     """The isomorphisms pi: L -> P, as index tuples, with pi . i_u . pi^-1
     induced by the normalizer; empty when L and P are not isomorphic."""
-    L_group = cls.realization.subgroup.group
+    L_group = cls.realization.subgroup
     sequence = list(L_group.generators)
     found = _search_maps(
         L_group, obj.subgroup.group, sequence, [None] * len(sequence), limit=1
@@ -256,12 +256,12 @@ def triple_orbits(F: FusionData, cls: PairClass):
     if cls.subgroup_order == 1:
         raise DomainError("triple orbits are defined for nontrivial subgroups only")
     cls.ensure_aut()
-    L_sub = cls.realization.subgroup
+    L = cls.realization.subgroup
     C = cls.aut
 
     orbits = []
     for obj in F.objects:
-        if obj.subgroup.order != L_sub.order:
+        if obj.subgroup.order != L.order:
             continue
         admissible = admissible_isomorphisms(cls, obj)
         left = [a.images for a in obj.aut_f.generators]
@@ -291,12 +291,12 @@ def triple_orbits(F: FusionData, cls: PairClass):
                     else:
                         schreier.append(transversal[j].inverse() * psi * transversal[k])
             remaining.difference_update(block_of)
-            pairs = [(g, obj.labels[start[cls.label_index[g]]]) for g in L_sub.generators]
+            pairs = [(g, obj.labels[start[cls.label_index[g]]]) for g in L.generators]
             orbits.append(
                 TripleOrbit(
                     object=obj,
                     rep=tuple(obj.labels[j] for j in start),
-                    pi=GroupHom(L_sub.group, obj.subgroup.group, pairs),
+                    pi=GroupHom(L, obj.subgroup.group, pairs),
                     stabilizer=C.subgroup(dict.fromkeys(schreier)),
                     orbit_size=len(block_of),
                 )

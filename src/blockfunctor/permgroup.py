@@ -411,22 +411,34 @@ def sylow_subgroup(G: PermGroup, p: int) -> Subgroup:
     return p_subgroup_classes(G, p)[-1]
 
 
-def close_map(A: PermGroup, B: PermGroup, pairs, start=None):
+def close_map(A: PermGroup, B: PermGroup, pairs, start=None, twist=None):
     """Extend (generator, image) pairs to a map on <generators>, or None
     when two products of the generators get different images.
 
     ``start``, when given, is the map already closed on the group that
     every pair but the last generates; the closure resumes from it, so
     only the last pair is applied to its elements.
+
+    ``twist`` = (c, d), with c normalizing A and d normalizing B, also
+    closes the map under x -> c x c^-1 with image d m(x) d^-1.  The map
+    then lives on the smallest c-invariant subgroup holding the
+    generators, and it intertwines conjugation by c with conjugation by
+    d there; a conflict returns None as above.
     """
     if start is None:
         m = {A.identity: B.identity}
         frontier = [A.identity]
         moves = pairs
+        twisting = twist
     else:
+        # start is closed under the twist already
         m = dict(start)
         frontier = list(start)
         moves = pairs[-1:]
+        twisting = None
+    if twist is not None:
+        c, d = twist
+        c_inv, d_inv = c.inverse(), d.inverse()
     while frontier:
         nxt = []
         for x in frontier:
@@ -440,8 +452,18 @@ def close_map(A: PermGroup, B: PermGroup, pairs, start=None):
                     nxt.append(y)
                 elif known != my:
                     return None
+            if twisting is not None:
+                y = c * x * c_inv
+                my = d * mx * d_inv
+                known = m.get(y)
+                if known is None:
+                    m[y] = my
+                    nxt.append(y)
+                elif known != my:
+                    return None
         frontier = nxt
         moves = pairs
+        twisting = twist
     return m
 
 

@@ -5,9 +5,17 @@ exact Fractions and shares no code with the package: subgroups come from
 closing generating subsets, pair orbits and normalizers from explicit
 conjugation by every group element, and the character sums use
 hand-written integer tables of the three outer groups that occur for the
-golden fixtures.  ``LinearScanRegistry`` is the package's registry with
-the classification it had before class keys, kept to show that keyed
-classification changes nothing.  ``section_scan_triple_orbits`` is the
+golden fixtures.
+
+The carrier oracles build the carrier L<u> of a pair (L, u) from the
+generators of L (for a faithful quotient, the translations) plus u, as
+the package did before it searched on L alone.  ``carrier_pair_isomorphism``
+searches the carriers for an isomorphism taking L onto L' and u into
+the class of u', and ``carrier_witness`` conjugates its image of u onto
+u' by scanning the carrier.  ``LinearScanRegistry`` is the package's
+registry with the classification it had before class keys, on this
+carrier route, kept to show that keyed classification on L changes
+nothing.  ``section_scan_triple_orbits`` is the
 fusion route as it was before it moved to label indices, kept to show
 that the index-tuple walk and its Schreier stabilizers change nothing.
 ``carrier_out`` is Out(L, u) as it was built before C / N: Aut(L, u)
@@ -27,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from blockfunctor import autos, ddelta
-from blockfunctor.autos import _search_maps, find_pair_isomorphism
+from blockfunctor.autos import _search_maps
 from blockfunctor.chartab import CharacterTable, character_table
 from blockfunctor.config import max_order
 from blockfunctor.errors import InternalCheckError, SizeBoundError
@@ -106,8 +114,9 @@ def leaf_only_search(identity_a, identity_b, order_a, order_b, sequence,
 
     Tuples are tried in lexicographic order of the candidate lists; each
     is closed from the identity and kept when it is a bijection of the
-    whole group and, given ``commuting`` = c, when it commutes with
-    conjugation by c on every element.  Stops after ``limit`` maps.
+    whole group and, given ``commuting`` = (c, d), when it satisfies
+    m(c x c^-1) = d m(x) d^-1 on every element.  Stops after ``limit``
+    maps.
     """
     if order_a != order_b:
         return []
@@ -121,7 +130,7 @@ def leaf_only_search(identity_a, identity_b, order_a, order_b, sequence,
         if m is None or len(m) != order_a or len(set(m.values())) != order_b:
             continue
         if commuting is None or all(
-            m[conj(commuting, x)] == conj(commuting, y) for x, y in m.items()
+            m[conj(commuting[0], x)] == conj(commuting[1], y) for x, y in m.items()
         ):
             found.append(m)
             if len(found) == limit:
@@ -290,9 +299,65 @@ def normalizer_elements(elements, sub):
     return {g for g in elements if frozenset(conj(g, x) for x in sub) == sub}
 
 
+def carrier(mp):
+    """The carrier L<u> of a marked pair, from the generators of L and u."""
+    L = mp.subgroup
+    return PermGroup(L.degree, L.generators + (mp.element,))
+
+
+def pair_sequence(mp):
+    """Generating sequence [u] + generators of L (u omitted when trivial)."""
+    seq = [] if mp.element.is_identity() else [mp.element]
+    seq.extend(mp.subgroup.generators)
+    return seq
+
+
+def carrier_pair_isomorphism(a, b):
+    """An isomorphism F of the carriers with F(L) = L' and F(u) conjugate
+    to u', as a GroupHom, or None; a first-hit search over the pair
+    sequence of a."""
+    A, B = carrier(a), carrier(b)
+    if (
+        A.order != B.order
+        or a.subgroup.order != b.subgroup.order
+        or a.element.order() != b.element.order()
+    ):
+        return None
+    sequence = pair_sequence(a)
+    restrictions = []
+    if not a.element.is_identity():
+        t_class = B.conjugacy_data()[B.class_index_of(b.element)]
+        restrictions.append(set(t_class.elements))
+    restrictions.extend([b.subgroup.element_set()] * len(a.subgroup.generators))
+    maps = _search_maps(A, B, sequence, restrictions, limit=1)
+    if not maps:
+        return None
+    m = maps[0]
+    return GroupHom(A, B, [(g, m[g]) for g in sequence] or [(A.identity, B.identity)])
+
+
+def carrier_witness(cls, quotient, iso, pair):
+    """The witness phi: L -> P from a carrier isomorphism onto a member's
+    quotient: conjugate the image of u onto sigma by the first carrier
+    element that does so, restrict to the translations and decode."""
+    sigma = quotient.marked.element
+    image = iso(cls.realization.element)
+    adjust = next(
+        (h for h in iso.target.elements() if package_conjugate(h, image) == sigma), None
+    )
+    if adjust is None:
+        raise InternalCheckError("pair isomorphism image is not conjugate to sigma")
+    source = cls.realization.subgroup
+    pairs = [
+        (tau, quotient.decode(package_conjugate(adjust, iso(tau))))
+        for tau in source.generators
+    ]
+    return GroupHom(source, pair.subgroup.group, pairs)
+
+
 class LinearScanRegistry(ddelta.PairClassRegistry):
-    """Classification by a linear scan over every class, filtered only by
-    |L|, the order of u and the carrier order."""
+    """Classification on the carrier route by a linear scan over every
+    class, filtered only by |L|, the order of u and the carrier order."""
 
     def _classify(self, pair):
         quotient = ddelta.faithful_quotient(pair)
@@ -301,15 +366,13 @@ class LinearScanRegistry(ddelta.PairClassRegistry):
             if (
                 cls.subgroup_order != marked.subgroup.order
                 or cls.element_order != marked.element.order()
-                or cls.realization.group.order != marked.group.order
+                or carrier(cls.realization).order != carrier(marked).order
             ):
                 continue
-            iso = find_pair_isomorphism(cls.realization, marked)
+            iso = carrier_pair_isomorphism(cls.realization, marked)
             if iso is None:
                 continue
-            member = ddelta.ClassMember(
-                pair, ddelta._witness_from_isomorphism(cls, quotient, iso, pair)
-            )
+            member = ddelta.ClassMember(pair, carrier_witness(cls, quotient, iso, pair))
             ddelta._verify_witness(cls, member)
             cls.members.append(member)
             return cls, member
@@ -317,7 +380,7 @@ class LinearScanRegistry(ddelta.PairClassRegistry):
             len(self.classes), quotient, ddelta.pair_class_key(marked)
         )
         self.classes.append(cls)
-        member = ddelta.ClassMember(pair, ddelta._founding_witness(cls, pair))
+        member = ddelta.ClassMember(pair, ddelta._witness(cls, quotient, pair))
         ddelta._verify_witness(cls, member)
         cls.members.append(member)
         return cls, member
@@ -326,7 +389,7 @@ class LinearScanRegistry(ddelta.PairClassRegistry):
 def all_isomorphisms(cls, obj):
     """Every isomorphism L -> P from an unlimited search, as image tuples
     over the sorted elements of L."""
-    L_group = cls.realization.subgroup.group
+    L_group = cls.realization.subgroup
     sequence = list(small_generating_set(L_group.degree, L_group.elements()))
     maps = _search_maps(L_group, obj.subgroup.group, sequence, [None] * len(sequence))
     return [tuple(m[x] for x in L_group.elements()) for m in maps]
@@ -337,9 +400,9 @@ def carrier_automorphism_maps(mp):
     from the stabilizer-chain backtrack over every level of the pair
     sequence [u, l1..lk]; at the level of u the candidates are the
     conjugates of u."""
-    G = mp.group
+    G = carrier(mp)
     bound = max_order()
-    sequence = autos._pair_sequence(mp)
+    sequence = pair_sequence(mp)
     restrictions = []
     if not mp.element.is_identity():
         s_class = G.conjugacy_data()[G.class_index_of(mp.element)]
@@ -372,6 +435,7 @@ class CarrierOut:
     """Aut(L, u) on the labels of the carrier, and Out(L, u) as the
     action of Aut(L, u) on the cosets of Inn."""
 
+    carrier: PermGroup
     aut: PermGroup
     labels: tuple
     index: dict
@@ -387,7 +451,7 @@ class CarrierOut:
         """The image in Out of c in C: the carrier automorphism fixing u
         that acts on L as c (on the class's labels), projected."""
         u = cls.realization.element
-        powers = [cls.realization.group.identity]
+        powers = [u.identity(u.degree)]
         for _ in range(1, u.order()):
             powers.append(powers[-1] * u)
         m = {
@@ -401,11 +465,12 @@ class CarrierOut:
 def carrier_out(cls):
     """Out(L, u) of a pair class by the carrier route."""
     mp = cls.realization
+    G = carrier(mp)
     maps = carrier_automorphism_maps(mp)
-    labels = mp.group.elements()
+    labels = G.elements()
     index = {x: i for i, x in enumerate(labels)}
     aut = PermGroup(len(labels), [Permutation(index[m[x]] for x in labels) for m in maps])
-    sequence = autos._pair_sequence(mp)
+    sequence = pair_sequence(mp)
     expected = 1
     for i, x in enumerate(sequence):
         stabilizer = [m for m in maps if all(m[y] == y for y in sequence[:i])]
@@ -413,10 +478,11 @@ def carrier_out(cls):
     assert aut.order == expected
     inn = aut.subgroup(
         Permutation(index[package_conjugate(g, x)] for x in labels)
-        for g in mp.group.generators
+        for g in G.generators
     )
     out_group, projection = quotient_group(aut, inn)
     return CarrierOut(
+        carrier=G,
         aut=aut,
         labels=labels,
         index=index,
@@ -437,7 +503,7 @@ def carrier_image_of_normalizer(out, cls, ambient, subgroup, element, witness):
     ]
     phi = witness.mapping()
     phi_inv = {v: k for k, v in phi.items()}
-    realization = cls.realization.group
+    realization = out.carrier
     u = cls.realization.element
     images = []
     for g in ambient.subgroup_from_elements(n_ps).generators:

@@ -6,7 +6,7 @@ is exact is shown in test_search_equivalence; here the group closed from
 the generators must be the whole of C.  On the pair classes of the
 fixtures its element set must equal that of every automorphism of L
 commuting with conjugation by u, found by closing every tuple of images
-in L of the generators of L.  On random small groups G, marked (G, G, 1)
+in L of the generators of L.  On random small groups G, marked (G, 1)
 so that C = Aut(G), it must equal the set of every automorphism listed
 by ``oracles.leaf_only_search`` over the search's own candidate lists.
 """
@@ -33,9 +33,9 @@ FIXTURES = ("s3", "c3", "a4", "s4", "f20", "f20b", "f21", "g72", "g56")
 
 def candidate_lists(mp):
     """The candidate lists pair_automorphism_maps draws its images from
-    on a marking (G, G, 1)."""
-    G = mp.group
-    return autos._candidate_lists(G, G, autos._pair_sequence(mp), [None] * len(G.generators))
+    on a marking (G, 1)."""
+    G = mp.subgroup
+    return autos._candidate_lists(G, G, list(G.generators), [None] * len(G.generators))
 
 
 def enumerated_automorphisms(G, gens, lists):
@@ -66,7 +66,7 @@ def closed_automorphisms(mp):
 def commuting_automorphisms(mp):
     """Every automorphism of L that commutes with conjugation by u, from
     closing every tuple of images in L of the generators of L."""
-    L = mp.subgroup.group
+    L = mp.subgroup
     u = mp.element.images
     maps = enumerated_automorphisms(L, L.generators, [L.elements()] * len(L.generators))
     commuting = [
@@ -103,11 +103,11 @@ def small_groups(draw):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(small_groups())
 def test_automorphism_group_order_matches_enumeration(G):
-    mp = MarkedPair(G, G.full_subgroup(), G.identity)
+    mp = MarkedPair(G, G.identity)
     lists = candidate_lists(mp)
     # the oracle closes every candidate tuple; keep its cost small
     assume(math.prod(len(pool) for pool in lists) <= 2000)
-    expected = as_label_perms(G, enumerated_automorphisms(G, autos._pair_sequence(mp), lists))
+    expected = as_label_perms(G, enumerated_automorphisms(G, G.generators, lists))
     if len(expected) > max_order():
         with pytest.raises(SizeBoundError):
             pair_automorphism_maps(mp)

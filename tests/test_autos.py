@@ -32,7 +32,7 @@ def pair_class(mp):
 def automorphism_class(G):
     """The class of (G, 1): C is Aut(G) on the element labels and N is
     Inn(G)."""
-    return pair_class(MarkedPair(G, G.full_subgroup(), G.identity))
+    return pair_class(MarkedPair(G, G.identity))
 
 
 def test_automorphism_group_orders():
@@ -60,7 +60,16 @@ def test_automorphism_perms_act_on_element_labels():
 
 
 def marked(G, sub_gens, s):
-    return MarkedPair(G, G.subgroup(sub_gens), s)
+    """The pair (L, s) for L = <sub_gens> inside G."""
+    return MarkedPair(G.subgroup(sub_gens).group, s)
+
+
+def assert_intertwines(f, a, b):
+    """f maps L onto L' and f(u x u^-1) = u' f(x) u'^-1 on all of L."""
+    m = f.mapping()
+    assert set(m) == a.subgroup.element_set()
+    assert set(m.values()) == b.subgroup.element_set()
+    assert all(m[conjugate(a.element, x)] == conjugate(b.element, y) for x, y in m.items())
 
 
 def test_find_pair_isomorphism_conjugate_markings():
@@ -69,8 +78,11 @@ def test_find_pair_isomorphism_conjugate_markings():
     b = marked(G, [perm(3, "(1,2,3)")], perm(3, "(2,3)"))
     f = find_pair_isomorphism(a, b)
     assert f is not None
+    assert_intertwines(f, a, b)
+    # the carrier route's isomorphism of S3 sends u into the class of u'
+    F = oracles.carrier_pair_isomorphism(a, b)
     t_class = G.conjugacy_data()[G.class_index_of(b.element)]
-    assert f(a.element) in t_class.elements
+    assert F(a.element) in t_class.elements
 
 
 def test_find_pair_isomorphism_fuses_inverse_classes_in_a4():
@@ -84,6 +96,7 @@ def test_find_pair_isomorphism_fuses_inverse_classes_in_a4():
     # the witness maps the marked subgroup onto itself
     vset = a.subgroup.element_set()
     assert all(f(x) in vset for x in a.subgroup.elements())
+    assert_intertwines(f, a, b)
 
 
 def test_find_pair_isomorphism_distinguishes_ambient_orders():
@@ -119,10 +132,10 @@ def test_marked_pair_validation():
     G = s3()
     with pytest.raises(DomainError):
         # the marked element must normalize the subgroup
-        MarkedPair(s4(), s4().subgroup([perm(4, "(1,2)")]), perm(4, "(2,3,4)"))
+        marked(s4(), [perm(4, "(1,2)")], perm(4, "(2,3,4)"))
     with pytest.raises(DomainError):
-        # subgroup and element together must generate the group
-        MarkedPair(G, G.trivial_subgroup(), G.identity)
+        # the marked element must act on the points of the subgroup
+        marked(G, [perm(3, "(1,2,3)")], perm(4, "(1,2)"))
 
 
 def test_pair_automorphism_count_for_a4_marking():
@@ -135,8 +148,8 @@ def test_pair_automorphism_count_for_a4_marking():
     cls = pair_class(mp)
     assert cls.aut.order == 3
     assert cls.inner.element_set() == cls.aut.element_set()
-    # its strong generators are maps on L, not on the carrier A4, and
-    # commute there with conjugation by u
+    # its strong generators are maps on L, and commute there with
+    # conjugation by u
     maps = pair_automorphism_maps(mp)
     assert len(maps) == 1
     for m in maps:

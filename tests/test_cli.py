@@ -172,6 +172,20 @@ def test_aut_over_the_bound_is_refused_by_name(name, capsys, monkeypatch):
     )
 
 
+def test_c3_cubed_by_c13_classifies_and_refuses_c_by_name(capsys, monkeypatch):
+    # C3^3:C13, order 351: its 28 pair orbits classify, but C = Aut(C3^3)
+    # = GL(3, 3) of the class (27, 1) has order 11232
+    monkeypatch.delenv("BLOCKFUNCTOR_MAX_ORDER", raising=False)
+    assert main(["pairs", data("f351.grp")]) == 0
+    assert capsys.readouterr().err == ""
+    for command in (["verify-psi"], ["mult", "--formula", "both"]):
+        assert main([command[0], data("f351.grp"), *command[1:]]) == 3
+        assert capsys.readouterr().err == (
+            "domain error: automorphism search, pair class (|L|=27, ord u=1): "
+            "C_Aut(L)(c_u) has more than 512 elements, over the configured bound 512\n"
+        )
+
+
 def test_oversize_frobenius_form_is_refused_before_it_is_built(capsys, monkeypatch):
     # companion matrix of x^11 + x^2 + 1 over F_2: 2^11 translations
     monkeypatch.delenv("BLOCKFUNCTOR_MAX_ORDER", raising=False)

@@ -67,7 +67,8 @@ def test_pairs_for_prime_not_dividing_order():
 def test_faithful_quotient_shapes():
     pairs = pair_orbit_reps(s3(), 3)
     quotients = [faithful_quotient(pair) for pair in pairs]
-    orders = [(q.marked.group.order, q.marked.element.order()) for q in quotients]
+    # the carrier L<u> has order |L| ord u
+    orders = [(oracles.carrier(q.marked).order, q.marked.element.order()) for q in quotients]
     assert orders == [(1, 1), (1, 1), (3, 1), (6, 2)]
 
 
@@ -76,7 +77,7 @@ def test_faithful_quotient_has_trivial_cyclic_centralizer():
         for pair in pair_orbit_reps(builder(), p):
             q = faithful_quotient(pair)
             u = q.marked.element
-            translations = q.marked.subgroup.group
+            translations = q.marked.subgroup
             for j in range(1, u.order()):
                 power = u ** j
                 assert any(
@@ -229,7 +230,7 @@ def test_fixed_dims_are_witness_independent():
     ]
     base = image_of_normalizer(cls, s3(), pair.subgroup, pair.element, member.phi)
     base_dims = cls.out_dims(base)
-    source = cls.realization.subgroup.group
+    source = cls.realization.subgroup
     seen_alternative = False
     for n in n_ps:
         pairs = [
@@ -309,3 +310,76 @@ def test_character_table_refusal_names_the_pair_class(monkeypatch):
         "has order 6, over the configured bound 5"
     )):
         cls.aut_table
+
+
+def member_of(G, p, shape, index=0):
+    """A class of G at p by (|L|, ord u), with one of its members."""
+    registry = PairClassRegistry()
+    registry.classify_group(G, p)
+    cls = next(c for c in registry.classes if (c.subgroup_order, c.element_order) == shape)
+    return cls, cls.members[index]
+
+
+def corrupted(cls, member, images):
+    """A witness sending the generators of L to the given images."""
+    L = cls.realization.subgroup
+    return GroupHom(L, member.pair.subgroup.group, list(zip(L.generators, images)))
+
+
+def swapped(cls, member):
+    """The member's witness composed with the automorphism of the
+    elementary abelian L that swaps its first two generators."""
+    images = [member.phi(g) for g in cls.realization.subgroup.generators]
+    images[0], images[1] = images[1], images[0]
+    return corrupted(cls, member, images)
+
+
+def test_witness_checks_name_the_pair_class():
+    # (V4, u of order 3): swapping two generators does not commute with c_u
+    cls, member = member_of(a4(), 2, (4, 3))
+    with pytest.raises(InternalCheckError, match=re.escape(
+        "classification, pair class (|L|=4, ord u=3): witness fails the "
+        "intertwining relation on (1,2)(3,4)"
+    )):
+        ddelta._verify_witness(cls, ddelta.ClassMember(member.pair, swapped(cls, member)))
+    identity = member.pair.element.identity(4)
+    trivial = corrupted(cls, member, [identity, identity])
+    with pytest.raises(InternalCheckError, match=re.escape(
+        "classification, pair class (|L|=4, ord u=3): witness is not a "
+        "bijection onto the subgroup of order 4"
+    )):
+        ddelta._verify_witness(cls, ddelta.ClassMember(member.pair, trivial))
+    # the member P = <(3,4)> of S4, mapped onto <(1,2)> instead
+    cls, member = member_of(s4(), 2, (2, 1))
+    assert member.pair.subgroup.generators == (perm(4, "(3,4)"),)
+    elsewhere = corrupted(cls, member, [perm(4, "(1,2)")])
+    with pytest.raises(InternalCheckError, match=re.escape(
+        "classification, pair class (|L|=2, ord u=1): witness image is not "
+        "the member subgroup of order 2"
+    )):
+        ddelta._verify_witness(cls, ddelta.ClassMember(member.pair, elsewhere))
+
+
+def test_normalizer_image_checks_name_the_pair_class():
+    # the member P = <(1,2)(3,4)> of S4, mapped onto <(3,4)>, which its
+    # normalizer D8 does not normalize
+    cls, member = member_of(s4(), 2, (2, 1), index=1)
+    assert member.pair.subgroup.generators == (perm(4, "(1,2)(3,4)"),)
+    pair = member.pair
+    with pytest.raises(InternalCheckError, match=re.escape(
+        "normalizer image, pair class (|L|=2, ord u=1): the action of "
+        "(1,3,2,4) leaves the witness image"
+    )):
+        image_of_normalizer(
+            cls, s4(), pair.subgroup, pair.element, corrupted(cls, member, [perm(4, "(3,4)")])
+        )
+    # (C2^3, u of order 7): C = <c_u>, and a generator swap does not
+    # normalize it, so s induces a map outside C
+    cls, member = member_of(g56(), 2, (8, 7))
+    pair = member.pair
+    with pytest.raises(InternalCheckError, match=re.escape(
+        "normalizer image, pair class (|L|=8, ord u=7): the map induced by "
+        "(2,3,5,4,7,8,6) is not in C_Aut(L)(c_u) of order 7 (intertwining "
+        "violation)"
+    )):
+        image_of_normalizer(cls, g56(), pair.subgroup, pair.element, swapped(cls, member))

@@ -96,7 +96,7 @@ def test_the_cases_include_non_abelian_l(monkeypatch):
         registry.classify_group(G, p)
         for cls in registry.classes:
             cls.ensure_aut()
-            if not cls.realization.subgroup.group.is_abelian():
+            if not cls.realization.subgroup.is_abelian():
                 shapes.add((cls.subgroup_order, cls.element_order, cls.inner.order))
     # D8 with u = 1: Out(D8) = D8 / Inn(D8) has order 2
     assert shapes == {(8, 1, 4)}

@@ -6,9 +6,10 @@ recorded, then repeated with ``oracles.leaf_only_search`` over the same
 candidate lists.  Pruning is exact only if both return the same maps in
 the same order; for the first-hit searches (pair and group isomorphism,
 and the strong generators of C_Aut(L)(c_u)) that means the same witness.
-The searches for C run on L and accept a map only if it commutes with
-conjugation by u on the generators of L; the oracle checks that relation
-on every element of L.
+The pair searches run on L and close every partial map under
+conjugation by (u, u'), so the relation m(u x u^-1) = u' m(x) u'^-1
+prunes the search; the oracle closes only complete tuples and checks
+that relation on every element of L.
 """
 
 import itertools
@@ -62,7 +63,7 @@ def assert_same_as_leaf_only(calls):
             [g.images for g in sequence],
             None if lists is None else [[y.images for y in pool] for pool in lists],
             limit,
-            None if commuting is None else commuting.images,
+            None if commuting is None else tuple(c.images for c in commuting),
         )
         assert [images(m) for m in found] == expected
 
@@ -74,8 +75,8 @@ def test_every_pair_class_search_matches_leaf_only(name, searches):
     registry.classify_group(loaded.group, loaded.p)
     for cls in registry.classes:
         cls.ensure_aut()  # runs pair_automorphism_maps once per class
-    # a class with nontrivial u has c_u in C, so its search tests maps
-    # against the commutation relation
+    # a class with nontrivial u has c_u in C, so its searches close maps
+    # under the twist (u, u)
     with_u = any(cls.element_order > 1 for cls in registry.classes)
     assert any(call[5] is not None for call in searches) == with_u
     if name != "s4":
