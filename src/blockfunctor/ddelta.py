@@ -48,14 +48,14 @@ from .permgroup import (
     GroupHom,
     PermGroup,
     Subgroup,
-    centralizer,
+    class_and_centralizer,
     is_p_prime_element,
     normalizer,
     orbit,
     p_subgroup_classes,
     small_generating_set,
 )
-from .permutation import Permutation, conjugate
+from .permutation import Permutation, conjugate, conjugate_with
 
 
 def pair_class_key(marked: MarkedPair) -> tuple:
@@ -77,12 +77,15 @@ def pair_class_key(marked: MarkedPair) -> tuple:
 
 @dataclass(frozen=True)
 class NormalizerPair:
-    """A p-subgroup with a p'-element of its normalizer."""
+    """A p-subgroup P with a p'-element s of its normalizer, and generators
+    of C_{N_G(P)}(s): the Schreier generators of the walk over the
+    N_G(P)-class of s (permgroup.class_and_centralizer)."""
 
     ambient: PermGroup
     p: int
     subgroup: Subgroup
     element: Permutation
+    centralizer_gens: tuple
 
     def __post_init__(self):
         if self.element.order() % self.p == 0:
@@ -110,16 +113,16 @@ def pair_orbit_reps(G: PermGroup, p: int):
         for s in eligible:  # ascending, so the first of each class is minimal
             if s in seen:
                 continue
-            conj_class = orbit(s, lambda y: [conjugate(g, y) for g in N.generators])
+            conj_class, fixing_s = class_and_centralizer(N.generators, s)
             if not conj_class <= eligible_set:
                 raise InternalCheckError(
                     f"pair orbits, p={p}, |P|={P.order}: conjugation in "
                     f"N_G(P) left the p'-elements"
                 )
             seen |= conj_class
-            class_reps.append(s)
-        class_reps.sort(key=lambda s: (s.order(), s.images))
-        reps.extend(NormalizerPair(G, p, P, s) for s in class_reps)
+            class_reps.append((s, fixing_s))
+        class_reps.sort(key=lambda rep: (rep[0].order(), rep[0].images))
+        reps.extend(NormalizerPair(G, p, P, s, fixing_s) for s, fixing_s in class_reps)
     return reps
 
 
@@ -157,21 +160,32 @@ def faithful_quotient(pair: NormalizerPair) -> FaithfulQuotient:
     # sigma tau_x sigma^-1 = tau_(s x s^-1)
     s_inv = s.inverse()
     sigma = Permutation(index[conjugate(s_inv, labels[i])] for i in range(degree))
-
-    # the cyclic part must act with trivial centralizer on the translations
-    for j in range(1, sigma.order()):
-        power = sigma ** j
-        if all(power * t == t * power for t in tau_gens):
-            raise InternalCheckError(
-                f"faithful quotient, |P|={P.order}, ord s={s.order()}: "
-                f"sigma^{j} centralizes the translations"
-            )
+    identity_point = index[P.group.identity]
+    _check_fixes_identity(pair, labels, sigma, identity_point)
 
     return FaithfulQuotient(
         marked=MarkedPair(PermGroup(degree, tau_gens), sigma),
         point_labels=labels,
-        identity_point=index[P.group.identity],
+        identity_point=identity_point,
     )
+
+
+def _check_fixes_identity(pair: NormalizerPair, labels, sigma, identity_point):
+    """Check that <sigma> acts faithfully on the right translations.
+
+    A label map pi commuting with every right translation y -> y x has
+    pi(x) = pi(1) x, so it is the left translation by pi(1).  A power of
+    sigma that centralizes the translations is therefore trivial when
+    sigma fixes the identity label.
+    """
+    moved = sigma.images[identity_point]
+    if moved != identity_point:
+        raise InternalCheckError(
+            f"faithful quotient, |P|={pair.subgroup.order}, "
+            f"ord s={pair.element.order()}: sigma moves the identity label "
+            f"to {labels[moved].cycle_string()}, so a power of sigma may "
+            f"centralize the translations"
+        )
 
 
 @dataclass
@@ -394,33 +408,35 @@ class PairClassRegistry:
 
 
 def image_of_normalizer(
-    cls: PairClass,
-    ambient: PermGroup,
-    subgroup: Subgroup,
-    element: Permutation,
-    witness: GroupHom,
+    cls: PairClass, pair: NormalizerPair, witness: GroupHom
 ) -> Subgroup:
     """The preimage in C of the image of N_G(P, s) in Out(L, u), through
-    a witness phi.
+    a witness phi: L -> P.
 
-    Each generator g of N_G(P) /\\ C_G(s) induces phi^-1 . c_g . phi on
-    L, which must lie in C; the result is the subgroup of C generated by
-    these and N.
+    N_G(P, s) = C_{N_G(P)}(s) is generated by pair.centralizer_gens.  Each
+    such g induces phi^-1 . c_g . phi on L, which must lie in C; the
+    result is the subgroup of C generated by these and N.  Generators
+    with the same action on the generators of P induce the same label
+    permutation, so each action is mapped, checked and closed once.
     """
     cls.ensure_aut()
-    n_ps = centralizer(normalizer(ambient, subgroup).group, element)
-
+    actions = {}  # the conjugates of the generators of P -> (g, g^-1)
+    for g in pair.centralizer_gens:
+        g_inv = g.inverse()
+        key = tuple([conjugate_with(g, g_inv, x) for x in pair.subgroup.generators])
+        actions.setdefault(key, (g, g_inv))
     phi = witness.mapping()
-    phi_inv = {v: k for k, v in phi.items()}
+    points = [phi[x] for x in cls.labels]
+    label_of = {y: i for i, y in enumerate(points)}
     induced = []
-    for g in n_ps.generators:
-        moved = [phi_inv.get(conjugate(g, phi[x])) for x in cls.labels]
+    for g, g_inv in actions.values():
+        moved = [label_of.get(conjugate_with(g, g_inv, y)) for y in points]
         if None in moved:
             raise InternalCheckError(
                 f"normalizer image, {cls.name}: the action of "
                 f"{g.cycle_string()} leaves the witness image"
             )
-        perm = Permutation(cls.label_index[y] for y in moved)
+        perm = Permutation(moved)
         if not cls.aut.contains(perm):
             raise InternalCheckError(
                 f"normalizer image, {cls.name}: the map induced by "

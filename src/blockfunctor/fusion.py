@@ -30,6 +30,7 @@ from .permgroup import (
     PermGroup,
     Subgroup,
     _closure,
+    class_and_centralizer,
     is_p_prime_element,
     normalizer,
     orbit,
@@ -309,7 +310,9 @@ def triple_orbits(F: FusionData, cls: PairClass):
 
 
 def psi_pair(F: FusionData, cls: PairClass, orbit: TripleOrbit) -> NormalizerPair:
-    """The pair (P, s) with s a p'-normalizer element inducing pi.i_u.pi^-1.
+    """The pair (P, s) with s a p'-normalizer element inducing pi.i_u.pi^-1,
+    carrying the generators of C_{N_G(P)}(s) from the walk over the
+    N_G(P)-class of s.
 
     The search runs over the whole normalizer in canonical order; absence
     of such an element contradicts the verified bijection and is raised
@@ -322,7 +325,8 @@ def psi_pair(F: FusionData, cls: PairClass, orbit: TripleOrbit) -> NormalizerPai
     target = [pi[conjugate(cls.realization.element, pi_inv[x])] for x in gens]
     for s in obj.normalizer.elements():
         if is_p_prime_element(s, F.p) and [conjugate(s, x) for x in gens] == target:
-            return NormalizerPair(F.group, F.p, obj.subgroup, s)
+            _, fixing_s = class_and_centralizer(obj.normalizer.generators, s)
+            return NormalizerPair(F.group, F.p, obj.subgroup, s, fixing_s)
     raise InternalCheckError(
         f"{_where(cls, obj)}: no p'-element of the normalizer induces the "
         f"required action"
@@ -399,9 +403,7 @@ def verify_class(F: FusionData, cls: PairClass, registry: PairClassRegistry) -> 
             )
         assigned[match] = i
 
-        image = image_of_normalizer(
-            cls, F.group, pair.subgroup, pair.element, orbit.pi
-        )
+        image = image_of_normalizer(cls, pair, orbit.pi)
         if image.element_set() != orbit.stabilizer.element_set():
             raise InternalCheckError(
                 f"class {cid}: stabilizer mismatch on triple orbit {i} "

@@ -68,13 +68,7 @@ def mult_table_pairs(
     rows = {}
     for cls, member in assignments:
         cls.ensure_aut()
-        image = image_of_normalizer(
-            cls,
-            member.pair.ambient,
-            member.pair.subgroup,
-            member.pair.element,
-            member.phi,
-        )
+        image = image_of_normalizer(cls, member.pair, member.phi)
         for irr, dim in enumerate(cls.out_dims(image)):
             key = (cls.class_id, irr)
             rows[key] = rows.get(key, 0) + dim

@@ -4,9 +4,11 @@ Every group materializes its full element list (orders are capped by the
 configured bound) and derives a base/strong-generating-set structure from
 it: the base is the sequence of smallest moved points down the stabilizer
 chain and the transversal representatives are the canonically minimal
-elements.  All derived data (classes, centralizers, p-subgroup classes)
-is computed by exhaustive, deterministic enumeration and cached; groups
-are immutable after construction.
+elements.  Conjugacy classes, normalizers and p-subgroup classes are
+computed by exhaustive, deterministic enumeration and cached; groups are
+immutable after construction.  Centralizers of single elements are never
+listed: class_and_centralizer walks a conjugacy class and returns
+Schreier generators of the centralizer.
 
 Normalizers are memoized on the ambient group, keyed by the element set
 of the subgroup, so N_G(P) is computed once per (G, P) however many
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 from .config import max_order
 from .errors import DomainError, InternalCheckError, SizeBoundError
-from .permutation import Permutation, conjugate
+from .permutation import Permutation, conjugate, conjugate_with
 
 
 def is_prime(n: int) -> bool:
@@ -292,13 +294,35 @@ def group_from_generators(degree: int, gens) -> PermGroup:
     return PermGroup(degree, gens)
 
 
-def centralizer(G: PermGroup, s: Permutation) -> Subgroup:
-    """The centralizer C_G(s)."""
-    if not G.contains(s):
-        raise DomainError("element is not a member of the group")
-    return G.subgroup_from_elements(
-        [g for g in G.elements() if g * s == s * g]
-    )
+def class_and_centralizer(gens, s: Permutation):
+    """The class of s under conjugation by <gens>, and generators of the
+    centralizer of s in <gens>.
+
+    The walk keeps a transversal t_y with t_y s t_y^-1 = y for every
+    conjugate y.  An edge y -> z = g y g^-1 off the walk's tree gives the
+    Schreier generator t_z^-1 g t_y, which centralizes s; by Schreier's
+    lemma these generate C_<gens>(s).  They come back deduplicated, without
+    the identity, in the order the walk finds them.
+    """
+    steps = [(g, g.inverse()) for g in gens]
+    one = Permutation.identity(s.degree)
+    transversal = {s: (one, one)}  # y -> (t_y, t_y^-1)
+    todo = [s]
+    schreier = {}
+    while todo:
+        y = todo.pop()
+        t_y, t_y_inv = transversal[y]
+        for g, g_inv in steps:
+            z = conjugate_with(g, g_inv, y)
+            known = transversal.get(z)
+            if known is None:
+                transversal[z] = (g * t_y, t_y_inv * g_inv)
+                todo.append(z)
+                continue
+            x = known[1] * g * t_y
+            if not x.is_identity():
+                schreier[x] = None
+    return set(transversal), tuple(schreier)
 
 
 def _check_subgroup_of(G: PermGroup, P: Subgroup):
@@ -316,10 +340,11 @@ def normalizer(G: PermGroup, P: Subgroup) -> Subgroup:
     N = G._normalizer_cache.get(pset)
     if N is None:
         _check_subgroup_of(G, P)
-        members = [
-            g for g in G.elements()
-            if all(conjugate(g, x) in pset for x in P.generators)
-        ]
+        members = []
+        for g in G.elements():
+            g_inv = g.inverse()
+            if all(conjugate_with(g, g_inv, x) in pset for x in P.generators):
+                members.append(g)
         N = G._normalizer_cache[pset] = G.subgroup_from_elements(members)
     return N
 

@@ -145,4 +145,11 @@ def _trusted(images: tuple) -> Permutation:
 
 def conjugate(g: Permutation, x: Permutation) -> Permutation:
     """The conjugate g * x * g^-1."""
-    return g * x * g.inverse()
+    return conjugate_with(g, g.inverse(), x)
+
+
+def conjugate_with(g: Permutation, g_inv: Permutation, x: Permutation) -> Permutation:
+    """The conjugate g * x * g_inv, for a caller that holds g_inv = g^-1;
+    one pass over the points instead of two products."""
+    x_images, inv_images = x.images, g_inv.images
+    return _trusted(tuple([inv_images[x_images[i]] for i in g.images]))

@@ -38,7 +38,7 @@ from blockfunctor import autos, ddelta
 from blockfunctor.autos import _search_maps
 from blockfunctor.chartab import CharacterTable, character_table
 from blockfunctor.config import max_order
-from blockfunctor.errors import InternalCheckError, SizeBoundError
+from blockfunctor.errors import DomainError, InternalCheckError, SizeBoundError
 from blockfunctor.permgroup import (
     GroupHom,
     PermGroup,
@@ -299,6 +299,14 @@ def normalizer_elements(elements, sub):
     return {g for g in elements if frozenset(conj(g, x) for x in sub) == sub}
 
 
+def centralizer(G, s):
+    """The centralizer C_G(s) as a subgroup of G, by testing every element
+    of G (the package takes it from Schreier generators of a class walk)."""
+    if not G.contains(s):
+        raise DomainError("element is not a member of the group")
+    return G.subgroup_from_elements([g for g in G.elements() if g * s == s * g])
+
+
 def carrier(mp):
     """The carrier L<u> of a marked pair, from the generators of L and u."""
     L = mp.subgroup
@@ -497,16 +505,13 @@ def carrier_image_of_normalizer(out, cls, ambient, subgroup, element, witness):
     """The image of N_G(P, s) in the carrier route's Out, as a subgroup:
     each generator g of N_G(P) /\\ C_G(s) gives the pair automorphism
     acting as phi^-1 . c_g . phi on the translations and fixing u."""
-    n_ps = [
-        g for g in normalizer(ambient, subgroup).elements()
-        if g * element == element * g
-    ]
+    n_ps = centralizer(normalizer(ambient, subgroup).group, element)
     phi = witness.mapping()
     phi_inv = {v: k for k, v in phi.items()}
     realization = out.carrier
     u = cls.realization.element
     images = []
-    for g in ambient.subgroup_from_elements(n_ps).generators:
+    for g in n_ps.generators:
         pairs = []
         for gen in realization.generators:
             if gen == u and not u.is_identity():

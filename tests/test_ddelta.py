@@ -85,6 +85,26 @@ def test_faithful_quotient_has_trivial_cyclic_centralizer():
                 )
 
 
+def test_faithful_quotient_refuses_a_sigma_that_moves_the_identity():
+    # a left translation y -> a y commutes with every right translation,
+    # which is what the check must exclude; it moves the identity label
+    pair = next(
+        pr for pr in pair_orbit_reps(s3(), 3)
+        if (pr.subgroup.order, pr.element.order()) == (3, 2)
+    )
+    labels = pair.subgroup.elements()
+    index = {x: i for i, x in enumerate(labels)}
+    identity_point = index[pair.subgroup.group.identity]
+    left = Permutation(index[labels[1] * y] for y in labels)
+    translations = faithful_quotient(pair).marked.subgroup.generators
+    assert all(left * t == t * left for t in translations)
+    with pytest.raises(InternalCheckError, match=re.escape(
+        "faithful quotient, |P|=3, ord s=2: sigma moves the identity label "
+        "to (1,2,3), so a power of sigma may centralize the translations"
+    )):
+        ddelta._check_fixes_identity(pair, labels, left, identity_point)
+
+
 def test_classification_counts():
     registry = PairClassRegistry()
     registry.classify_group(s3(), 3)
@@ -189,9 +209,7 @@ def test_image_of_normalizer_examples():
     assignments = registry.classify_group(s3(), 3)
     for cls, member in assignments:
         cls.ensure_aut()
-        image = image_of_normalizer(
-            cls, s3(), member.pair.subgroup, member.pair.element, member.phi
-        )
+        image = image_of_normalizer(cls, member.pair, member.phi)
         if (cls.subgroup_order, cls.element_order) == (3, 1):
             assert cls.out_order == 2
             assert image.element_set() == cls.aut.element_set()  # all of Out
@@ -205,9 +223,7 @@ def test_image_of_normalizer_examples():
         if cls.subgroup_order == 4 and cls.element_order == 1
     )
     cls, member = klein_fixed
-    image = image_of_normalizer(
-        cls, a4(), member.pair.subgroup, member.pair.element, member.phi
-    )
+    image = image_of_normalizer(cls, member.pair, member.phi)
     assert cls.inner.order == 1
     assert image.order == 3
     assert cls.out_order == 6
@@ -228,7 +244,7 @@ def test_fixed_dims_are_witness_independent():
         for g in normalizer(s3(), pair.subgroup).elements()
         if g * pair.element == pair.element * g
     ]
-    base = image_of_normalizer(cls, s3(), pair.subgroup, pair.element, member.phi)
+    base = image_of_normalizer(cls, pair, member.phi)
     base_dims = cls.out_dims(base)
     source = cls.realization.subgroup
     seen_alternative = False
@@ -240,14 +256,16 @@ def test_fixed_dims_are_witness_independent():
         if alt_phi.mapping() == member.phi.mapping():
             continue
         seen_alternative = True
-        alt = image_of_normalizer(cls, s3(), pair.subgroup, pair.element, alt_phi)
+        alt = image_of_normalizer(cls, pair, alt_phi)
         assert cls.out_dims(alt) == base_dims
     assert seen_alternative
 
 
 def test_normalizer_pair_validation():
     with pytest.raises(DomainError):
-        NormalizerPair(s3(), 3, s3().subgroup([perm(3, "(1,2,3)")]), perm(3, "(1,2,3)"))
+        NormalizerPair(
+            s3(), 3, s3().subgroup([perm(3, "(1,2,3)")]), perm(3, "(1,2,3)"), ()
+        )
 
 
 def a4_class(subgroup_order, element_order):
@@ -370,9 +388,7 @@ def test_normalizer_image_checks_name_the_pair_class():
         "normalizer image, pair class (|L|=2, ord u=1): the action of "
         "(1,3,2,4) leaves the witness image"
     )):
-        image_of_normalizer(
-            cls, s4(), pair.subgroup, pair.element, corrupted(cls, member, [perm(4, "(3,4)")])
-        )
+        image_of_normalizer(cls, pair, corrupted(cls, member, [perm(4, "(3,4)")]))
     # (C2^3, u of order 7): C = <c_u>, and a generator swap does not
     # normalize it, so s induces a map outside C
     cls, member = member_of(g56(), 2, (8, 7))
@@ -382,4 +398,4 @@ def test_normalizer_image_checks_name_the_pair_class():
         "(2,3,5,4,7,8,6) is not in C_Aut(L)(c_u) of order 7 (intertwining "
         "violation)"
     )):
-        image_of_normalizer(cls, g56(), pair.subgroup, pair.element, swapped(cls, member))
+        image_of_normalizer(cls, pair, swapped(cls, member))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from blockfunctor import ddelta
@@ -27,7 +29,8 @@ from blockfunctor.multiplicity import (
     mult_table_fusion,
     mult_table_pairs,
 )
-from blockfunctor.permgroup import group_from_generators
+from blockfunctor.permgroup import frobenius_group, group_from_generators
+from blockfunctor.permutation import Permutation, conjugate
 
 
 def test_invariants_kl_examples():
@@ -112,6 +115,67 @@ def test_compare_s3_c3():
         (3, 1, 1): (0, 1),  # the sign row differs
         (3, 2, 0): (1, 0),  # the inversion class exists only for S3
     }
+
+
+def relabeled(G, seed):
+    """The group with its points permuted at random."""
+    points = list(range(G.degree))
+    random.Random(seed).shuffle(points)
+    rename = Permutation(points)
+    return group_from_generators(G.degree, [conjugate(rename, g) for g in G.generators])
+
+
+def gens_group(degree, *cycles):
+    return group_from_generators(degree, [Permutation.parse(degree, c) for c in cycles])
+
+
+def compare_sides(left, right, p):
+    """What compare reports on (left, right), with the tables built in
+    that order as the CLI builds them: the verdict, the two values of
+    k - l, and the diff rows keyed by (|L|, ord u, irreducible degree),
+    since class ids and irreducible indices follow classification order."""
+    registry = PairClassRegistry()
+    left_table = mult_table_pairs(left, p, registry, "left")
+    right_table = mult_table_pairs(right, p, registry, "right")
+    verdict = compare(left_table, right_table)
+    diff = []
+    for cid, irr, a, b in verdict.diff:
+        cls = registry.classes[cid]
+        degree = cls.aut_table.degrees[cls.out_rows[irr]]
+        diff.append(((cls.subgroup_order, cls.element_order, degree), a, b))
+    return (
+        (verdict.stable, verdict.functorial, verdict.defect_isomorphic),
+        (left_table.k - left_table.l, right_table.k - right_table.l),
+        sorted(diff),
+    )
+
+
+# the compare benchmark workload's pairs; a group against itself is
+# compared with a relabeled copy
+COMPARE_PAIRS = {
+    "G56-G56": (g56, None, 2),
+    "G72-G72": (g72, None, 3),
+    "F110-F110": (lambda: frobenius_group(11, 1, [[2]]).group, None, 11),
+    "A6-A6": (lambda: gens_group(6, "(1,2,3)", "(2,3,4,5,6)"), None, 3),
+    "F20-F20b": (f20, f20_relabeled, 5),
+    "S3-C3": (s3, c3, 3),
+    "G72-S3xS3": (g72, lambda: gens_group(6, "(1,2,3)", "(1,2)", "(4,5,6)", "(4,5)"), 3),
+}
+
+
+@pytest.mark.parametrize("name", COMPARE_PAIRS)
+def test_compare_is_symmetric(name):
+    left_builder, right_builder, p = COMPARE_PAIRS[name]
+    left = left_builder()
+    right = relabeled(left, 11) if right_builder is None else right_builder()
+    verdict, k_minus_l, diff = compare_sides(left, right, p)
+    swapped_verdict, swapped_k_minus_l, swapped_diff = compare_sides(right, left, p)
+    assert swapped_verdict == verdict
+    assert swapped_k_minus_l == k_minus_l[::-1]
+    assert swapped_diff == sorted((key, b, a) for key, a, b in diff)
+    assert verdict[0] == (not diff)
+    if name in ("S3-C3", "G72-S3xS3"):
+        assert diff  # the mirror is tested on rows that exist
 
 
 def test_compare_requires_shared_registry():

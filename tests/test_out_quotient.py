@@ -62,9 +62,11 @@ def test_out_matches_the_carrier_route(name, p, monkeypatch):
         assert out.table.degrees == tuple(cls.aut_table.degrees[r] for r in cls.out_rows)
         expected = [0] * len(cls.out_rows)
         for member in registry.members_for(G, cls):
-            args = (G, member.pair.subgroup, member.pair.element, member.phi)
-            image = image_of_normalizer(cls, *args)
-            carrier_image = oracles.carrier_image_of_normalizer(out, cls, *args)
+            pair = member.pair
+            image = image_of_normalizer(cls, pair, member.phi)
+            carrier_image = oracles.carrier_image_of_normalizer(
+                out, cls, G, pair.subgroup, pair.element, member.phi
+            )
             projected = {out.project_c(cls, c) for c in image.elements()}
             assert projected == carrier_image.element_set()
             assert image.order == cls.inner.order * carrier_image.order

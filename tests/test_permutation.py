@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockfunctor.permutation import Permutation, conjugate
+from blockfunctor.permutation import Permutation, conjugate, conjugate_with
 
 
 def test_identity():
@@ -97,6 +97,19 @@ def test_unvalidated_results_match_a_validated_reference(case):
         reference = _validated_product(reference, a if n > 0 else inverse)
     assert _is_permutation(power)
     assert power == reference and hash(power) == hash(reference)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=13).flatmap(
+        lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
+    )
+)
+def test_fused_conjugate_matches_products(case):
+    g, x = (Permutation(images) for images in case)
+    reference = _validated_product(_validated_product(g, x), g.inverse())
+    assert conjugate(g, x) == conjugate_with(g, g.inverse(), x) == reference
+    assert _is_permutation(conjugate(g, x))
 
 
 def test_conjugate_is_an_automorphism_action():
