@@ -49,12 +49,9 @@ from .multiplicity import (
 )
 from .permgroup import (
     FrobeniusGroup,
-    GroupHom,
     PermGroup,
-    Subgroup,
     direct_product,
     frobenius_group,
-    group_from_generators,
     normalizer,
     p_subgroup_classes,
     quotient_group,
@@ -75,7 +72,6 @@ __all__ = [
     "FrobeniusGroup",
     "FusionData",
     "GroupFileError",
-    "GroupHom",
     "GroupSpecFile",
     "InternalCheckError",
     "LoadedGroup",
@@ -87,7 +83,6 @@ __all__ = [
     "PermGroup",
     "Permutation",
     "SizeBoundError",
-    "Subgroup",
     "TripleOrbit",
     "UsageError",
     "build_fusion",
@@ -102,7 +97,6 @@ __all__ = [
     "fixed_point_dim",
     "frobenius_group",
     "frobenius_structure",
-    "group_from_generators",
     "image_of_normalizer",
     "invariants_kl",
     "l_multiplicativity_check",

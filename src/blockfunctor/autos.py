@@ -28,7 +28,6 @@ from .config import max_order
 from .errors import DomainError, SizeBoundError
 from .permutation import Permutation, conjugate
 from .permgroup import (
-    GroupHom,
     PermGroup,
     close_map,
     orbit,
@@ -120,20 +119,19 @@ def _profile(group: PermGroup):
 
 
 def find_group_isomorphism(A: PermGroup, B: PermGroup):
-    """An isomorphism A -> B as a GroupHom, or None."""
+    """An isomorphism A -> B as the element map that the search closed and
+    checked to be a bijection, or None."""
     if A.order != B.order or _profile(A) != _profile(B):
         return None
     sequence = list(small_generating_set(A.degree, A.elements()))
     maps = _search_maps(A, B, sequence, [None] * len(sequence), limit=1)
-    if not maps:
-        return None
-    m = maps[0]
-    return GroupHom(A, B, [(g, m[g]) for g in sequence] or [(A.identity, B.identity)])
+    return maps[0] if maps else None
 
 
 def find_pair_isomorphism(a: MarkedPair, b: MarkedPair):
-    """An isomorphism f: L -> L' with f(u x u^-1) = u' f(x) u'^-1, as a
-    GroupHom on the generators of L, or None when there is none."""
+    """An isomorphism f: L -> L' with f(u x u^-1) = u' f(x) u'^-1, as the
+    element map on L that the search closed and checked to be a
+    bijection, or None when there is none."""
     L, M = a.subgroup, b.subgroup
     if L.order != M.order or a.element.order() != b.element.order():
         return None
@@ -143,10 +141,7 @@ def find_pair_isomorphism(a: MarkedPair, b: MarkedPair):
     twist = None if a.element.is_identity() else (a.element, b.element)
     sequence = list(L.generators)
     maps = _search_maps(L, M, sequence, [None] * len(sequence), 1, twist)
-    if not maps:
-        return None
-    m = maps[0]
-    return GroupHom(L, M, [(g, m[g]) for g in sequence] or [(L.identity, M.identity)])
+    return maps[0] if maps else None
 
 
 def _basic_orbit(x, maps):

@@ -20,7 +20,7 @@ from .multiplicity import (
     mult_table_pairs,
 )
 from .ddelta import PairClassRegistry
-from .permgroup import frobenius_group, group_from_generators
+from .permgroup import PermGroup, frobenius_group
 from .permutation import Permutation
 
 
@@ -30,28 +30,28 @@ def _gens(degree, *cycle_strings):
 
 @lru_cache(maxsize=None)
 def s3():
-    return group_from_generators(3, _gens(3, "(1,2,3)", "(1,2)"))
+    return PermGroup(3, _gens(3, "(1,2,3)", "(1,2)"))
 
 
 @lru_cache(maxsize=None)
 def s3_shifted():
     # the same group acting on {2,3,4} inside degree 4
-    return group_from_generators(4, _gens(4, "(2,3,4)", "(2,3)"))
+    return PermGroup(4, _gens(4, "(2,3,4)", "(2,3)"))
 
 
 @lru_cache(maxsize=None)
 def c3():
-    return group_from_generators(3, _gens(3, "(1,2,3)"))
+    return PermGroup(3, _gens(3, "(1,2,3)"))
 
 
 @lru_cache(maxsize=None)
 def a4():
-    return group_from_generators(4, _gens(4, "(1,2)(3,4)", "(1,2,3)"))
+    return PermGroup(4, _gens(4, "(1,2)(3,4)", "(1,2,3)"))
 
 
 @lru_cache(maxsize=None)
 def s4():
-    return group_from_generators(4, _gens(4, "(1,2,3,4)", "(1,2)"))
+    return PermGroup(4, _gens(4, "(1,2,3,4)", "(1,2)"))
 
 
 @lru_cache(maxsize=None)
@@ -64,7 +64,7 @@ def f20_relabeled():
     # conjugate of the affine presentation by the transposition of 1 and 2
     swap = Permutation.parse(5, "(1,2)")
     gens = [swap.inverse() * g * swap for g in f20().generators]
-    return group_from_generators(5, gens)
+    return PermGroup(5, gens)
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .config import PRIME_SEARCH_CAP, max_order
 from .errors import DomainError, InternalCheckError, SizeBoundError
-from .permgroup import PermGroup, Subgroup, is_prime
+from .permgroup import PermGroup, is_prime
 
 
 def character_prime(exponent: int, order: int, cap: int = PRIME_SEARCH_CAP) -> int:
@@ -358,19 +358,16 @@ def _verify_table(table: CharacterTable):
                 raise InternalCheckError("row orthogonality fails mod q")
 
 
-def fixed_point_dim(table: CharacterTable, row: int, H: Subgroup) -> int:
+def fixed_point_dim(table: CharacterTable, row: int, H: PermGroup) -> int:
     """Dimension of the H-fixed points on the row-th irreducible module.
 
     Computed as the residue of (1/|H|) * sum of character values over H,
-    lifted to the unique integer in [0, degree].
+    lifted to the unique integer in [0, degree].  An element of H outside
+    the table's group raises DomainError when its class is looked up.
     """
     if not 0 <= row < table.n_classes:
         raise DomainError(f"character index {row} out of range")
     G = table.group
-    if H.parent is not G:
-        for g in H.generators:
-            if not G.contains(g):
-                raise DomainError("subgroup does not live in the table's group")
     q = table.modulus
     total = 0
     for h in H.elements():

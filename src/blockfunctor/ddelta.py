@@ -45,10 +45,9 @@ from .autos import (
 from .chartab import CharacterTable, character_table, fixed_point_dim
 from .errors import DomainError, InternalCheckError, SizeBoundError
 from .permgroup import (
-    GroupHom,
     PermGroup,
-    Subgroup,
     class_and_centralizer,
+    homomorphism,
     is_p_prime_element,
     normalizer,
     orbit,
@@ -83,7 +82,7 @@ class NormalizerPair:
 
     ambient: PermGroup
     p: int
-    subgroup: Subgroup
+    subgroup: PermGroup
     element: Permutation
     centralizer_gens: tuple
 
@@ -99,7 +98,7 @@ class NormalizerPair:
 def pair_orbit_reps(G: PermGroup, p: int):
     """One representative per conjugacy orbit of normalizer pairs.
 
-    Subgroup classes are visited in canonical order; for each class
+    The p-subgroup classes are visited in canonical order; for each class
     representative P the s-components run over the N_G(P)-classes of
     p'-elements of N_G(P), ordered by (element order, images).
     """
@@ -160,7 +159,7 @@ def faithful_quotient(pair: NormalizerPair) -> FaithfulQuotient:
     # sigma tau_x sigma^-1 = tau_(s x s^-1)
     s_inv = s.inverse()
     sigma = Permutation(index[conjugate(s_inv, labels[i])] for i in range(degree))
-    identity_point = index[P.group.identity]
+    identity_point = index[P.identity]
     _check_fixes_identity(pair, labels, sigma, identity_point)
 
     return FaithfulQuotient(
@@ -192,12 +191,13 @@ def _check_fixes_identity(pair: NormalizerPair, labels, sigma, identity_point):
 class ClassMember:
     """A pair orbit assigned to a class, with its intertwining witness.
 
-    The witness phi maps the class realization's marked subgroup onto the
-    member's subgroup and satisfies phi(u l u^-1) = s phi(l) s^-1.
+    The witness phi is the element map of an isomorphism from the class
+    realization's marked subgroup onto the member's subgroup, and it
+    satisfies phi(u l u^-1) = s phi(l) s^-1.
     """
 
     pair: NormalizerPair
-    phi: GroupHom
+    phi: dict
 
 
 class PairClass:
@@ -212,7 +212,7 @@ class PairClass:
         self.labels = labels  # the elements of L, sorted
         self.label_index = {x: i for i, x in enumerate(labels)}
         self.aut: Optional[PermGroup] = None  # C = C_Aut(L)(c_u) on the labels
-        self.inner: Optional[Subgroup] = None  # N, the kernel of C -> Out
+        self.inner: Optional[PermGroup] = None  # N, the kernel of C -> Out
 
     @property
     def subgroup_order(self) -> int:
@@ -266,7 +266,7 @@ class PairClass:
                 f"Out(L, u), {self.name}: an inner automorphism fixing u is "
                 f"not in C_Aut(L)(c_u) of order {aut.order}"
             )
-        self.inner = aut.subgroup(inner)
+        self.inner = PermGroup(aut.degree, inner)
         self.aut = aut
 
     @cached_property
@@ -289,7 +289,7 @@ class PairClass:
             if all(table.values[r][j] == d for j in kernel)
         )
 
-    def out_dims(self, H: Subgroup) -> list:
+    def out_dims(self, H: PermGroup) -> list:
         """The fixed-point dimension of each irreducible of Out on the
         image of H, for H <= C containing N: the average of the inflated
         character over H."""
@@ -309,27 +309,32 @@ class PairClass:
 
 def _witness(
     cls: PairClass, quotient: FaithfulQuotient, pair: NormalizerPair, iso=None
-) -> GroupHom:
-    """The witness phi: L -> P of a member: decode . f on the generators of L.
+) -> dict:
+    """The witness phi: L -> P of a member: decode . f, closed from the
+    generators of L.
 
-    f: L -> L' is a pair isomorphism onto the member's quotient, with
-    f(u l u^-1) = sigma f(l) sigma^-1, or the identity when the member
-    founds the class.  Decoding carries sigma tau_x sigma^-1 = tau_(s x s^-1)
-    to s x s^-1, so phi(u l u^-1) = s phi(l) s^-1.
+    f: L -> L' is a pair isomorphism onto the member's quotient, given as
+    its element map, with f(u l u^-1) = sigma f(l) sigma^-1, or the
+    identity when the member founds the class.  Decoding carries
+    sigma tau_x sigma^-1 = tau_(s x s^-1) to s x s^-1, so
+    phi(u l u^-1) = s phi(l) s^-1.
     """
     source = cls.realization.subgroup
     pairs = [
-        (tau, quotient.decode(tau if iso is None else iso(tau)))
+        (tau, quotient.decode(tau if iso is None else iso[tau]))
         for tau in source.generators
     ]
-    return GroupHom(source, pair.subgroup.group, pairs)
+    try:
+        return homomorphism(source, pair.subgroup, pairs)
+    except InternalCheckError as exc:
+        raise InternalCheckError(f"classification, {cls.name}: {exc}") from exc
 
 
 def _verify_witness(cls: PairClass, member: ClassMember):
     """Check the intertwining relation on the class generators."""
     u = cls.realization.element
     s = member.pair.element
-    phi = member.phi.mapping()
+    phi = member.phi
     for tau in cls.realization.subgroup.generators:
         left = phi.get(conjugate(u, tau))
         right = conjugate(s, phi[tau])
@@ -338,12 +343,13 @@ def _verify_witness(cls: PairClass, member: ClassMember):
                 f"classification, {cls.name}: witness fails the intertwining "
                 f"relation on {tau.cycle_string()}"
             )
-    if not member.phi.is_bijective():
+    image = set(phi.values())
+    if not len(image) == len(phi) == member.pair.subgroup.order:
         raise InternalCheckError(
             f"classification, {cls.name}: witness is not a bijection onto the "
             f"subgroup of order {member.pair.subgroup.order}"
         )
-    if set(member.phi.mapping().values()) != set(member.pair.subgroup.elements()):
+    if image != member.pair.subgroup.element_set():
         raise InternalCheckError(
             f"classification, {cls.name}: witness image is not the member "
             f"subgroup of order {member.pair.subgroup.order}"
@@ -408,16 +414,18 @@ class PairClassRegistry:
 
 
 def image_of_normalizer(
-    cls: PairClass, pair: NormalizerPair, witness: GroupHom
-) -> Subgroup:
+    cls: PairClass, pair: NormalizerPair, witness: dict
+) -> PermGroup:
     """The preimage in C of the image of N_G(P, s) in Out(L, u), through
-    a witness phi: L -> P.
+    a witness phi: L -> P given as its element map.
 
     N_G(P, s) = C_{N_G(P)}(s) is generated by pair.centralizer_gens.  Each
     such g induces phi^-1 . c_g . phi on L, which must lie in C; the
     result is the subgroup of C generated by these and N.  Generators
     with the same action on the generators of P induce the same label
-    permutation, so each action is mapped, checked and closed once.
+    permutation, so each action is mapped, checked and closed once.  The
+    result is closed without a second membership test: each induced map
+    has just passed C.contains, and N <= C was checked by ensure_aut.
     """
     cls.ensure_aut()
     actions = {}  # the conjugates of the generators of P -> (g, g^-1)
@@ -425,8 +433,7 @@ def image_of_normalizer(
         g_inv = g.inverse()
         key = tuple([conjugate_with(g, g_inv, x) for x in pair.subgroup.generators])
         actions.setdefault(key, (g, g_inv))
-    phi = witness.mapping()
-    points = [phi[x] for x in cls.labels]
+    points = [witness[x] for x in cls.labels]
     label_of = {y: i for i, y in enumerate(points)}
     induced = []
     for g, g_inv in actions.values():
@@ -444,4 +451,4 @@ def image_of_normalizer(
                 f"{cls.aut.order} (intertwining violation)"
             )
         induced.append(perm)
-    return cls.aut.subgroup(induced + list(cls.inner.generators))
+    return PermGroup(cls.aut.degree, induced + list(cls.inner.generators))

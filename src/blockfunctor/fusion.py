@@ -26,11 +26,10 @@ from .ddelta import (
 )
 from .errors import DomainError, InternalCheckError
 from .permgroup import (
-    GroupHom,
     PermGroup,
-    Subgroup,
     _closure,
     class_and_centralizer,
+    homomorphism,
     is_p_prime_element,
     normalizer,
     orbit,
@@ -40,7 +39,7 @@ from .permgroup import (
 from .permutation import Permutation, conjugate
 
 
-def find_complement(G: PermGroup, D: Subgroup) -> Subgroup:
+def find_complement(G: PermGroup, D: PermGroup) -> PermGroup:
     """A subgroup E with |E| = [G : D] and E /\\ D = 1, for D normal Sylow.
 
     Tries a cyclic complement first, then searches subgroups generated by
@@ -48,7 +47,7 @@ def find_complement(G: PermGroup, D: Subgroup) -> Subgroup:
     """
     index = G.order // D.order
     if index == 1:
-        return G.trivial_subgroup()
+        return PermGroup(G.degree, ())
     eligible = [
         x for x in G.elements() if not x.is_identity() and index % x.order() == 0
     ]
@@ -97,7 +96,7 @@ def frobenius_structure(G: PermGroup, p: int):
                     f"Sylow {p}-subgroup is not normal: conjugating "
                     f"{x.cycle_string()} by {g.cycle_string()} leaves it"
                 )
-    if not D.group.is_abelian():
+    if not D.is_abelian():
         a, b = next(
             (a, b)
             for a in D.generators
@@ -113,7 +112,7 @@ def frobenius_structure(G: PermGroup, p: int):
     return D, E
 
 
-def _check_free_action(D: Subgroup, E: Subgroup):
+def _check_free_action(D: PermGroup, E: PermGroup):
     for e in E.elements():
         if e.is_identity():
             continue
@@ -131,8 +130,8 @@ def _check_free_action(D: Subgroup, E: Subgroup):
 class FusionObject:
     """One subgroup class representative P <= D with its induced data."""
 
-    subgroup: Subgroup
-    normalizer: Subgroup
+    subgroup: PermGroup
+    normalizer: PermGroup
     labels: tuple
     index: dict
     aut_f: PermGroup  # automorphisms of P induced by the normalizer
@@ -141,7 +140,7 @@ class FusionObject:
     def automorphisms(self) -> set:
         """Aut(P) as index tuples over the labels, closed from the strong
         generators of the automorphism search on the pair (P, 1)."""
-        P = self.subgroup.group
+        P = self.subgroup
         maps = pair_automorphism_maps(MarkedPair(P, P.identity))
         gens = [tuple([self.index[m[x]] for x in self.labels]) for m in maps]
         return orbit(
@@ -156,8 +155,8 @@ class FusionData:
 
     group: PermGroup
     p: int
-    kernel: Subgroup
-    complement: Subgroup
+    kernel: PermGroup
+    complement: PermGroup
     objects: tuple
 
 
@@ -196,23 +195,24 @@ def build_fusion(G: PermGroup, p: int) -> FusionData:
 class TripleOrbit:
     """A double-coset orbit of admissible isomorphisms onto an object.
 
-    The representative is the tuple of images of the class realization's
-    translation elements in canonical order; the stabilizer is the
-    preimage in the class's C of the orbit's stabilizer in Out, so it
-    contains N.
+    The representative pi: L -> P is the tuple of images of the class
+    realization's translation elements in canonical order; the stabilizer
+    is the preimage in the class's C of the orbit's stabilizer in Out, so
+    it contains N.
     """
 
     object: FusionObject
     rep: tuple
-    pi: GroupHom
-    stabilizer: Subgroup
+    stabilizer: PermGroup
     orbit_size: int
 
 
-def _where(cls: PairClass, obj: FusionObject) -> str:
+def _where(cls: PairClass) -> str:
+    """The class as fusion-route errors name it; the route matches the
+    class only with objects P of order |L|."""
     return (
         f"fusion route, class {cls.class_id} (|L|={cls.subgroup_order}, "
-        f"ord u={cls.element_order}), |P|={obj.subgroup.order}"
+        f"ord u={cls.element_order}), |P|={cls.subgroup_order}"
     )
 
 
@@ -222,7 +222,7 @@ def admissible_isomorphisms(cls: PairClass, obj: FusionObject) -> set:
     L_group = cls.realization.subgroup
     sequence = list(L_group.generators)
     found = _search_maps(
-        L_group, obj.subgroup.group, sequence, [None] * len(sequence), limit=1
+        L_group, obj.subgroup, sequence, [None] * len(sequence), limit=1
     )
     if not found:
         return set()
@@ -252,17 +252,17 @@ def triple_orbits(F: FusionData, cls: PairClass):
     generator T_j^-1 * psi * T_k of the first block's stabilizer in C.
     N fixes every block (c_u is admissible), so the stabilizer is
     <Schreier generators, N>, the preimage of the orbit's stabilizer in
-    Out.
+    Out.  Its generators are products of generators of C, so it is closed
+    without a membership test.
     """
     if cls.subgroup_order == 1:
         raise DomainError("triple orbits are defined for nontrivial subgroups only")
     cls.ensure_aut()
-    L = cls.realization.subgroup
     C = cls.aut
 
     orbits = []
     for obj in F.objects:
-        if obj.subgroup.order != L.order:
+        if obj.subgroup.order != cls.subgroup_order:
             continue
         admissible = admissible_isomorphisms(cls, obj)
         left = [a.images for a in obj.aut_f.generators]
@@ -271,7 +271,7 @@ def triple_orbits(F: FusionData, cls: PairClass):
             block = orbit(t, lambda x: [tuple([a[j] for j in x]) for a in left])
             if not block <= admissible:
                 raise InternalCheckError(
-                    f"{_where(cls, obj)}: orbit action left the admissible set"
+                    f"{_where(cls)}: orbit action left the admissible set"
                 )
             return block
 
@@ -292,19 +292,17 @@ def triple_orbits(F: FusionData, cls: PairClass):
                     else:
                         schreier.append(transversal[j].inverse() * psi * transversal[k])
             remaining.difference_update(block_of)
-            pairs = [(g, obj.labels[start[cls.label_index[g]]]) for g in L.generators]
             orbits.append(
                 TripleOrbit(
                     object=obj,
                     rep=tuple(obj.labels[j] for j in start),
-                    pi=GroupHom(L, obj.subgroup.group, pairs),
-                    stabilizer=C.subgroup(dict.fromkeys(schreier)),
+                    stabilizer=PermGroup(C.degree, dict.fromkeys(schreier)),
                     orbit_size=len(block_of),
                 )
             )
         if sum(o.orbit_size for o in orbits if o.object is obj) != len(admissible):
             raise InternalCheckError(
-                f"{_where(cls, obj)}: double-coset orbits do not partition"
+                f"{_where(cls)}: double-coset orbits do not partition"
             )
     return orbits
 
@@ -328,7 +326,7 @@ def psi_pair(F: FusionData, cls: PairClass, orbit: TripleOrbit) -> NormalizerPai
             _, fixing_s = class_and_centralizer(obj.normalizer.generators, s)
             return NormalizerPair(F.group, F.p, obj.subgroup, s, fixing_s)
     raise InternalCheckError(
-        f"{_where(cls, obj)}: no p'-element of the normalizer induces the "
+        f"{_where(cls)}: no p'-element of the normalizer induces the "
         f"required action"
     )
 
@@ -362,21 +360,27 @@ def verify_class(F: FusionData, cls: PairClass, registry: PairClassRegistry) -> 
 
     The induced map from triple orbits to pair orbits must be defined,
     injective and onto the class members of this group, and for every
-    matched orbit the image of N_G(P, s) in Out (computed with the same
-    pi) must equal the triple stabilizer as a literal subgroup; both are
-    carried by their preimages in C.
-    Any failure raises InternalCheckError naming the orbit.
+    matched orbit the image of N_G(P, s) in Out (computed with the orbit's
+    pi, closed from its representative) must equal the triple stabilizer
+    as a literal subgroup; both are carried by their preimages in C.
+    Any failure raises InternalCheckError naming the class and the orbit.
     """
     members = registry.members_for(F.group, cls)
     orbits = triple_orbits(F, cls)
-    cid = cls.class_id
+    L = cls.realization.subgroup
+    where = _where(cls)
     if len(orbits) != len(members):
         raise InternalCheckError(
-            f"class {cid}: {len(orbits)} triple orbits vs {len(members)} pair orbits"
+            f"{where}: {len(orbits)} triple orbits vs {len(members)} pair orbits"
         )
     assigned = {}
     stab_orders = []
     for i, orbit in enumerate(orbits):
+        pairs = [(g, orbit.rep[cls.label_index[g]]) for g in L.generators]
+        try:
+            pi = homomorphism(L, orbit.object.subgroup, pairs)
+        except InternalCheckError as exc:
+            raise InternalCheckError(f"{where}, triple orbit {i}: {exc}") from exc
         pair = psi_pair(F, cls, orbit)
         match = next(
             (
@@ -394,26 +398,26 @@ def verify_class(F: FusionData, cls: PairClass, registry: PairClassRegistry) -> 
         )
         if match is None:
             raise InternalCheckError(
-                f"class {cid}: psi image of triple orbit {i} hits no pair orbit"
+                f"{where}: psi image of triple orbit {i} hits no pair orbit"
             )
         if match in assigned:
             raise InternalCheckError(
-                f"class {cid}: triple orbits {assigned[match]} and {i} map to "
-                f"the same pair orbit"
+                f"{where}: triple orbits {assigned[match]} and {i} map to the "
+                f"same pair orbit"
             )
         assigned[match] = i
 
-        image = image_of_normalizer(cls, pair, orbit.pi)
+        image = image_of_normalizer(cls, pair, pi)
         if image.element_set() != orbit.stabilizer.element_set():
             raise InternalCheckError(
-                f"class {cid}: stabilizer mismatch on triple orbit {i} "
+                f"{where}: stabilizer mismatch on triple orbit {i} "
                 f"(|image| = {image.order}, |stabilizer| = {orbit.stabilizer.order})"
             )
         stab_orders.append(orbit.stabilizer.order // cls.inner.order)
     if len(assigned) != len(members):
-        raise InternalCheckError(f"class {cid}: orbit matching is not onto")
+        raise InternalCheckError(f"{where}: orbit matching is not onto")
     return ClassCheck(
-        class_id=cid,
+        class_id=cls.class_id,
         subgroup_order=cls.subgroup_order,
         element_order=cls.element_order,
         triple_orbits=len(orbits),

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, GroupFileError
-from .permgroup import PermGroup, frobenius_group, group_from_generators, is_prime
+from .permgroup import PermGroup, frobenius_group, is_prime
 from .permutation import Permutation
 
 
@@ -252,5 +252,5 @@ def load_group(spec: GroupSpecFile) -> LoadedGroup:
         return LoadedGroup(name=name, group=group, p=p)
     if not is_prime(spec.prime):
         raise DomainError(f"prime key must be prime, got {spec.prime}")
-    group = group_from_generators(spec.degree, spec.generators)
+    group = PermGroup(spec.degree, spec.generators)
     return LoadedGroup(name=name, group=group, p=spec.prime)

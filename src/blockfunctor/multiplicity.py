@@ -18,7 +18,6 @@ from .errors import DomainError, InternalCheckError
 from .fusion import FusionData, triple_orbits
 from .permgroup import (
     PermGroup,
-    Subgroup,
     direct_product,
     is_prime,
     p_part,
@@ -49,7 +48,7 @@ class MultiplicityTable:
     defect_order: int
     rows: dict  # (class_id, irr_index) -> multiplicity
     registry: PairClassRegistry
-    sylow: Subgroup
+    sylow: PermGroup
     includes_trivial: bool
 
     def class_ids(self):
@@ -199,7 +198,7 @@ def compare(left: MultiplicityTable, right: MultiplicityTable) -> EquivalenceVer
     stable = not diff
     functorial = stable and left.l == right.l
     defect_isomorphic = (
-        find_group_isomorphism(left.sylow.group, right.sylow.group) is not None
+        find_group_isomorphism(left.sylow, right.sylow) is not None
     )
     if stable and (left.k - left.l) != (right.k - right.l):
         raise InternalCheckError(

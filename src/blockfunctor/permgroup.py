@@ -10,10 +10,12 @@ immutable after construction.  Centralizers of single elements are never
 listed: class_and_centralizer walks a conjugacy class and returns
 Schreier generators of the centralizer.
 
-Normalizers are memoized on the ambient group, keyed by the element set
-of the subgroup, so N_G(P) is computed once per (G, P) however many
-Subgroup objects carry P: the Sylow chain, the pair orbits, the
-fusion objects and every image of a normalizer in an out group share it.
+A subgroup is a PermGroup of its own, and a homomorphism is the dict of
+its element images (homomorphism and close_map).  Normalizers are
+memoized on the ambient group, keyed by the element set of the subgroup,
+so N_G(P) is computed once per (G, P) however many groups carry the
+elements of P: the Sylow chain, the pair orbits and the fusion objects
+share it.
 """
 
 from __future__ import annotations
@@ -222,53 +224,21 @@ class PermGroup:
 
     # -- subgroups ----------------------------------------------------------
 
-    def subgroup(self, gens) -> "Subgroup":
-        return Subgroup(self, gens)
-
-    def subgroup_from_elements(self, elements) -> "Subgroup":
-        elements = tuple(sorted(elements))
-        return Subgroup(self, small_generating_set(self.degree, elements),
-                        _known_order=len(elements))
-
-    def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, ())
-
-    def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, self.generators, _known_order=self.order)
-
-
-class Subgroup:
-    """A subgroup of a parent group, carried by its own PermGroup."""
-
-    def __init__(self, parent: PermGroup, gens, _known_order=None):
+    def subgroup(self, gens) -> PermGroup:
+        """The subgroup generated by members of this group."""
         gens = tuple(gens)
         for g in gens:
-            if not parent.contains(g):
+            if not self.contains(g):
                 raise DomainError("subgroup generator is not a member of the parent")
-        self.parent = parent
-        self.group = PermGroup(parent.degree, gens)
-        if _known_order is not None and self.group.order != _known_order:
+        return PermGroup(self.degree, gens)
+
+    def subgroup_from_elements(self, elements) -> PermGroup:
+        """The subgroup with the given closed element list."""
+        elements = tuple(sorted(elements))
+        H = self.subgroup(small_generating_set(self.degree, elements))
+        if H.order != len(elements):
             raise InternalCheckError("generating set does not span the given elements")
-
-    @property
-    def generators(self) -> tuple:
-        return self.group.generators
-
-    @property
-    def order(self) -> int:
-        return self.group.order
-
-    def elements(self) -> tuple:
-        return self.group.elements()
-
-    def element_set(self) -> frozenset:
-        return self.group.element_set()
-
-    def contains(self, perm) -> bool:
-        return self.group.contains(perm)
-
-    def __repr__(self):
-        return f"Subgroup(order={self.order} of degree-{self.parent.degree} group)"
+        return H
 
 
 def small_generating_set(degree, elements):
@@ -287,11 +257,6 @@ def small_generating_set(degree, elements):
         gens.append(addition)
         generated = set(_closure(degree, gens, len(elements) + 1))
     return tuple(gens)
-
-
-def group_from_generators(degree: int, gens) -> PermGroup:
-    """Construct a group with exact order and a valid base/SGS structure."""
-    return PermGroup(degree, gens)
 
 
 def class_and_centralizer(gens, s: Permutation):
@@ -325,15 +290,13 @@ def class_and_centralizer(gens, s: Permutation):
     return set(transversal), tuple(schreier)
 
 
-def _check_subgroup_of(G: PermGroup, P: Subgroup):
-    if P.parent is G:
-        return
+def _check_subgroup_of(G: PermGroup, P: PermGroup):
     for g in P.generators:
         if not G.contains(g):
             raise DomainError("subgroup is not contained in the group")
 
 
-def normalizer(G: PermGroup, P: Subgroup) -> Subgroup:
+def normalizer(G: PermGroup, P: PermGroup) -> PermGroup:
     """The normalizer N_G(P); always contains P.  Memoized on G by the
     element set of P."""
     pset = P.element_set()
@@ -408,7 +371,7 @@ def p_subgroup_classes(G: PermGroup, p: int):
         return G._p_subgroup_cache[p]
 
     sylow_order = p_part(G.order, p)
-    P = G.trivial_subgroup()
+    P = PermGroup(G.degree, ())
     while P.order < sylow_order:
         pset = P.element_set()
         N = normalizer(G, P)
@@ -431,7 +394,7 @@ def p_subgroup_classes(G: PermGroup, p: int):
     return result
 
 
-def sylow_subgroup(G: PermGroup, p: int) -> Subgroup:
+def sylow_subgroup(G: PermGroup, p: int) -> PermGroup:
     """A canonical Sylow p-subgroup (the largest p-subgroup class rep)."""
     return p_subgroup_classes(G, p)[-1]
 
@@ -492,47 +455,24 @@ def close_map(A: PermGroup, B: PermGroup, pairs, start=None, twist=None):
     return m
 
 
-class GroupHom:
-    """A homomorphism given by generator images, verified exhaustively.
+def homomorphism(A: PermGroup, B: PermGroup, pairs) -> dict:
+    """The element map of the homomorphism A -> B with the given
+    (generator, image) pairs, checked on every element of A.
 
-    The full element map is materialized on first use; a conflict during
-    the closure (the images do not define a homomorphism, or the given
-    generators do not generate the source) raises InternalCheckError.
+    Raises InternalCheckError when the images do not define a
+    homomorphism or the generators do not generate A.
     """
-
-    def __init__(self, source: PermGroup, target: PermGroup, pairs):
-        self.source = source
-        self.target = target
-        self.pairs = tuple(pairs)
-        self._map = None
-
-    def mapping(self) -> dict:
-        if self._map is None:
-            m = close_map(self.source, self.target, self.pairs)
-            if m is None:
-                raise InternalCheckError(
-                    "generator images do not define a homomorphism"
-                )
-            if len(m) != self.source.order:
-                raise InternalCheckError(
-                    "generator images do not cover the source group"
-                )
-            self._map = m
-        return self._map
-
-    def __call__(self, x: Permutation) -> Permutation:
-        try:
-            return self.mapping()[x]
-        except KeyError:
-            raise DomainError("element is not in the source group") from None
-
-    def is_bijective(self) -> bool:
-        m = self.mapping()
-        return len(set(m.values())) == len(m) == self.target.order
+    m = close_map(A, B, tuple(pairs))
+    if m is None:
+        raise InternalCheckError("generator images do not define a homomorphism")
+    if len(m) != A.order:
+        raise InternalCheckError("generator images do not cover the source group")
+    return m
 
 
-def quotient_group(G: PermGroup, N: Subgroup):
-    """The quotient G/N realized on the right cosets of N, with projection."""
+def quotient_group(G: PermGroup, N: PermGroup):
+    """The quotient G/N realized on the right cosets of N, with the
+    projection as an element map."""
     _check_subgroup_of(G, N)
     nset = N.element_set()
     for g in G.generators:
@@ -560,8 +500,7 @@ def quotient_group(G: PermGroup, N: Subgroup):
     quotient = PermGroup(max(degree, 1), [img for _, img in pairs])
     if quotient.order * N.order != G.order:
         raise InternalCheckError("coset action has the wrong kernel")
-    projection = GroupHom(G, quotient, pairs)
-    return quotient, projection
+    return quotient, homomorphism(G, quotient, pairs)
 
 
 def direct_product(G: PermGroup, H: PermGroup) -> PermGroup:
@@ -580,8 +519,8 @@ class FrobeniusGroup:
     """An affine group (C_p)^rank . C_m with kernel D and free complement E."""
 
     group: PermGroup
-    kernel: Subgroup
-    complement: Subgroup
+    kernel: PermGroup
+    complement: PermGroup
     p: int
     rank: int
     matrix: tuple
@@ -689,6 +628,6 @@ def frobenius_group(p: int, rank: int, matrix) -> FrobeniusGroup:
     group = PermGroup(p ** rank, translations + [action])
     if group.order != p ** rank * order:
         raise InternalCheckError("affine group has unexpected order")
-    kernel = Subgroup(group, translations)
-    complement = Subgroup(group, [action] if order > 1 else [])
+    kernel = group.subgroup(translations)
+    complement = group.subgroup([action] if order > 1 else [])
     return FrobeniusGroup(group, kernel, complement, p, rank, m)

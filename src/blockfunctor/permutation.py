@@ -92,7 +92,21 @@ class Permutation:
         return result
 
     def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles())) if not self.is_identity() else 1
+        """The lcm of the cycle lengths, walking each cycle from its
+        smallest point."""
+        images = self.images
+        seen = bytearray(len(images))
+        result = 1
+        for start, pt in enumerate(images):
+            if seen[start] or pt == start:
+                continue
+            length = 1
+            while pt != start:
+                seen[pt] = 1
+                pt = images[pt]
+                length += 1
+            result = lcm(result, length)
+        return result
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))

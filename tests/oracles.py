@@ -40,9 +40,8 @@ from blockfunctor.chartab import CharacterTable, character_table
 from blockfunctor.config import max_order
 from blockfunctor.errors import DomainError, InternalCheckError, SizeBoundError
 from blockfunctor.permgroup import (
-    GroupHom,
     PermGroup,
-    Subgroup,
+    homomorphism,
     normalizer,
     orbit,
     quotient_group,
@@ -322,7 +321,7 @@ def pair_sequence(mp):
 
 def carrier_pair_isomorphism(a, b):
     """An isomorphism F of the carriers with F(L) = L' and F(u) conjugate
-    to u', as a GroupHom, or None; a first-hit search over the pair
+    to u', as its element map, or None; a first-hit search over the pair
     sequence of a."""
     A, B = carrier(a), carrier(b)
     if (
@@ -338,10 +337,7 @@ def carrier_pair_isomorphism(a, b):
         restrictions.append(set(t_class.elements))
     restrictions.extend([b.subgroup.element_set()] * len(a.subgroup.generators))
     maps = _search_maps(A, B, sequence, restrictions, limit=1)
-    if not maps:
-        return None
-    m = maps[0]
-    return GroupHom(A, B, [(g, m[g]) for g in sequence] or [(A.identity, B.identity)])
+    return maps[0] if maps else None
 
 
 def carrier_witness(cls, quotient, iso, pair):
@@ -349,18 +345,18 @@ def carrier_witness(cls, quotient, iso, pair):
     quotient: conjugate the image of u onto sigma by the first carrier
     element that does so, restrict to the translations and decode."""
     sigma = quotient.marked.element
-    image = iso(cls.realization.element)
+    image = iso[cls.realization.element]
     adjust = next(
-        (h for h in iso.target.elements() if package_conjugate(h, image) == sigma), None
+        (h for h in sorted(iso.values()) if package_conjugate(h, image) == sigma), None
     )
     if adjust is None:
         raise InternalCheckError("pair isomorphism image is not conjugate to sigma")
     source = cls.realization.subgroup
     pairs = [
-        (tau, quotient.decode(package_conjugate(adjust, iso(tau))))
+        (tau, quotient.decode(package_conjugate(adjust, iso[tau])))
         for tau in source.generators
     ]
-    return GroupHom(source, pair.subgroup.group, pairs)
+    return homomorphism(source, pair.subgroup, pairs)
 
 
 class LinearScanRegistry(ddelta.PairClassRegistry):
@@ -399,7 +395,7 @@ def all_isomorphisms(cls, obj):
     over the sorted elements of L."""
     L_group = cls.realization.subgroup
     sequence = list(small_generating_set(L_group.degree, L_group.elements()))
-    maps = _search_maps(L_group, obj.subgroup.group, sequence, [None] * len(sequence))
+    maps = _search_maps(L_group, obj.subgroup, sequence, [None] * len(sequence))
     return [tuple(m[x] for x in L_group.elements()) for m in maps]
 
 
@@ -447,7 +443,7 @@ class CarrierOut:
     aut: PermGroup
     labels: tuple
     index: dict
-    inn: Subgroup
+    inn: PermGroup
     out_group: PermGroup
     projection: dict
     table: CharacterTable
@@ -496,7 +492,7 @@ def carrier_out(cls):
         index=index,
         inn=inn,
         out_group=out_group,
-        projection=projection.mapping(),
+        projection=projection,
         table=character_table(out_group),
     )
 
@@ -505,8 +501,8 @@ def carrier_image_of_normalizer(out, cls, ambient, subgroup, element, witness):
     """The image of N_G(P, s) in the carrier route's Out, as a subgroup:
     each generator g of N_G(P) /\\ C_G(s) gives the pair automorphism
     acting as phi^-1 . c_g . phi on the translations and fixing u."""
-    n_ps = centralizer(normalizer(ambient, subgroup).group, element)
-    phi = witness.mapping()
+    n_ps = centralizer(normalizer(ambient, subgroup), element)
+    phi = witness
     phi_inv = {v: k for k, v in phi.items()}
     realization = out.carrier
     u = cls.realization.element
@@ -518,7 +514,7 @@ def carrier_image_of_normalizer(out, cls, ambient, subgroup, element, witness):
                 pairs.append((gen, u))
             else:
                 pairs.append((gen, phi_inv[package_conjugate(g, phi[gen])]))
-        perm = out.perm_from_map(GroupHom(realization, realization, pairs).mapping())
+        perm = out.perm_from_map(homomorphism(realization, realization, pairs))
         if not out.aut.contains(perm):
             raise InternalCheckError("induced map is not a pair automorphism")
         images.append(out.projection[perm])

@@ -35,7 +35,7 @@ from blockfunctor.multiplicity import (
     mult_table_fusion,
     mult_table_pairs,
 )
-from blockfunctor.permgroup import group_from_generators, sylow_subgroup
+from blockfunctor.permgroup import PermGroup, sylow_subgroup
 
 
 @contextlib.contextmanager
@@ -195,10 +195,10 @@ def test_criterion_6_character_table_suite():
                     assert total == expected
 
             subgroups = [
-                G.trivial_subgroup(),
+                G.subgroup([]),
                 G.subgroup([G.generators[0]]),
                 sylow_subgroup(G, p),
-                G.full_subgroup(),
+                G,
             ]
             for H in subgroups:
                 total = sum(
@@ -218,7 +218,7 @@ def test_criterion_7_l_multiplicativity():
             (a4(), c3(), 2),
             (f20(), s3(), 5),
             (f21(), c3(), 7),
-            (s3(), group_from_generators(1, []), 3),
+            (s3(), PermGroup(1, []), 3),
         ]
         assert len(pairs) >= 5
         for G, H, p in pairs:

@@ -25,7 +25,7 @@ from blockfunctor.config import max_order
 from blockfunctor.ddelta import FaithfulQuotient, PairClass, PairClassRegistry
 from blockfunctor.errors import SizeBoundError
 from blockfunctor.grpfile import load_group, parse_group_file
-from blockfunctor.permgroup import group_from_generators
+from blockfunctor.permgroup import PermGroup
 from blockfunctor.permutation import Permutation
 
 FIXTURES = ("s3", "c3", "a4", "s4", "f20", "f20b", "f21", "g72", "g56")
@@ -95,7 +95,7 @@ def small_groups(draw):
     n = draw(st.integers(1, 7))
     gens = [draw(permutations_of(n)), draw(permutations_of(n))]
     try:
-        return group_from_generators(n, gens)
+        return PermGroup(n, gens)
     except SizeBoundError:
         assume(False)
 

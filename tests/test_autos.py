@@ -10,7 +10,7 @@ from blockfunctor.autos import (
 from blockfunctor.battery import a4, c3, s3, s4
 from blockfunctor.ddelta import FaithfulQuotient, PairClass
 from blockfunctor.errors import DomainError
-from blockfunctor.permgroup import group_from_generators
+from blockfunctor.permgroup import PermGroup
 from blockfunctor.permutation import Permutation, conjugate
 
 
@@ -19,7 +19,7 @@ def perm(degree, text):
 
 
 def v4():
-    return group_from_generators(4, [perm(4, "(1,2)(3,4)"), perm(4, "(1,3)(2,4)")])
+    return PermGroup(4, [perm(4, "(1,2)(3,4)"), perm(4, "(1,3)(2,4)")])
 
 
 def pair_class(mp):
@@ -61,12 +61,11 @@ def test_automorphism_perms_act_on_element_labels():
 
 def marked(G, sub_gens, s):
     """The pair (L, s) for L = <sub_gens> inside G."""
-    return MarkedPair(G.subgroup(sub_gens).group, s)
+    return MarkedPair(G.subgroup(sub_gens), s)
 
 
-def assert_intertwines(f, a, b):
-    """f maps L onto L' and f(u x u^-1) = u' f(x) u'^-1 on all of L."""
-    m = f.mapping()
+def assert_intertwines(m, a, b):
+    """m maps L onto L' and m(u x u^-1) = u' m(x) u'^-1 on all of L."""
     assert set(m) == a.subgroup.element_set()
     assert set(m.values()) == b.subgroup.element_set()
     assert all(m[conjugate(a.element, x)] == conjugate(b.element, y) for x, y in m.items())
@@ -82,7 +81,7 @@ def test_find_pair_isomorphism_conjugate_markings():
     # the carrier route's isomorphism of S3 sends u into the class of u'
     F = oracles.carrier_pair_isomorphism(a, b)
     t_class = G.conjugacy_data()[G.class_index_of(b.element)]
-    assert F(a.element) in t_class.elements
+    assert F[a.element] in t_class.elements
 
 
 def test_find_pair_isomorphism_fuses_inverse_classes_in_a4():
@@ -95,7 +94,7 @@ def test_find_pair_isomorphism_fuses_inverse_classes_in_a4():
     assert f is not None
     # the witness maps the marked subgroup onto itself
     vset = a.subgroup.element_set()
-    assert all(f(x) in vset for x in a.subgroup.elements())
+    assert all(f[x] in vset for x in a.subgroup.elements())
     assert_intertwines(f, a, b)
 
 
@@ -158,8 +157,8 @@ def test_pair_automorphism_count_for_a4_marking():
 
 
 def test_find_group_isomorphism():
-    c4 = group_from_generators(4, [perm(4, "(1,2,3,4)")])
+    c4 = PermGroup(4, [perm(4, "(1,2,3,4)")])
     assert find_group_isomorphism(c4, v4()) is None
-    shifted = group_from_generators(4, [perm(4, "(2,3,4)"), perm(4, "(2,3)")])
+    shifted = PermGroup(4, [perm(4, "(2,3,4)"), perm(4, "(2,3)")])
     f = find_group_isomorphism(s3(), shifted)
-    assert f is not None and f.is_bijective()
+    assert f is not None and len(set(f.values())) == len(f) == shifted.order

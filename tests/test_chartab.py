@@ -17,7 +17,7 @@ from blockfunctor.chartab import (
 from blockfunctor.ddelta import PairClassRegistry
 from blockfunctor.errors import DomainError
 from blockfunctor.grpfile import load_group, parse_group_file
-from blockfunctor.permgroup import group_from_generators, sylow_subgroup
+from blockfunctor.permgroup import PermGroup, sylow_subgroup
 from blockfunctor.permutation import Permutation
 
 
@@ -29,7 +29,7 @@ ALL_FIXTURES = [s3, c3, a4, s4, f20, f21, g72, g56]
 
 
 def test_degree_examples():
-    c2 = group_from_generators(2, [perm(2, "(1,2)")])
+    c2 = PermGroup(2, [perm(2, "(1,2)")])
     assert character_table(c2).degrees == (1, 1)
     assert character_table(s3()).degrees == (1, 1, 2)
     assert character_table(a4()).degrees == (1, 1, 1, 3)
@@ -97,7 +97,7 @@ def test_column_orthogonality():
 def test_fixed_point_dim_examples():
     G = s3()
     table = character_table(G)
-    trivial = G.trivial_subgroup()
+    trivial = G.subgroup([])
     for row in range(3):
         assert fixed_point_dim(table, row, trivial) == table.degrees[row]
     A3 = G.subgroup([perm(3, "(1,2,3)")])
@@ -105,11 +105,20 @@ def test_fixed_point_dim_examples():
     assert fixed_point_dim(table, 2, A3) == 0  # two-dimensional character
 
 
+def test_fixed_point_dim_refuses_a_subgroup_outside_the_table_group():
+    table = character_table(a4())
+    odd = s4().subgroup([perm(4, "(1,2)")])
+    with pytest.raises(DomainError, match="^element does not belong to the group$"):
+        fixed_point_dim(table, 0, odd)
+    with pytest.raises(DomainError, match="^element does not belong to the group$"):
+        fixed_point_dim(table, 0, s3())
+
+
 def test_fixed_point_dim_on_whole_group_detects_trivial_character():
     for builder in [s3, a4, s4, f20, f21]:
         G = builder()
         table = character_table(G)
-        full = G.full_subgroup()
+        full = G
         dims = [fixed_point_dim(table, row, full) for row in range(table.n_classes)]
         assert dims.count(1) == 1
         assert set(dims) <= {0, 1}
@@ -126,7 +135,7 @@ def test_fixed_point_dim_monotone_under_enlargement():
         table = character_table(G)
         smaller = G.subgroup(gens[:1])
         bigger = G.subgroup(gens)
-        full = G.full_subgroup()
+        full = G
         for row in range(table.n_classes):
             d_small = fixed_point_dim(table, row, smaller)
             d_big = fixed_point_dim(table, row, bigger)
@@ -139,10 +148,10 @@ def test_permutation_module_dimension_identity():
         G = builder()
         table = character_table(G)
         subgroups = [
-            G.trivial_subgroup(),
+            G.subgroup([]),
             G.subgroup([G.generators[0]]),
             sylow_subgroup(G, 2),
-            G.full_subgroup(),
+            G,
         ]
         for H in subgroups:
             total = sum(
@@ -155,7 +164,7 @@ def test_permutation_module_dimension_identity():
 def test_determinism_of_fresh_builds():
     first = character_table(g72())
     second = character_table(
-        group_from_generators(g72().degree, list(g72().generators))
+        PermGroup(g72().degree, list(g72().generators))
     )
     assert first.modulus == second.modulus
     assert first.degrees == second.degrees
@@ -227,7 +236,7 @@ def relabeled_cycle_products(draw):
     for cycle, n in zip(cycles, lengths):
         mixed = mixed * cycle ** draw(st.integers(0, n - 1))
     gens = [mixed] + draw(st.permutations(cycles))
-    return group_from_generators(degree, gens)
+    return PermGroup(degree, gens)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

@@ -99,20 +99,17 @@ def test_verify_psi_pass(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_exit_codes():
+def test_exit_codes(tmp_path):
     # usage errors
     assert run_cli([]).returncode == 1
     assert run_cli(["unknown-command"]).returncode == 1
     assert run_cli(["invariants", "no-such-file.grp"]).returncode == 1
     # parse error
-    bad = DATA_DIR / "bad.tmp.grp"
+    bad = tmp_path / "bad.grp"
     bad.write_text("degree 3\nprime 3\ngen (1,9)\n")
-    try:
-        result = run_cli(["invariants", str(bad)])
-        assert result.returncode == 2
-        assert b"line 3" in result.stderr
-    finally:
-        bad.unlink()
+    result = run_cli(["invariants", str(bad)])
+    assert result.returncode == 2
+    assert b"line 3" in result.stderr
     # domain error: the fusion hypotheses fail for S4 at p = 2
     result = run_cli(["verify-psi", data("s4.grp")])
     assert result.returncode == 3

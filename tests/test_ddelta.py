@@ -15,7 +15,7 @@ from blockfunctor.ddelta import (
 )
 from blockfunctor.errors import DomainError, InternalCheckError, SizeBoundError
 from blockfunctor.multiplicity import invariants_kl
-from blockfunctor.permgroup import GroupHom, normalizer
+from blockfunctor.permgroup import homomorphism, normalizer
 from blockfunctor.permutation import Permutation, conjugate
 
 
@@ -94,7 +94,7 @@ def test_faithful_quotient_refuses_a_sigma_that_moves_the_identity():
     )
     labels = pair.subgroup.elements()
     index = {x: i for i, x in enumerate(labels)}
-    identity_point = index[pair.subgroup.group.identity]
+    identity_point = index[pair.subgroup.identity]
     left = Permutation(index[labels[1] * y] for y in labels)
     translations = faithful_quotient(pair).marked.subgroup.generators
     assert all(left * t == t * left for t in translations)
@@ -198,7 +198,7 @@ def test_witness_intertwining_for_all_members():
     for cls in registry.classes:
         u = cls.realization.element
         for member in cls.members:
-            phi = member.phi.mapping()
+            phi = member.phi
             s = member.pair.element
             for tau in cls.realization.subgroup.generators:
                 assert phi[conjugate(u, tau)] == conjugate(s, phi[tau])
@@ -250,10 +250,10 @@ def test_fixed_dims_are_witness_independent():
     seen_alternative = False
     for n in n_ps:
         pairs = [
-            (tau, conjugate(n, member.phi(tau))) for tau in source.generators
+            (tau, conjugate(n, member.phi[tau])) for tau in source.generators
         ]
-        alt_phi = GroupHom(source, pair.subgroup.group, pairs)
-        if alt_phi.mapping() == member.phi.mapping():
+        alt_phi = homomorphism(source, pair.subgroup, pairs)
+        if alt_phi == member.phi:
             continue
         seen_alternative = True
         alt = image_of_normalizer(cls, pair, alt_phi)
@@ -291,7 +291,7 @@ def test_out_errors_name_the_pair_class(monkeypatch):
         "Out(L, u), pair class (|L|=4, ord u=3): a preimage in C of order 1 "
         "does not contain N of order 3"
     )):
-        cls.out_dims(cls.aut.trivial_subgroup())
+        cls.out_dims(cls.aut.subgroup([]))
 
     monkeypatch.setattr(ddelta, "pair_automorphism_maps", lambda mp: [])
     with pytest.raises(InternalCheckError, match=re.escape(
@@ -341,13 +341,13 @@ def member_of(G, p, shape, index=0):
 def corrupted(cls, member, images):
     """A witness sending the generators of L to the given images."""
     L = cls.realization.subgroup
-    return GroupHom(L, member.pair.subgroup.group, list(zip(L.generators, images)))
+    return homomorphism(L, member.pair.subgroup, list(zip(L.generators, images)))
 
 
 def swapped(cls, member):
     """The member's witness composed with the automorphism of the
     elementary abelian L that swaps its first two generators."""
-    images = [member.phi(g) for g in cls.realization.subgroup.generators]
+    images = [member.phi[g] for g in cls.realization.subgroup.generators]
     images[0], images[1] = images[1], images[0]
     return corrupted(cls, member, images)
 
@@ -376,6 +376,19 @@ def test_witness_checks_name_the_pair_class():
         "the member subgroup of order 2"
     )):
         ddelta._verify_witness(cls, ddelta.ClassMember(member.pair, elsewhere))
+
+
+def test_witness_closure_failure_names_the_pair_class():
+    # (D8, 1): the generators of L have orders 4 and 2, so swapping their
+    # images breaks the relations
+    cls, member = member_of(s4(), 2, (8, 1))
+    a, b = cls.realization.subgroup.generators
+    assert (a.order(), b.order()) == (4, 2)
+    with pytest.raises(InternalCheckError, match=re.escape(
+        "classification, pair class (|L|=8, ord u=1): generator images do not "
+        "define a homomorphism"
+    )):
+        ddelta._witness(cls, faithful_quotient(member.pair), member.pair, {a: b, b: a})
 
 
 def test_normalizer_image_checks_name_the_pair_class():

@@ -1,10 +1,13 @@
+import dataclasses
 import random
+import re
 
 import pytest
 
+from blockfunctor import fusion
 from blockfunctor.battery import a4, c3, f20, f21, g56, g72, s3, s4
 from blockfunctor.ddelta import PairClassRegistry
-from blockfunctor.errors import DomainError
+from blockfunctor.errors import DomainError, InternalCheckError
 from blockfunctor.fusion import (
     _pairs_conjugate,
     build_fusion,
@@ -13,7 +16,7 @@ from blockfunctor.fusion import (
     triple_orbits,
     verify_class,
 )
-from blockfunctor.permgroup import direct_product, group_from_generators
+from blockfunctor.permgroup import PermGroup, direct_product
 from blockfunctor.permutation import Permutation, conjugate
 
 FROBENIUS = [(s3, 3), (a4, 2), (f20, 5), (f21, 7), (g72, 3), (g56, 2), (c3, 3)]
@@ -49,7 +52,7 @@ def test_frobenius_structure_rejects_s4():
 
 
 def test_frobenius_structure_rejects_trivial_action():
-    c6 = direct_product(c3(), group_from_generators(2, [perm(2, "(1,2)")]))
+    c6 = direct_product(c3(), PermGroup(2, [perm(2, "(1,2)")]))
     with pytest.raises(DomainError, match="not free"):
         frobenius_structure(c6, 3)
 
@@ -179,7 +182,6 @@ def test_psi_image_is_orbit_invariant():
             moved_orbit = type(orbit)(
                 object=obj,
                 rep=twisted,
-                pi=orbit.pi,
                 stabilizer=orbit.stabilizer,
                 orbit_size=orbit.orbit_size,
             )
@@ -210,7 +212,7 @@ def quaternion_frobenius():
             for v in vectors
         )
 
-    return group_from_generators(
+    return PermGroup(
         9,
         [translation(0), translation(1), matperm([[0, 2], [1, 0]]),
          matperm([[1, 1], [1, 2]])],
@@ -257,3 +259,65 @@ def test_verify_class_passes_on_frobenius_fixtures(builder, p):
         checked += 1
     if builder is not c3:
         assert checked >= 2
+
+
+def a4_class_with_fusion(shape):
+    """A class of A4 at p = 2 by (|L|, ord u), with its registry and fusion."""
+    registry = PairClassRegistry()
+    G, F = fusion_for(a4, 2)
+    registry.classify_group(G, 2)
+    cls = next(c for c in registry.classes if (c.subgroup_order, c.element_order) == shape)
+    return F, cls, registry
+
+
+def corrupt_orbits(monkeypatch, corrupt):
+    """Hand verify_class the triple orbits as corrupt(orbits) returns them."""
+    monkeypatch.setattr(fusion, "triple_orbits", lambda F, cls: corrupt(triple_orbits(F, cls)))
+
+
+def test_verify_class_checks_name_the_class_and_orbit(monkeypatch):
+    # (V4, u of order 3): two triple orbits against one pair orbit
+    F, cls, registry = a4_class_with_fusion((4, 3))
+    cls.members.pop()
+    with pytest.raises(InternalCheckError, match=re.escape(
+        "fusion route, class 3 (|L|=4, ord u=3), |P|=4: 2 triple orbits vs "
+        "1 pair orbits"
+    )):
+        verify_class(F, cls, registry)
+
+    # the first orbit twice: both land on the first pair orbit
+    F, cls, registry = a4_class_with_fusion((4, 3))
+    corrupt_orbits(monkeypatch, lambda orbits: [orbits[0], orbits[0]])
+    with pytest.raises(InternalCheckError, match=re.escape(
+        "fusion route, class 3 (|L|=4, ord u=3), |P|=4: triple orbits 0 and 1 "
+        "map to the same pair orbit"
+    )):
+        verify_class(F, cls, registry)
+
+    # (V4, 1): the stabilizer of the one orbit has order 3 in C = S3
+    F, cls, registry = a4_class_with_fusion((4, 1))
+    corrupt_orbits(monkeypatch, lambda orbits: [
+        dataclasses.replace(o, stabilizer=cls.aut) for o in orbits
+    ])
+    with pytest.raises(InternalCheckError, match=re.escape(
+        "fusion route, class 2 (|L|=4, ord u=1), |P|=4: stabilizer mismatch on "
+        "triple orbit 0 (|image| = 3, |stabilizer| = 6)"
+    )):
+        verify_class(F, cls, registry)
+
+    # a representative sending a generator of L outside P, to an element
+    # of order 3, so pi does not close to a homomorphism
+    F, cls, registry = a4_class_with_fusion((4, 1))
+    first = cls.label_index[cls.realization.subgroup.generators[0]]
+
+    def outside(orbits):
+        rep = list(orbits[0].rep)
+        rep[first] = perm(4, "(2,3,4)")
+        return [dataclasses.replace(orbits[0], rep=tuple(rep))]
+
+    corrupt_orbits(monkeypatch, outside)
+    with pytest.raises(InternalCheckError, match=re.escape(
+        "fusion route, class 2 (|L|=4, ord u=1), |P|=4, triple orbit 0: "
+        "generator images do not define a homomorphism"
+    )):
+        verify_class(F, cls, registry)

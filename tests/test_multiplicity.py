@@ -29,7 +29,7 @@ from blockfunctor.multiplicity import (
     mult_table_fusion,
     mult_table_pairs,
 )
-from blockfunctor.permgroup import frobenius_group, group_from_generators
+from blockfunctor.permgroup import PermGroup, frobenius_group
 from blockfunctor.permutation import Permutation, conjugate
 
 
@@ -80,7 +80,7 @@ def test_cross_formula_equality(builder, p):
 
 def test_l_multiplicativity_examples():
     assert l_multiplicativity_check(s3(), s3(), 3)
-    assert l_multiplicativity_check(s3(), group_from_generators(1, []), 3)
+    assert l_multiplicativity_check(s3(), PermGroup(1, []), 3)
     assert l_multiplicativity_check(a4(), c3(), 2)
     assert l_multiplicativity_check(f20(), s3(), 5)
     assert l_multiplicativity_check(f21(), c3(), 7)
@@ -122,11 +122,11 @@ def relabeled(G, seed):
     points = list(range(G.degree))
     random.Random(seed).shuffle(points)
     rename = Permutation(points)
-    return group_from_generators(G.degree, [conjugate(rename, g) for g in G.generators])
+    return PermGroup(G.degree, [conjugate(rename, g) for g in G.generators])
 
 
 def gens_group(degree, *cycles):
-    return group_from_generators(degree, [Permutation.parse(degree, c) for c in cycles])
+    return PermGroup(degree, [Permutation.parse(degree, c) for c in cycles])
 
 
 def compare_sides(left, right, p):

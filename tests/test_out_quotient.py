@@ -22,7 +22,7 @@ from blockfunctor.ddelta import PairClassRegistry, image_of_normalizer
 from blockfunctor.fusion import build_fusion, verify_class
 from blockfunctor.grpfile import load_group, parse_group_file
 from blockfunctor.multiplicity import mult_table_pairs
-from blockfunctor.permgroup import group_from_generators
+from blockfunctor.permgroup import PermGroup
 from blockfunctor.permutation import Permutation
 
 FIXTURES = ("s3", "c3", "a4", "s4", "f20", "f20b", "f21", "g72", "g56", "f75")
@@ -41,7 +41,7 @@ CASES = [(name, None) for name in FIXTURES] + [
 def load_case(name, p):
     if name in GENERATED:
         degree, cycles = GENERATED[name]
-        return group_from_generators(
+        return PermGroup(
             degree, [Permutation.parse(degree, c) for c in cycles]
         ), p
     loaded = load_group(parse_group_file((DATA_DIR / f"{name}.grp").read_text()))

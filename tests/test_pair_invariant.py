@@ -23,7 +23,7 @@ from blockfunctor.ddelta import PairClassRegistry
 from blockfunctor.errors import SizeBoundError
 from blockfunctor.grpfile import load_group, parse_group_file
 from blockfunctor.permgroup import (
-    group_from_generators,
+    PermGroup,
     is_prime,
     normalizer,
     p_subgroup_classes,
@@ -40,7 +40,7 @@ def load(name):
 def relabeled(G, points):
     """G with point i renamed points[i]."""
     pi = Permutation(points)
-    return group_from_generators(G.degree, [conjugate(pi.inverse(), g) for g in G.generators])
+    return PermGroup(G.degree, [conjugate(pi.inverse(), g) for g in G.generators])
 
 
 def reversed_points(G):
@@ -57,7 +57,7 @@ def table(registry):
                 (
                     m.pair.subgroup.element_set(),
                     m.pair.element,
-                    m.phi.mapping(),
+                    m.phi,
                 )
                 for m in cls.members
             ],
@@ -134,7 +134,7 @@ def relabeled_small_groups(draw):
     n = draw(st.integers(1, 7))
     gens = [draw(permutations_of(n)), draw(permutations_of(n))]
     try:
-        G = group_from_generators(n, gens)
+        G = PermGroup(n, gens)
     except SizeBoundError:
         assume(False)
     # keep the cost of classification small

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,6 +99,7 @@ def test_unvalidated_results_match_a_validated_reference(case):
         reference = _validated_product(reference, a if n > 0 else inverse)
     assert _is_permutation(power)
     assert power == reference and hash(power) == hash(reference)
+    assert a.order() == next(k for k in itertools.count(1) if a ** k == ident)
 
 
 @settings(max_examples=200, derandomize=True)

@@ -1,7 +1,9 @@
-"""Byte-exact CLI reports on every fixture, pinned by a committed file.
+"""Byte-exact CLI reports on every fixture, pinned by committed files.
 
 Each case runs one command in-process and records its exit code, stdout
-and stderr.  When a report is meant to change, regenerate the file with
+and stderr.  The desk-scale fixtures are pinned in reports.golden and the
+F75 stretch fixture in stretch.golden.  When a report is meant to change,
+regenerate both files with
 
     PYTHONPATH=src python tests/test_reports_golden.py
 
@@ -21,7 +23,8 @@ from blockfunctor import ddelta
 from blockfunctor.cli import main
 
 GOLDEN = DATA_DIR / "reports.golden"
-# listed, not globbed: test_cli writes a scratch .grp file into DATA_DIR
+STRETCH_GOLDEN = DATA_DIR / "stretch.golden"
+# the stretch fixtures (f75, f80, f240, f351, f2r11) are left out here
 FIXTURES = [
     "a4.grp", "c3.grp", "f20.grp", "f20b.grp", "f21.grp",
     "g56.grp", "g72.grp", "s3.grp", "s4.grp",
@@ -38,6 +41,10 @@ CASES = [
 ] + [
     ("compare", "f20.grp", "f20b.grp"),
     ("compare", "s3.grp", "c3.grp"),
+]
+STRETCH_CASES = [
+    ("verify-psi", "f75.grp"),
+    ("mult", "f75.grp", "--formula", "both"),
 ]
 
 
@@ -56,8 +63,8 @@ def render(case) -> str:
     )
 
 
-def _golden_blocks() -> dict:
-    with open(GOLDEN, encoding="utf-8", newline="") as handle:
+def _golden_blocks(path=GOLDEN) -> dict:
+    with open(path, encoding="utf-8", newline="") as handle:
         text = handle.read()
     blocks = ["=== " + b for b in re.split(r"(?m)^=== ", text) if b]
     return {block.split("\n", 1)[0]: block for block in blocks}
@@ -71,6 +78,18 @@ def test_golden_file_covers_exactly_the_cases():
 def test_report_matches_golden(case, monkeypatch):
     monkeypatch.delenv("BLOCKFUNCTOR_MAX_ORDER", raising=False)
     assert render(case) == _golden_blocks()[f"=== {' '.join(case)}"]
+
+
+def test_stretch_golden_file_covers_exactly_the_cases():
+    assert list(_golden_blocks(STRETCH_GOLDEN)) == [
+        f"=== {' '.join(case)}" for case in STRETCH_CASES
+    ]
+
+
+@pytest.mark.parametrize("case", STRETCH_CASES, ids=lambda case: "-".join(case))
+def test_stretch_report_matches_golden(case, monkeypatch):
+    monkeypatch.delenv("BLOCKFUNCTOR_MAX_ORDER", raising=False)
+    assert render(case) == _golden_blocks(STRETCH_GOLDEN)[f"=== {' '.join(case)}"]
 
 
 def refuse_tables(monkeypatch):
@@ -100,6 +119,7 @@ def test_verify_psi_on_f75_builds_no_character_table(monkeypatch):
 
 if __name__ == "__main__":
     os.environ.pop("BLOCKFUNCTOR_MAX_ORDER", None)
-    with open(GOLDEN, "w", encoding="utf-8", newline="") as handle:
-        handle.write("".join(render(case) for case in CASES))
-    sys.stdout.write(f"wrote {len(CASES)} cases to {GOLDEN}\n")
+    for path, cases in ((GOLDEN, CASES), (STRETCH_GOLDEN, STRETCH_CASES)):
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write("".join(render(case) for case in cases))
+        sys.stdout.write(f"wrote {len(cases)} cases to {path}\n")

@@ -15,7 +15,7 @@ from sympy.combinatorics import PermutationGroup
 from conftest import DATA_DIR
 from blockfunctor.grpfile import load_group, parse_group_file
 from blockfunctor.multiplicity import invariants_kl
-from blockfunctor.permgroup import group_from_generators, sylow_subgroup
+from blockfunctor.permgroup import PermGroup, sylow_subgroup
 from blockfunctor.permutation import Permutation
 
 FIXTURES = ("s3", "c3", "a4", "s4", "f20", "f20b", "f21", "g72", "g56", "f75")
@@ -38,7 +38,7 @@ CASES = [(name, p) for name in FIXTURES + tuple(GENERATED) for p in PRIMES[name]
 def load(name):
     if name in GENERATED:
         degree, cycles = GENERATED[name]
-        return group_from_generators(degree, [Permutation.parse(degree, c) for c in cycles])
+        return PermGroup(degree, [Permutation.parse(degree, c) for c in cycles])
     return load_group(parse_group_file((DATA_DIR / f"{name}.grp").read_text())).group
 
 
