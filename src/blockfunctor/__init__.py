@@ -48,7 +48,6 @@ from .multiplicity import (
     mult_table_pairs,
 )
 from .permgroup import (
-    FrobeniusGroup,
     PermGroup,
     direct_product,
     frobenius_group,
@@ -69,7 +68,6 @@ __all__ = [
     "DomainError",
     "EquivalenceVerdict",
     "FaithfulQuotient",
-    "FrobeniusGroup",
     "FusionData",
     "GroupFileError",
     "GroupSpecFile",

@@ -56,7 +56,7 @@ def s4():
 
 @lru_cache(maxsize=None)
 def f20():
-    return frobenius_group(5, 1, [[2]]).group
+    return frobenius_group(5, 1, [[2]])
 
 
 @lru_cache(maxsize=None)
@@ -69,17 +69,17 @@ def f20_relabeled():
 
 @lru_cache(maxsize=None)
 def f21():
-    return frobenius_group(7, 1, [[2]]).group
+    return frobenius_group(7, 1, [[2]])
 
 
 @lru_cache(maxsize=None)
 def g72():
-    return frobenius_group(3, 2, [[0, 1], [1, 2]]).group
+    return frobenius_group(3, 2, [[0, 1], [1, 2]])
 
 
 @lru_cache(maxsize=None)
 def g56():
-    return frobenius_group(2, 3, [[0, 0, 1], [1, 0, 1], [0, 1, 0]]).group
+    return frobenius_group(2, 3, [[0, 0, 1], [1, 0, 1], [0, 1, 0]])
 
 
 # (name, builder, prime); S4 is the negative fixture for the fusion route

@@ -156,10 +156,11 @@ def _class_matrix(classes, class_of, i, q):
     """Matrix of multiplication by the i-th class sum acting on class sums."""
     k = len(classes)
     mat = [[0] * k for _ in range(k)]
+    inverses = [x.inverse() for x in classes[i].elements]
     for col in range(k):
         z = classes[col].rep
-        for x in classes[i].elements:
-            mat[class_of[x.inverse() * z]][col] += 1
+        for x_inv in inverses:
+            mat[class_of[x_inv * z]][col] += 1
     return [[v % q for v in row] for row in mat]
 
 

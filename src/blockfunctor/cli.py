@@ -210,18 +210,12 @@ def cmd_mult(args) -> int:
             registry.classify_group(loaded.group, loaded.p)
             table = mult_table_fusion(fusion, registry, loaded.name)
 
-    k, l, diff = invariants_kl(loaded.group, loaded.p)
     doc = {
         "schema_version": reports.SCHEMA_VERSION,
         "command": "mult",
         "group": _group_doc(loaded),
         "formula": args.formula,
-        "invariants": {
-            "k": k,
-            "l": l,
-            "k_minus_l": diff,
-            "defect_order": table.defect_order,
-        },
+        "invariants": _invariants_doc(loaded),
         "single_block_regime": single_block,
         "cross_check": cross_check,
         "classes": _table_classes_doc(table),

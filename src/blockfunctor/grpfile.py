@@ -248,8 +248,7 @@ def load_group(spec: GroupSpecFile) -> LoadedGroup:
     if spec.frobenius is not None:
         p, rank, entries = spec.frobenius
         matrix = [entries[i * rank:(i + 1) * rank] for i in range(rank)]
-        group = frobenius_group(p, rank, matrix).group
-        return LoadedGroup(name=name, group=group, p=p)
+        return LoadedGroup(name=name, group=frobenius_group(p, rank, matrix), p=p)
     if not is_prime(spec.prime):
         raise DomainError(f"prime key must be prime, got {spec.prime}")
     group = PermGroup(spec.degree, spec.generators)

@@ -55,6 +55,23 @@ class MultiplicityTable:
         return sorted({cid for cid, _ in self.rows})
 
 
+def _table(name, G, p, rows, registry, includes_trivial) -> MultiplicityTable:
+    """The table of the given rows, with the invariants of G at p."""
+    k, l, _ = invariants_kl(G, p)
+    return MultiplicityTable(
+        group_name=name,
+        group=G,
+        p=p,
+        k=k,
+        l=l,
+        defect_order=p_part(G.order, p),
+        rows=rows,
+        registry=registry,
+        sylow=sylow_subgroup(G, p),
+        includes_trivial=includes_trivial,
+    )
+
+
 def mult_table_pairs(
     G: PermGroup, p: int, registry: PairClassRegistry, name: str = "group"
 ) -> MultiplicityTable:
@@ -71,21 +88,9 @@ def mult_table_pairs(
         for irr, dim in enumerate(cls.out_dims(image)):
             key = (cls.class_id, irr)
             rows[key] = rows.get(key, 0) + dim
-    k, l, _ = invariants_kl(G, p)
-    table = MultiplicityTable(
-        group_name=name,
-        group=G,
-        p=p,
-        k=k,
-        l=l,
-        defect_order=p_part(G.order, p),
-        rows=rows,
-        registry=registry,
-        sylow=sylow_subgroup(G, p),
-        includes_trivial=True,
-    )
+    table = _table(name, G, p, rows, registry, includes_trivial=True)
     trivial = registry.trivial_class()
-    if trivial is None or table.rows.get((trivial.class_id, 0)) != l:
+    if trivial is None or table.rows.get((trivial.class_id, 0)) != table.l:
         raise InternalCheckError(
             "multiplicity at the trivial class does not equal the "
             "p-regular class count"
@@ -101,7 +106,6 @@ def mult_table_fusion(
     m(class, chi) is the sum over the triple orbits of the fixed point
     dimension of chi on the orbit stabilizer.
     """
-    G = F.group
     rows = {}
     for cls in registry.classes:
         if cls.subgroup_order == 1:
@@ -115,19 +119,7 @@ def mult_table_fusion(
             for irr, dim in enumerate(cls.out_dims(orbit.stabilizer)):
                 key = (cls.class_id, irr)
                 rows[key] = rows.get(key, 0) + dim
-    k, l, _ = invariants_kl(G, F.p)
-    return MultiplicityTable(
-        group_name=name,
-        group=G,
-        p=F.p,
-        k=k,
-        l=l,
-        defect_order=p_part(G.order, F.p),
-        rows=rows,
-        registry=registry,
-        sylow=sylow_subgroup(G, F.p),
-        includes_trivial=False,
-    )
+    return _table(name, F.group, F.p, rows, registry, includes_trivial=False)
 
 
 def nontrivial_rows(table: MultiplicityTable) -> dict:
@@ -139,20 +131,31 @@ def nontrivial_rows(table: MultiplicityTable) -> dict:
     return out
 
 
+def _row_diff(left: MultiplicityTable, right: MultiplicityTable) -> list:
+    """(class_id, irr_index, left, right) for every nontrivial row on which
+    two tables of one registry disagree, in key order."""
+    if left.registry is not right.registry:
+        raise DomainError("tables were built against different registries")
+    lrows = nontrivial_rows(left)
+    rrows = nontrivial_rows(right)
+    diff = []
+    for key in sorted(set(lrows) | set(rrows)):
+        a = lrows.get(key, 0)
+        b = rrows.get(key, 0)
+        if a != b:
+            diff.append((key[0], key[1], a, b))
+    return diff
+
+
 def cross_check_formulas(pairs_table: MultiplicityTable, fusion_table: MultiplicityTable):
     """Exact row-by-row equality of the two routes on nontrivial classes."""
-    if pairs_table.registry is not fusion_table.registry:
-        raise DomainError("tables were built against different registries")
-    left = nontrivial_rows(pairs_table)
-    right = nontrivial_rows(fusion_table)
-    for key in sorted(set(left) | set(right)):
-        a = left.get(key, 0)
-        b = right.get(key, 0)
-        if a != b:
-            raise InternalCheckError(
-                f"formula mismatch at class {key[0]}, character {key[1]}: "
-                f"pair route {a} vs fusion route {b}"
-            )
+    diff = _row_diff(pairs_table, fusion_table)
+    if diff:
+        cid, irr, a, b = diff[0]
+        raise InternalCheckError(
+            f"formula mismatch at class {cid}, character {irr}: "
+            f"pair route {a} vs fusion route {b}"
+        )
 
 
 def l_multiplicativity_check(G: PermGroup, H: PermGroup, p: int) -> bool:
@@ -185,16 +188,7 @@ def compare(left: MultiplicityTable, right: MultiplicityTable) -> EquivalenceVer
     functorial upgrade additionally needs equal p-regular class counts.
     A stable verdict with diverging k - l is a hard internal error.
     """
-    if left.registry is not right.registry:
-        raise DomainError("tables were built against different registries")
-    lrows = nontrivial_rows(left)
-    rrows = nontrivial_rows(right)
-    diff = []
-    for key in sorted(set(lrows) | set(rrows)):
-        a = lrows.get(key, 0)
-        b = rrows.get(key, 0)
-        if a != b:
-            diff.append((key[0], key[1], a, b))
+    diff = _row_diff(left, right)
     stable = not diff
     functorial = stable and left.l == right.l
     defect_isomorphic = (

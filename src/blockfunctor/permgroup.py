@@ -1,13 +1,11 @@
 """Exact permutation groups at desk scale.
 
-Every group materializes its full element list (orders are capped by the
-configured bound) and derives a base/strong-generating-set structure from
-it: the base is the sequence of smallest moved points down the stabilizer
-chain and the transversal representatives are the canonically minimal
-elements.  Conjugacy classes, normalizers and p-subgroup classes are
-computed by exhaustive, deterministic enumeration and cached; groups are
-immutable after construction.  Centralizers of single elements are never
-listed: class_and_centralizer walks a conjugacy class and returns
+Every group is its full element list (orders are capped by the
+configured bound): the order is its length and membership is a lookup in
+its element set.  Conjugacy classes, normalizers and p-subgroup classes
+are computed by exhaustive, deterministic enumeration and cached; groups
+are immutable after construction.  Centralizers of single elements are
+never listed: class_and_centralizer walks a conjugacy class and returns
 Schreier generators of the centralizer.
 
 A subgroup is a PermGroup of its own, and a homomorphism is the dict of
@@ -112,49 +110,19 @@ class PermGroup:
         self.generators = tuple(gens)
         self._elements = tuple(sorted(_closure(degree, self.generators, max_order())))
         self._element_set = frozenset(self._elements)
-        self._chain = self._build_chain()
-        self.order = math.prod(len(t) for _, t in self._chain) if self._chain else 1
-        if self.order != len(self._elements):
-            raise InternalCheckError("stabilizer chain order disagrees with closure")
-        self.base = tuple(point for point, _ in self._chain)
+        self.order = len(self._elements)
         self._classes = None
         self._class_index = None
         self._p_subgroup_cache = {}
         self._normalizer_cache = {}
         self._by_invariant = None
 
-    def _build_chain(self):
-        levels = []
-        current = list(self._elements)
-        degree = self.degree
-        while len(current) > 1:
-            point = next(
-                pt
-                for pt in range(degree)
-                if any(g.images[pt] != pt for g in current)
-            )
-            transversal = {}
-            for g in current:  # canonical order, so reps are minimal
-                image = g.images[point]
-                if image not in transversal:
-                    transversal[image] = g
-            levels.append((point, transversal))
-            current = [g for g in current if g.images[point] == point]
-        return tuple(levels)
-
     # -- membership and element access ------------------------------------
 
     def contains(self, perm: Permutation) -> bool:
-        """Membership test by sifting through the stabilizer chain."""
-        if perm.degree != self.degree:
-            return False
-        g = perm
-        for point, transversal in self._chain:
-            u = transversal.get(g.images[point])
-            if u is None:
-                return False
-            g = g * u.inverse()
-        return g.is_identity()
+        """Membership test; a permutation of another degree is never a
+        member, since it equals no element."""
+        return perm in self._element_set
 
     def __contains__(self, perm):
         return self.contains(perm)
@@ -184,11 +152,13 @@ class PermGroup:
         if self._classes is None:
             classes = []
             seen = set()
-            gens = self.generators
+            steps = [(g, g.inverse()) for g in self.generators]
             for x in self._elements:
                 if x in seen:
                     continue
-                members = orbit(x, lambda y: [conjugate(g, y) for g in gens])
+                members = orbit(
+                    x, lambda y: [conjugate_with(g, g_inv, y) for g, g_inv in steps]
+                )
                 classes.append(ConjClass(rep=x, elements=tuple(sorted(members))))
                 seen |= members
             self._classes = tuple(classes)
@@ -318,9 +288,11 @@ def is_p_prime_element(g: Permutation, p: int) -> bool:
 
 def _canonical_conjugate(G, element_set):
     """Lexicographically minimal G-conjugate of a subgroup element set."""
+    steps = [(g, g.inverse()) for g in G.generators]
     conjugates = orbit(
         element_set,
-        lambda s: [frozenset(conjugate(g, x) for x in s) for g in G.generators],
+        lambda s: [frozenset([conjugate_with(g, g_inv, x) for x in s])
+                   for g, g_inv in steps],
     )
     return min(conjugates, key=_set_key)
 
@@ -514,18 +486,6 @@ def direct_product(G: PermGroup, H: PermGroup) -> PermGroup:
     return PermGroup(degree, gens)
 
 
-@dataclass(frozen=True)
-class FrobeniusGroup:
-    """An affine group (C_p)^rank . C_m with kernel D and free complement E."""
-
-    group: PermGroup
-    kernel: PermGroup
-    complement: PermGroup
-    p: int
-    rank: int
-    matrix: tuple
-
-
 def _mat_mult(a, b, p):
     n = len(a)
     return tuple(
@@ -564,7 +524,7 @@ def _mat_invertible(m, p):
     return rank == n
 
 
-def frobenius_group(p: int, rank: int, matrix) -> FrobeniusGroup:
+def frobenius_group(p: int, rank: int, matrix) -> PermGroup:
     """The affine group of translations of (F_p)^rank plus a matrix action.
 
     The matrix must be invertible mod p, its multiplicative order m must be
@@ -623,11 +583,7 @@ def frobenius_group(p: int, rank: int, matrix) -> FrobeniusGroup:
             )
         power = _mat_mult(power, m, p)
 
-    translations = [translation(i) for i in range(rank)]
-    action = matrix_perm(m)
-    group = PermGroup(p ** rank, translations + [action])
+    group = PermGroup(p ** rank, [translation(i) for i in range(rank)] + [matrix_perm(m)])
     if group.order != p ** rank * order:
         raise InternalCheckError("affine group has unexpected order")
-    kernel = group.subgroup(translations)
-    complement = group.subgroup([action] if order > 1 else [])
-    return FrobeniusGroup(group, kernel, complement, p, rank, m)
+    return group

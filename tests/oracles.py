@@ -26,6 +26,10 @@ polynomial by Faddeev-LeVerrier, as the character tables had it before
 the Hessenberg recurrence.  ``layered_p_subgroup_classes`` is the
 p-subgroup enumeration by layered normalizer extension, as every group
 without a normal Sylow subgroup had it before one Sylow subgroup.
+``stabilizer_chain`` is the base and transversals every PermGroup carried
+before a group was its element set.  ``find_complement`` and
+``complement_fixed_point`` are the complement search and the free-action
+scan that the fusion route ran before it read class sizes.
 """
 
 from __future__ import annotations
@@ -650,3 +654,65 @@ def layered_p_subgroup_classes(G, p):
         frozenset(Permutation(x) for x in sub)
         for sub in sorted(canonical, key=lambda sub: (len(sub), sub))
     ]
+
+
+def stabilizer_chain(G):
+    """(base point, transversal) levels of G: each base point is the
+    smallest point that the current stabilizer moves, and each transversal
+    maps an image of that point to the smallest element sending the point
+    there."""
+    levels = []
+    current = list(G.elements())
+    while len(current) > 1:
+        point = next(
+            pt for pt in range(G.degree) if any(g.images[pt] != pt for g in current)
+        )
+        transversal = {}
+        for g in current:  # canonical order, so reps are minimal
+            transversal.setdefault(g.images[point], g)
+        levels.append((point, transversal))
+        current = [g for g in current if g.images[point] == point]
+    return tuple(levels)
+
+
+def find_complement(G, D):
+    """A subgroup E with |E| = [G : D] and E /\\ D = 1, for D normal Sylow:
+    a cyclic complement if there is one, else a breadth-first search of
+    the subgroups generated by elements of order dividing the index."""
+    index = G.order // D.order
+    if index == 1:
+        return PermGroup(G.degree, ())
+    eligible = [
+        x for x in G.elements() if not x.is_identity() and index % x.order() == 0
+    ]
+    for x in sorted(eligible, key=lambda x: (-x.order(), x.images)):
+        if x.order() == index:
+            return G.subgroup([x])
+    seen = set()
+    frontier = [PermGroup(G.degree, ())]
+    while frontier:
+        nxt = []
+        for current in frontier:
+            for x in eligible:
+                if current.contains(x):
+                    continue
+                extended = G.subgroup(current.generators + (x,))
+                if index % extended.order != 0 or extended.element_set() in seen:
+                    continue
+                if extended.order == index:
+                    return extended
+                seen.add(extended.element_set())
+                nxt.append(extended)
+        frontier = nxt
+    raise DomainError(f"no complement of order {index} found")
+
+
+def complement_fixed_point(D, E):
+    """The first (e, d) with e in E and d in D both nonidentity and
+    e d e^-1 = d, by conjugating every d by every e; None when E acts
+    freely."""
+    for e in E.elements()[1:]:
+        for d in D.elements()[1:]:
+            if package_conjugate(e, d) == d:
+                return e, d
+    return None

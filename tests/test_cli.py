@@ -80,6 +80,29 @@ def test_mult_s4_has_no_single_block_note(capsys):
     assert doc["single_block_regime"] is False
 
 
+def test_non_free_action_is_refused_by_the_fusion_route_only(capsys):
+    # C3 x C2 at 3: the pair route runs and prints no single-block note,
+    # and the fusion route names the complement element and what it fixes
+    assert main(["mult", data("c6.grp")]) == 0
+    captured = capsys.readouterr()
+    assert "single-block regime" not in captured.out
+    assert captured.err == ""
+    for command in (["mult", "--formula", "both"], ["verify-psi"]):
+        assert main([command[0], data("c6.grp"), *command[1:]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "domain error: complement action is not free: (4,5) fixes (1,2,3)\n"
+        )
+
+
+def test_selftest_passes_every_check():
+    result = run_cli(["selftest"])
+    assert result.returncode == 0
+    assert result.stderr == b""
+    assert result.stdout.decode().splitlines()[-1] == "27/27 checks passed"
+
+
 def test_compare_verdict(capsys):
     assert main(["compare", data("s3.grp"), data("c3.grp")]) == 0
     out = capsys.readouterr().out

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+import oracles
 from blockfunctor import fusion
 from blockfunctor.battery import a4, c3, f20, f21, g56, g72, s3, s4
 from blockfunctor.ddelta import PairClassRegistry
@@ -16,7 +17,7 @@ from blockfunctor.fusion import (
     triple_orbits,
     verify_class,
 )
-from blockfunctor.permgroup import PermGroup, direct_product
+from blockfunctor.permgroup import PermGroup, direct_product, sylow_subgroup
 from blockfunctor.permutation import Permutation, conjugate
 
 FROBENIUS = [(s3, 3), (a4, 2), (f20, 5), (f21, 7), (g72, 3), (g56, 2), (c3, 3)]
@@ -42,8 +43,11 @@ def test_frobenius_structure_shapes():
         (c3, 3): (3, 1),
     }
     for (builder, p), (d_order, e_order) in cases.items():
-        D, E = frobenius_structure(builder(), p)
+        G = builder()
+        D = frobenius_structure(G, p)
+        E = oracles.find_complement(G, D)
         assert (D.order, E.order) == (d_order, e_order)
+        assert build_fusion(G, p).kernel.element_set() == D.element_set()
 
 
 def test_frobenius_structure_rejects_s4():
@@ -51,10 +55,74 @@ def test_frobenius_structure_rejects_s4():
         frobenius_structure(s4(), 2)
 
 
+def c3_times_c2():
+    return direct_product(c3(), PermGroup(2, [perm(2, "(1,2)")]))
+
+
 def test_frobenius_structure_rejects_trivial_action():
-    c6 = direct_product(c3(), PermGroup(2, [perm(2, "(1,2)")]))
     with pytest.raises(DomainError, match="not free"):
-        frobenius_structure(c6, 3)
+        frobenius_structure(c3_times_c2(), 3)
+
+
+def affine_group(p, rank, matrices):
+    """(F_p)^rank by the given matrices, with no hypothesis checked."""
+    vectors = [tuple((v // p ** i) % p for i in range(rank)) for v in range(p ** rank)]
+    index = {v: i for i, v in enumerate(vectors)}
+
+    def translation(basis):
+        return Permutation(
+            index[tuple((v[i] + (1 if i == basis else 0)) % p for i in range(rank))]
+            for v in vectors
+        )
+
+    def matperm(m):
+        return Permutation(
+            index[tuple(sum(m[i][j] * v[j] for j in range(rank)) % p for i in range(rank))]
+            for v in vectors
+        )
+
+    return PermGroup(
+        p ** rank,
+        [translation(b) for b in range(rank)] + [matperm(m) for m in matrices],
+    )
+
+
+def quaternion_frobenius():
+    """(C_3)^2 acted on freely by the quaternion group of order 8."""
+    return affine_group(3, 2, [[[0, 2], [1, 0]], [[1, 1], [1, 2]]])
+
+
+FREE_ACTION_CASES = [
+    *(pytest.param(builder, p, True, id=f"{builder.__name__}-{p}") for builder, p in FROBENIUS),
+    pytest.param(quaternion_frobenius, 3, True, id="C3^2:Q8"),
+    pytest.param(c3_times_c2, 3, False, id="C3xC2"),
+    # diag(1, 2) fixes the first basis vector
+    pytest.param(lambda: affine_group(3, 2, [[[1, 0], [0, 2]]]), 3, False,
+                 id="C3^2:C2-diag(1,2)"),
+]
+
+
+@pytest.mark.parametrize("builder,p,free", FREE_ACTION_CASES)
+def test_free_action_verdict_matches_the_complement_scan(builder, p, free):
+    # class sizes decide freeness exactly when the oracle complement,
+    # scanned element by element, has no fixed point
+    G = builder()
+    D = sylow_subgroup(G, p)
+    fixed = oracles.complement_fixed_point(D, oracles.find_complement(G, D))
+    assert (fixed is None) == free
+    if free:
+        assert frobenius_structure(G, p).element_set() == D.element_set()
+        return
+    with pytest.raises(DomainError, match="not free") as info:
+        frobenius_structure(G, p)
+    found = re.fullmatch(
+        r"complement action is not free: (\S+) fixes (\S+)", str(info.value)
+    )
+    assert found is not None
+    e, d = (perm(G.degree, text) for text in found.groups())
+    assert G.contains(e) and not e.is_identity() and e.order() % p != 0
+    assert D.contains(d) and not d.is_identity()
+    assert conjugate(e, d) == d
 
 
 def test_frobenius_structure_rejects_trivial_sylow():
@@ -195,30 +263,6 @@ def test_psi_image_is_orbit_invariant():
             )
 
 
-def quaternion_frobenius():
-    """(C_3)^2 acted on freely by the quaternion group of order 8."""
-    vectors = [tuple((v // 3 ** i) % 3 for i in range(2)) for v in range(9)]
-    index = {v: i for i, v in enumerate(vectors)}
-
-    def translation(basis):
-        return Permutation(
-            index[tuple((v[i] + (1 if i == basis else 0)) % 3 for i in range(2))]
-            for v in vectors
-        )
-
-    def matperm(m):
-        return Permutation(
-            index[tuple(sum(m[i][j] * v[j] for j in range(2)) % 3 for i in range(2))]
-            for v in vectors
-        )
-
-    return PermGroup(
-        9,
-        [translation(0), translation(1), matperm([[0, 2], [1, 0]]),
-         matperm([[1, 1], [1, 2]])],
-    )
-
-
 def test_non_cyclic_complement_is_found_and_verified():
     from blockfunctor.ddelta import PairClassRegistry
     from blockfunctor.multiplicity import (
@@ -229,11 +273,12 @@ def test_non_cyclic_complement_is_found_and_verified():
 
     G = quaternion_frobenius()
     assert G.order == 72
-    D, E = frobenius_structure(G, 3)
+    D = frobenius_structure(G, 3)
+    E = oracles.find_complement(G, D)
     assert D.order == 9 and E.order == 8
     assert all(x.order() < 8 for x in E.elements())  # quaternion, not cyclic
     F = build_fusion(G, 3)
-    assert (F.kernel.order, F.complement.order) == (9, 8)
+    assert F.kernel.element_set() == D.element_set()
     registry = PairClassRegistry()
     pairs_table = mult_table_pairs(G, 3, registry, "Q8frob")
     cross_check_formulas(pairs_table, mult_table_fusion(F, registry, "Q8frob"))

@@ -155,7 +155,7 @@ def compare_sides(left, right, p):
 COMPARE_PAIRS = {
     "G56-G56": (g56, None, 2),
     "G72-G72": (g72, None, 3),
-    "F110-F110": (lambda: frobenius_group(11, 1, [[2]]).group, None, 11),
+    "F110-F110": (lambda: frobenius_group(11, 1, [[2]]), None, 11),
     "A6-A6": (lambda: gens_group(6, "(1,2,3)", "(2,3,4,5,6)"), None, 3),
     "F20-F20b": (f20, f20_relabeled, 5),
     "S3-C3": (s3, c3, 3),

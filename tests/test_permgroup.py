@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -73,7 +74,9 @@ def test_order_equals_exhaustive_closure_for_small_fixtures():
         raw = oracles.closure(G.degree, [g.images for g in G.generators])
         assert G.order == len(raw)
         # and the chain product agrees with the element count
-        chain_product = math.prod((len(t) for _, t in G._chain), start=1)
+        chain_product = math.prod(
+            (len(t) for _, t in oracles.stabilizer_chain(G)), start=1
+        )
         assert G.order == chain_product
 
 
@@ -82,10 +85,26 @@ def test_strong_generator_structure():
         G = builder()
         for g in G.generators:
             assert G.contains(g)
-        for point, transversal in G._chain:
+        chain = oracles.stabilizer_chain(G)
+        for point, transversal in chain:
             for image, u in transversal.items():
                 assert G.contains(u) and u.images[point] == image
-        assert len(G.base) == len(G._chain)
+        base = [point for point, _ in chain]
+        assert base == sorted(set(base))
+
+
+def test_membership_agrees_with_the_closure_on_every_permutation():
+    for builder in SMALL_FIXTURES:
+        G = builder()
+        if G.degree > 5:
+            continue
+        members = set(oracles.closure(G.degree, [g.images for g in G.generators]))
+        for images in itertools.permutations(range(G.degree)):
+            assert G.contains(Permutation(images)) == (images in members)
+        # a member that fixes one more point, and identities of other degrees
+        assert not G.contains(Permutation(G.generators[0].images + (G.degree,)))
+        for degree in (G.degree - 1, G.degree + 1):
+            assert not G.contains(Permutation.identity(degree))
 
 
 def test_degree_validation():
@@ -241,31 +260,41 @@ def test_sylow_subgroup_order():
     assert sylow_subgroup(g72(), 3).order == 9
 
 
+def kernel_and_complement(G, p):
+    """The Sylow p-subgroup (the translations) and a complement from the
+    oracle search."""
+    D = sylow_subgroup(G, p)
+    return D, oracles.find_complement(G, D)
+
+
 def test_frobenius_group_examples():
-    frob = frobenius_group(3, 1, [[2]])
-    assert frob.group.order == 6
-    assert frob.kernel.order == 3 and frob.complement.order == 2
+    G = frobenius_group(3, 1, [[2]])
+    assert G.order == 6
+    D, E = kernel_and_complement(G, 3)
+    assert D.order == 3 and E.order == 2
 
-    frob72 = frobenius_group(3, 2, [[0, 1], [1, 2]])
-    assert frob72.group.order == 72
-    assert frob72.complement.order == 8
+    G72 = frobenius_group(3, 2, [[0, 1], [1, 2]])
+    assert G72.order == 72
+    assert kernel_and_complement(G72, 3)[1].order == 8
 
-    frob56 = frobenius_group(2, 3, [[0, 0, 1], [1, 0, 1], [0, 1, 0]])
-    assert frob56.group.order == 56
-    assert frob56.complement.order == 7
+    G56 = frobenius_group(2, 3, [[0, 0, 1], [1, 0, 1], [0, 1, 0]])
+    assert G56.order == 56
+    assert kernel_and_complement(G56, 2)[1].order == 7
 
 
 def test_frobenius_freeness_by_direct_scan():
-    for frob in (
-        frobenius_group(3, 1, [[2]]),
-        frobenius_group(5, 1, [[2]]),
-        frobenius_group(3, 2, [[0, 1], [1, 2]]),
-        frobenius_group(2, 3, [[0, 0, 1], [1, 0, 1], [0, 1, 0]]),
+    for p, rank, matrix in (
+        (3, 1, [[2]]),
+        (5, 1, [[2]]),
+        (3, 2, [[0, 1], [1, 2]]),
+        (2, 3, [[0, 0, 1], [1, 0, 1], [0, 1, 0]]),
     ):
-        for e in frob.complement.elements():
+        D, E = kernel_and_complement(frobenius_group(p, rank, matrix), p)
+        assert E.order > 1
+        for e in E.elements():
             if e.is_identity():
                 continue
-            for d in frob.kernel.elements():
+            for d in D.elements():
                 if d.is_identity():
                     continue
                 assert conjugate(e, d) != d
@@ -297,7 +326,7 @@ def test_frobenius_group_is_refused_on_its_order_before_it_is_built(monkeypatch)
     )):
         frobenius_group(3, 2, matrix)
     monkeypatch.setenv("BLOCKFUNCTOR_MAX_ORDER", "72")
-    assert frobenius_group(3, 2, matrix).group.order == 72
+    assert frobenius_group(3, 2, matrix).order == 72
 
 
 def test_quotient_group_examples():

@@ -82,7 +82,7 @@ def test_psi_pair_generators_match_the_element_scan(name):
     if isinstance(source, str):
         G, p = load_fixture(source)
     else:
-        G, p = frobenius_group(*source).group, source[0]
+        G, p = frobenius_group(*source), source[0]
     F = build_fusion(G, p)
     registry = PairClassRegistry()
     registry.classify_group(G, p)
