@@ -31,7 +31,6 @@ from .permgroup import (
     PermGroup,
     close_map,
     orbit,
-    small_generating_set,
 )
 
 
@@ -120,10 +119,11 @@ def _profile(group: PermGroup):
 
 def find_group_isomorphism(A: PermGroup, B: PermGroup):
     """An isomorphism A -> B as the element map that the search closed and
-    checked to be a bijection, or None."""
+    checked to be a bijection, or None.  The search runs along the
+    generators of A."""
     if A.order != B.order or _profile(A) != _profile(B):
         return None
-    sequence = list(small_generating_set(A.degree, A.elements()))
+    sequence = list(A.generators)
     maps = _search_maps(A, B, sequence, [None] * len(sequence), limit=1)
     return maps[0] if maps else None
 

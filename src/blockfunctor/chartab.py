@@ -305,19 +305,25 @@ def _linear_rows(G: PermGroup, classes, q):
 
 def _table(G: PermGroup, rows_of) -> CharacterTable:
     """The table whose rows rows_of(G, classes, q) lists, sorted by
-    (degree, values) and verified."""
+    (degree, values) and verified.  A failed check names the group's
+    order and class count."""
     classes = G.conjugacy_data()
     q = character_prime(G.exponent(), G.order)
-    rows = sorted(rows_of(G, classes, q))
-    table = CharacterTable(
-        group=G,
-        modulus=q,
-        class_reps=tuple(cls.rep for cls in classes),
-        class_sizes=tuple(cls.size for cls in classes),
-        degrees=tuple(d for d, _ in rows),
-        values=tuple(v for _, v in rows),
-    )
-    _verify_table(table)
+    try:
+        rows = sorted(rows_of(G, classes, q))
+        table = CharacterTable(
+            group=G,
+            modulus=q,
+            class_reps=tuple(cls.rep for cls in classes),
+            class_sizes=tuple(cls.size for cls in classes),
+            degrees=tuple(d for d, _ in rows),
+            values=tuple(v for _, v in rows),
+        )
+        _verify_table(table)
+    except InternalCheckError as exc:
+        raise InternalCheckError(
+            f"character table, |G|={G.order}, {len(classes)} classes: {exc}"
+        ) from exc
     return table
 
 

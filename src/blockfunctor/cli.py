@@ -8,6 +8,7 @@ check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import battery, reports
@@ -36,6 +37,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # parse_args keeps no state on the parser
 def _build_parser() -> _Parser:
     parser = _Parser(prog="blockfunctor", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")

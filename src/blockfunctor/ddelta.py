@@ -370,18 +370,13 @@ class PairClassRegistry:
     def __init__(self):
         self.classes = []
         self._by_key = {}  # class key -> classes with it, in creation order
-        self._by_group = {}
-        self._group_refs = []  # keeps cached groups alive so ids stay unique
+        self._by_group = {}  # (G, p) -> assignments; a PermGroup hashes by identity
 
     def classify_group(self, G: PermGroup, p: int):
         """Classify every pair orbit of G; returns (class, member) pairs."""
-        key = (id(G), p)
+        key = (G, p)
         if key not in self._by_group:
-            assignments = []
-            for pair in pair_orbit_reps(G, p):
-                assignments.append(self._classify(pair))
-            self._by_group[key] = assignments
-            self._group_refs.append(G)
+            self._by_group[key] = [self._classify(pair) for pair in pair_orbit_reps(G, p)]
         return self._by_group[key]
 
     def _classify(self, pair: NormalizerPair):

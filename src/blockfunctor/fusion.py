@@ -36,6 +36,7 @@ from .permgroup import (
     orbit,
     p_part,
     p_subgroup_classes,
+    schreier_walk,
     sylow_subgroup,
 )
 from .permutation import Permutation, conjugate
@@ -210,64 +211,58 @@ def triple_orbits(F: FusionData, cls: PairClass):
 
     The normalizer acts on the left (by obj.aut_f) and Aut(L, u) on the
     right; L is abelian, so Aut(L, u) acts on L through C = C_Aut(L)(c_u).
-    Each double coset is walked once, as the C-orbit of its left orbits
-    (blocks), with a transversal T_k from the first block to the k-th.
-    Products compose left to right, so generator psi steps from block k
-    by psi * T_k, and on landing in a known block j gives the Schreier
-    generator T_j^-1 * psi * T_k of the first block's stabilizer in C.
-    N fixes every block (c_u is admissible), so the stabilizer is
-    <Schreier generators, N>, the preimage of the orbit's stabilizer in
-    Out.  Its generators are products of generators of C, so it is closed
-    without a membership test.
+    The left orbits (blocks) partition the admissible set, and each block
+    is named by its least tuple.  The actions commute, so C permutes the
+    blocks: psi maps a block to the block of its name composed with psi.
+    Each double coset is one C-orbit of blocks, walked by schreier_walk
+    from the block of the least remaining tuple.  N fixes every block
+    (c_u is admissible), so the stabilizer is <N, Schreier generators>,
+    the preimage of the orbit's stabilizer in Out.  Its generators are
+    products of generators of C, so it is closed without a membership
+    test.
     """
     if cls.subgroup_order == 1:
         raise DomainError("triple orbits are defined for nontrivial subgroups only")
     cls.ensure_aut()
     C = cls.aut
 
+    left_the_set = f"{_where(cls)}: orbit action left the admissible set"
     orbits = []
     for obj in F.objects:
         if obj.subgroup.order != cls.subgroup_order:
             continue
         admissible = admissible_isomorphisms(cls, obj)
         left = [a.images for a in obj.aut_f.generators]
-
-        def left_orbit(t):
+        blocks = {}  # least tuple -> its block
+        name_of = {}  # tuple -> the least tuple of its block
+        for t in admissible:
+            if t in name_of:
+                continue
             block = orbit(t, lambda x: [tuple([a[j] for j in x]) for a in left])
             if not block <= admissible:
-                raise InternalCheckError(
-                    f"{_where(cls)}: orbit action left the admissible set"
-                )
-            return block
+                raise InternalCheckError(left_the_set)
+            name = min(block)
+            blocks[name] = block
+            name_of.update(dict.fromkeys(block, name))
 
-        remaining = set(admissible)
+        def right_action(psi, _, name):
+            moved = name_of.get(tuple([name[i] for i in psi.images]))
+            if moved is None:
+                raise InternalCheckError(left_the_set)
+            return moved
+
+        remaining = set(blocks)
         while remaining:
             start = min(remaining)
-            reps, transversal = [start], [C.identity]
-            block_of = dict.fromkeys(left_orbit(start), 0)
-            schreier = list(cls.inner.generators)
-            for k, rep in enumerate(reps):  # reps grows as blocks are found
-                for psi in C.generators:
-                    moved = tuple([rep[i] for i in psi.images])
-                    j = block_of.get(moved)
-                    if j is None:
-                        block_of.update(dict.fromkeys(left_orbit(moved), len(reps)))
-                        reps.append(moved)
-                        transversal.append(psi * transversal[k])
-                    else:
-                        schreier.append(transversal[j].inverse() * psi * transversal[k])
-            remaining.difference_update(block_of)
+            names, schreier = schreier_walk(start, C.generators, right_action, C.identity)
+            remaining -= names
             orbits.append(
                 TripleOrbit(
                     object=obj,
                     rep=tuple(obj.labels[j] for j in start),
-                    stabilizer=PermGroup(C.degree, dict.fromkeys(schreier)),
-                    orbit_size=len(block_of),
+                    stabilizer=PermGroup(C.degree, cls.inner.generators + schreier),
+                    orbit_size=sum(len(blocks[name]) for name in names),
                 )
-            )
-        if sum(o.orbit_size for o in orbits if o.object is obj) != len(admissible):
-            raise InternalCheckError(
-                f"{_where(cls)}: double-coset orbits do not partition"
             )
     return orbits
 

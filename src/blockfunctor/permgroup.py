@@ -2,11 +2,14 @@
 
 Every group is its full element list (orders are capped by the
 configured bound): the order is its length and membership is a lookup in
-its element set.  Conjugacy classes, normalizers and p-subgroup classes
-are computed by exhaustive, deterministic enumeration and cached; groups
-are immutable after construction.  Centralizers of single elements are
-never listed: class_and_centralizer walks a conjugacy class and returns
-Schreier generators of the centralizer.
+its element set.  Every group is closed by Dimino's coset enumeration
+(_closure), which keeps the given generators that enlarge it.
+Conjugacy classes and p-subgroup classes are computed by exhaustive,
+deterministic enumeration and cached; groups are immutable after
+construction.  Normalizers and centralizers are never found by scanning
+the group: schreier_walk walks one orbit (the conjugates of a subgroup's
+element set, or of an element) and returns Schreier generators of its
+stabilizer.
 
 A subgroup is a PermGroup of its own, and a homomorphism is the dict of
 its element images (homomorphism and close_map).  Normalizers are
@@ -37,28 +40,46 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _closure(degree, gens, cap):
-    """All products of the generators, in breadth-first discovery order."""
-    ident = Permutation.identity(degree)
-    seen = {ident}
-    out = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in seen:
-                    if len(seen) >= cap:
-                        raise SizeBoundError(
-                            f"group of degree {degree} on {len(gens)} generators: "
-                            f"order exceeds the configured bound {cap}"
-                        )
-                    seen.add(y)
-                    out.append(y)
-                    nxt.append(y)
-        frontier = nxt
-    return out
+def _closure(degree, candidates, cap, start=None):
+    """The group generated by the candidates, by Dimino's coset
+    enumeration, as (elements, kept): kept lists, in order, the
+    candidates outside the group closed before them.
+
+    A kept g extends the group H closed so far by right cosets H r.  The
+    coset reps start at g, and a product r s, with r a rep and s a kept
+    generator, opens a new coset when it lies in no known coset.  Since
+    (h r) s = h (r s), the union is closed under every generator, so it
+    is <H, g>.  ``start`` = (elements, generators) resumes from a group
+    already closed; its generators join the products r s.
+    """
+    if start is None:
+        elements, gens = [Permutation.identity(degree)], []
+    else:
+        elements, gens = list(start[0]), list(start[1])
+    members = set(elements)
+    kept = []
+    for g in candidates:
+        if g in members:
+            continue
+        kept.append(g)
+        gens.append(g)
+        H = tuple(elements)
+        todo = [g]
+        while todo:
+            r = todo.pop()
+            if r in members:
+                continue
+            if len(elements) + len(H) > cap:
+                count = len({x for x in candidates if not x.is_identity()})
+                raise SizeBoundError(
+                    f"group of degree {degree} on {count} generators: "
+                    f"order exceeds the configured bound {cap}"
+                )
+            coset = [h * r for h in H]
+            elements += coset
+            members.update(coset)
+            todo += [r * s for s in gens]
+    return elements, kept
 
 
 def orbit(seed, step) -> set:
@@ -98,17 +119,16 @@ class PermGroup:
     def __init__(self, degree: int, generators):
         if degree < 1:
             raise DomainError(f"degree must be positive, got {degree}")
-        gens = []
+        generators = tuple(generators)
         for g in generators:
             if g.degree != degree:
                 raise DomainError(
                     f"generator degree {g.degree} does not match group degree {degree}"
                 )
-            if not g.is_identity() and g not in gens:
-                gens.append(g)
         self.degree = degree
-        self.generators = tuple(gens)
-        self._elements = tuple(sorted(_closure(degree, self.generators, max_order())))
+        elements, kept = _closure(degree, generators, max_order())
+        self.generators = tuple(kept)  # the given generators that enlarge it
+        self._elements = tuple(sorted(elements))
         self._element_set = frozenset(self._elements)
         self.order = len(self._elements)
         self._classes = None
@@ -203,61 +223,63 @@ class PermGroup:
         return PermGroup(self.degree, gens)
 
     def subgroup_from_elements(self, elements) -> PermGroup:
-        """The subgroup with the given closed element list."""
-        elements = tuple(sorted(elements))
-        H = self.subgroup(small_generating_set(self.degree, elements))
+        """The subgroup with the given closed element list, on the greedy
+        generators of small_generating_set.  Every element is a member, so
+        the order check proves that the list was closed."""
+        H = self.subgroup(_by_order(elements))
         if H.order != len(elements):
             raise InternalCheckError("generating set does not span the given elements")
         return H
 
 
+def _by_order(perms):
+    """The permutations by descending order, then by images."""
+    return sorted(perms, key=lambda x: (-x.order(), x.images))
+
+
 def small_generating_set(degree, elements):
-    """A greedy small generating sequence for a closed element list."""
-    elements = tuple(sorted(elements))
-    if len(elements) == 1:
-        return ()
-    candidates = sorted(
-        (x for x in elements if not x.is_identity()),
-        key=lambda x: (-x.order(), x.images),
-    )
-    gens = []
-    generated = {Permutation.identity(degree)}
-    while len(generated) < len(elements):
-        addition = next(x for x in candidates if x not in generated)
-        gens.append(addition)
-        generated = set(_closure(degree, gens, len(elements) + 1))
-    return tuple(gens)
+    """A greedy small generating sequence for a closed element list: each
+    element, by descending order and then images, that lies outside the
+    group of the ones kept before it."""
+    return tuple(_closure(degree, _by_order(elements), len(elements))[1])
 
 
-def class_and_centralizer(gens, s: Permutation):
-    """The class of s under conjugation by <gens>, and generators of the
-    centralizer of s in <gens>.
+def schreier_walk(seed, gens, act, one):
+    """The orbit of seed under <gens>, and the Schreier generators of its
+    stabilizer.
 
-    The walk keeps a transversal t_y with t_y s t_y^-1 = y for every
-    conjugate y.  An edge y -> z = g y g^-1 off the walk's tree gives the
-    Schreier generator t_z^-1 g t_y, which centralizes s; by Schreier's
-    lemma these generate C_<gens>(s).  They come back deduplicated, without
-    the identity, in the order the walk finds them.
+    act(g, g_inv, y) is the image of y under g, for a left action:
+    act(g, act(t, y)) = act(g * t, y).  The walk keeps a transversal t_y
+    taking seed to y for every y in the orbit.  An edge y -> z = act(g, y)
+    off the walk's tree gives the Schreier generator t_z^-1 g t_y, which
+    fixes seed; by Schreier's lemma these generate the stabilizer.  They
+    come back deduplicated, without the identity ``one``, in the order
+    the walk finds them.
     """
     steps = [(g, g.inverse()) for g in gens]
-    one = Permutation.identity(s.degree)
-    transversal = {s: (one, one)}  # y -> (t_y, t_y^-1)
-    todo = [s]
+    transversal = {seed: (one, one)}  # y -> (t_y, t_y^-1)
+    todo = [seed]
     schreier = {}
     while todo:
         y = todo.pop()
         t_y, t_y_inv = transversal[y]
         for g, g_inv in steps:
-            z = conjugate_with(g, g_inv, y)
+            z = act(g, g_inv, y)
             known = transversal.get(z)
             if known is None:
                 transversal[z] = (g * t_y, t_y_inv * g_inv)
                 todo.append(z)
                 continue
             x = known[1] * g * t_y
-            if not x.is_identity():
+            if x != one:
                 schreier[x] = None
     return set(transversal), tuple(schreier)
+
+
+def class_and_centralizer(gens, s: Permutation):
+    """The class of s under conjugation by <gens>, and the Schreier
+    generators of the centralizer of s in <gens> (schreier_walk)."""
+    return schreier_walk(s, gens, conjugate_with, Permutation.identity(s.degree))
 
 
 def _check_subgroup_of(G: PermGroup, P: PermGroup):
@@ -267,18 +289,21 @@ def _check_subgroup_of(G: PermGroup, P: PermGroup):
 
 
 def normalizer(G: PermGroup, P: PermGroup) -> PermGroup:
-    """The normalizer N_G(P); always contains P.  Memoized on G by the
-    element set of P."""
+    """The normalizer N_G(P), the stabilizer of the element set of P under
+    conjugation, closed from the Schreier generators of the walk over its
+    conjugates, taken by descending order.  Memoized on G by the element
+    set of P."""
     pset = P.element_set()
     N = G._normalizer_cache.get(pset)
     if N is None:
         _check_subgroup_of(G, P)
-        members = []
-        for g in G.elements():
-            g_inv = g.inverse()
-            if all(conjugate_with(g, g_inv, x) in pset for x in P.generators):
-                members.append(g)
-        N = G._normalizer_cache[pset] = G.subgroup_from_elements(members)
+        _, schreier = schreier_walk(
+            pset,
+            G.generators,
+            lambda g, g_inv, y: frozenset([conjugate_with(g, g_inv, x) for x in y]),
+            G.identity,
+        )
+        N = G._normalizer_cache[pset] = PermGroup(G.degree, _by_order(schreier))
     return N
 
 
@@ -306,9 +331,9 @@ def _all_subgroups_of(degree, elements):
 
     Each subgroup s found keeps the generating set it was first closed
     from, and is extended by one x per coset s x outside s: <s, h x> is
-    <s, x> for every h in s.
+    <s, x> for every h in s.  The closure of <s, x> resumes from s.
     """
-    cap = len(elements) + 1
+    cap = len(elements)
     trivial = frozenset([Permutation.identity(degree)])
     generators = {trivial: ()}
 
@@ -319,9 +344,8 @@ def _all_subgroups_of(degree, elements):
             if x in covered:
                 continue
             covered.update(h * x for h in s)
-            gens = generators[s] + (x,)
-            t = frozenset(_closure(degree, gens, cap))
-            generators.setdefault(t, gens)
+            t = frozenset(_closure(degree, (x,), cap, start=(s, generators[s]))[0])
+            generators.setdefault(t, generators[s] + (x,))
             found.append(t)
         return found
 

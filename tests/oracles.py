@@ -27,9 +27,12 @@ the Hessenberg recurrence.  ``layered_p_subgroup_classes`` is the
 p-subgroup enumeration by layered normalizer extension, as every group
 without a normal Sylow subgroup had it before one Sylow subgroup.
 ``stabilizer_chain`` is the base and transversals every PermGroup carried
-before a group was its element set.  ``find_complement`` and
-``complement_fixed_point`` are the complement search and the free-action
-scan that the fusion route ran before it read class sizes.
+before a group was its element set.  ``greedy_generating_set`` is the
+greedy generating sequence as small_generating_set found it before Dimino
+closure, re-closing the kept elements after each one it added.
+``find_complement`` and ``complement_fixed_point`` are the complement
+search and the free-action scan that the fusion route ran before it read
+class sizes.
 """
 
 from __future__ import annotations
@@ -89,6 +92,19 @@ def closure(degree, gens):
                     nxt.append(y)
         frontier = nxt
     return seen
+
+
+def greedy_generating_set(degree, elements):
+    """The first element, by descending order and then images, outside
+    the closure of the ones taken before it, until that closure is the
+    whole closed list of Permutations."""
+    candidates = sorted(elements, key=lambda x: (-perm_order(x.images), x.images))
+    gens = []
+    generated = {identity(degree)}
+    while len(generated) < len(elements):
+        gens.append(next(x for x in candidates if x.images not in generated))
+        generated = closure(degree, [g.images for g in gens])
+    return tuple(gens)
 
 
 def close_hom(identity_a, identity_b, pairs):

@@ -15,7 +15,7 @@ from blockfunctor.chartab import (
     fixed_point_dim,
 )
 from blockfunctor.ddelta import PairClassRegistry
-from blockfunctor.errors import DomainError
+from blockfunctor.errors import DomainError, InternalCheckError
 from blockfunctor.grpfile import load_group, parse_group_file
 from blockfunctor.permgroup import PermGroup, sylow_subgroup
 from blockfunctor.permutation import Permutation
@@ -243,3 +243,37 @@ def relabeled_cycle_products(draw):
 @given(relabeled_cycle_products())
 def test_linear_characters_match_class_matrices_on_random_abelian_groups(G):
     assert_linear_path_matches_class_matrices(G)
+
+
+def corrupt_one_row(monkeypatch):
+    """Make both row producers change one value of their last row."""
+    for name in ("_linear_rows", "_class_matrix_rows"):
+        produce = getattr(chartab, name)
+
+        def corrupted(G, classes, q, produce=produce):
+            rows = produce(G, classes, q)
+            degree, values = rows[-1]
+            rows[-1] = (degree, tuple(values[:-1]) + ((values[-1] + 1) % q,))
+            return rows
+
+        monkeypatch.setattr(chartab, name, corrupted)
+
+
+def test_table_failures_name_the_group(monkeypatch):
+    corrupt_one_row(monkeypatch)
+    with pytest.raises(InternalCheckError) as failure:
+        character_table(s4())
+    assert str(failure.value) == (
+        "character table, |G|=24, 5 classes: row orthogonality fails mod q"
+    )
+    registry = PairClassRegistry()
+    registry.classify_group(s4(), 2)
+    cls = next(
+        c for c in registry.classes if (c.subgroup_order, c.element_order) == (4, 3)
+    )
+    with pytest.raises(InternalCheckError) as failure:
+        cls.aut_table
+    assert str(failure.value) == (
+        "Out(L, u), pair class (|L|=4, ord u=3): character table, |G|=3, "
+        "3 classes: row orthogonality fails mod q"
+    )

@@ -7,6 +7,7 @@ import pytest
 
 import blockfunctor
 from conftest import DATA_DIR
+from blockfunctor import cli
 from blockfunctor.cli import main
 
 # the directory this process imported the package from, so that the CLI
@@ -120,6 +121,20 @@ def test_verify_psi_pass(capsys):
     assert main(["verify-psi", data("a4.grp")]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # a usage error, then one command with and without --json: each
+    # output is the one a fresh process prints
+    assert cli._build_parser() is cli._build_parser()
+    assert main(["invariants"]) == 1
+    capsys.readouterr()
+    assert main(["invariants", data("s3.grp"), "--json"]) == 0
+    as_json = capsys.readouterr().out
+    assert main(["invariants", data("s3.grp")]) == 0
+    as_tsv = capsys.readouterr().out
+    assert as_json.encode() == run_cli(["invariants", data("s3.grp"), "--json"]).stdout
+    assert as_tsv.encode() == run_cli(["invariants", data("s3.grp")]).stdout
 
 
 def test_exit_codes(tmp_path):

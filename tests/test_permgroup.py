@@ -19,6 +19,7 @@ from blockfunctor.permgroup import (
     p_part,
     p_subgroup_classes,
     quotient_group,
+    small_generating_set,
     sylow_subgroup,
 )
 from blockfunctor.permutation import Permutation, conjugate
@@ -374,3 +375,72 @@ def test_size_bound(monkeypatch):
         PermGroup(3, [perm(3, "(1,2,3)"), perm(3, "(1,2)")])
     monkeypatch.setenv("BLOCKFUNCTOR_MAX_ORDER", "6")
     assert PermGroup(3, [perm(3, "(1,2,3)"), perm(3, "(1,2)")]).order == 6
+
+
+def test_size_bound_refuses_at_one_past_the_cap(monkeypatch):
+    monkeypatch.setenv("BLOCKFUNCTOR_MAX_ORDER", "119")
+    with pytest.raises(SizeBoundError, match=(
+        r"^group of degree 5 on 2 generators: order exceeds the configured bound 119$"
+    )):
+        s5()
+    monkeypatch.setenv("BLOCKFUNCTOR_MAX_ORDER", "120")
+    assert s5().order == 120
+
+
+@st.composite
+def generator_lists(draw):
+    """Random generators plus the identity, a duplicate and a product of
+    two of them, shuffled."""
+    n = draw(st.integers(1, 6))
+    base = [Permutation(draw(st.permutations(range(n)))) for _ in range(draw(st.integers(1, 3)))]
+    extras = [
+        Permutation.identity(n),
+        draw(st.sampled_from(base)),
+        draw(st.sampled_from(base)) * draw(st.sampled_from(base)),
+    ]
+    return n, draw(st.permutations(base + extras))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(generator_lists())
+def test_closure_keeps_exactly_the_generators_that_enlarge_the_group(case):
+    n, gens = case
+    try:
+        G = PermGroup(n, gens)
+    except SizeBoundError:
+        assume(False)
+    assert {x.images for x in G.elements()} == oracles.closure(n, [g.images for g in gens])
+    # each kept generator lies outside the group of the ones kept before
+    # it, and each dropped one inside
+    expected = []
+    for g in gens:
+        if g.images not in oracles.closure(n, [k.images for k in expected]):
+            expected.append(g)
+    assert G.generators == tuple(expected)
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_greedy_generators_match_the_reclosing_loop(name):
+    G = BUILDERS[name]()
+    groups = [G]
+    for p in primes_dividing(G.order):
+        for P in p_subgroup_classes(G, p):
+            groups += [P, normalizer(G, P)]
+    for H in groups:
+        expected = oracles.greedy_generating_set(H.degree, H.elements())
+        assert small_generating_set(H.degree, H.elements()) == expected
+        assert G.subgroup_from_elements(H.elements()).generators == expected
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_normalizers_of_every_sylow_subgroup_match_the_element_scan(name):
+    G = BUILDERS[name]()
+    raw = [g.images for g in G.elements()]
+    for p in primes_dividing(G.order):
+        S = sylow_subgroup(G, p)
+        exponent = round(math.log(S.order, p))
+        sylow_raw = [x.images for x in S.elements()]
+        for sub in oracles.all_p_subgroups(G.degree, sylow_raw, p, max_gens=exponent):
+            P = G.subgroup_from_elements([Permutation(x) for x in sub])
+            N = normalizer(G, P)
+            assert {x.images for x in N.elements()} == oracles.normalizer_elements(raw, sub)
