@@ -10,7 +10,6 @@ from .autos import (
 from .chartab import CharacterTable, character_table, fixed_point_dim
 from .ddelta import (
     ClassMember,
-    FaithfulQuotient,
     NormalizerPair,
     PairClass,
     PairClassRegistry,
@@ -67,7 +66,6 @@ __all__ = [
     "ClassMember",
     "DomainError",
     "EquivalenceVerdict",
-    "FaithfulQuotient",
     "FusionData",
     "GroupFileError",
     "GroupSpecFile",

@@ -148,9 +148,6 @@ class CharacterTable:
     def n_classes(self) -> int:
         return len(self.class_reps)
 
-    def value(self, row: int, element) -> int:
-        return self.values[row][self.group.class_index_of(element)]
-
 
 def _class_matrix(classes, class_of, i, q):
     """Matrix of multiplication by the i-th class sum acting on class sums."""

@@ -45,7 +45,7 @@ def _build_parser() -> _Parser:
     def add(name, help_text, files=1):
         p = sub.add_parser(name, help=help_text)
         for i in range(files):
-            p.add_argument(f"file{i if files > 1 else ''}" if files > 1 else "file",
+            p.add_argument(f"file{i}" if files > 1 else "file",
                            help="group description file")
         p.add_argument("--json", action="store_true", help="emit JSON instead of TSV")
         return p

@@ -18,17 +18,18 @@ least k >= 0 with u l u^-1 = l^k, or -1 when there is none.  A pair
 isomorphism f preserves both numbers, so isomorphic pairs have equal
 keys, and a new pair is tested for isomorphism only against the classes
 with its key.  The witness of a member is f followed by decoding the
-translations of its quotient into its own subgroup P.
+translations of its quotient into its own subgroup P: the right
+translation by x sends the identity, label 0 of P, to the label of x.
 
 Out(L, u) is never built as a group.  A class holds C = C_Aut(L)(c_u)
-acting on the labels of L and its normal subgroup N = <c_u, c_x : x in
-C_L(u)>, with Out(L, u) = C / N.  A subgroup of Out is carried by its
-preimage in C, which contains N, and the irreducibles of Out are the
-characters of C with N in their kernel.  ensure_aut builds C, from
-strong generators found by a search on L alone, and N; the character
-table of C is built only when a multiplicity or a report first reads
-it, so commands that need only subgroups of Out, such as verify-psi,
-build no table.
+acting on the labels of L (PermGroup.label_perm) and its normal
+subgroup N = <c_u, c_x : x in C_L(u)>, with Out(L, u) = C / N.  A
+subgroup of Out is carried by its preimage in C, which contains N, and
+the irreducibles of Out are the characters of C with N in their kernel.
+C, from strong generators found by a search on L alone, and N are built
+on first read; the character table of C is built only when a
+multiplicity or a report first reads it, so commands that need only
+subgroups of Out, such as verify-psi, build no table.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .permgroup import (
     PermGroup,
     class_and_centralizer,
     homomorphism,
-    is_p_prime_element,
     normalizer,
     orbit,
     p_subgroup_classes,
@@ -105,7 +105,7 @@ def pair_orbit_reps(G: PermGroup, p: int):
     reps = []
     for P in p_subgroup_classes(G, p):
         N = normalizer(G, P)
-        eligible = [s for s in N.elements() if is_p_prime_element(s, p)]
+        eligible = [s for s in N.elements() if s.order() % p]
         eligible_set = set(eligible)
         seen = set()
         class_reps = []
@@ -125,65 +125,38 @@ def pair_orbit_reps(G: PermGroup, p: int):
     return reps
 
 
-@dataclass(frozen=True)
-class FaithfulQuotient:
-    """The pair (P, image of s) realized faithfully on the points of P.
+def faithful_quotient(pair: NormalizerPair) -> MarkedPair:
+    """The pair (P, image of s) realized faithfully on the labels of P.
 
     The marked subgroup L is the group of right translations of P on its
-    elements and the marked element u is the conjugation action of s on
+    labels and the marked element u is the conjugation action of s on
     them, so u acts on L as s acts on P, and faithfully.
     """
-
-    marked: MarkedPair
-    point_labels: tuple
-    identity_point: int
-
-    def decode(self, translation: Permutation) -> Permutation:
-        """The element of P whose right translation is the given permutation."""
-        return self.point_labels[translation.images[self.identity_point]]
-
-
-def faithful_quotient(pair: NormalizerPair) -> FaithfulQuotient:
     P = pair.subgroup
-    s = pair.element
-    labels = P.elements()
-    index = {x: i for i, x in enumerate(labels)}
-    degree = len(labels)
-
-    tau_gens = [
-        Permutation(index[labels[i] * x] for i in range(degree))
-        for x in P.generators
-    ]
+    tau_gens = [P.label_perm(lambda y: y * x) for x in P.generators]
     # products compose left to right, so the label map y -> s^-1 y s is the
     # permutation that conjugates right translations by s:
     # sigma tau_x sigma^-1 = tau_(s x s^-1)
-    s_inv = s.inverse()
-    sigma = Permutation(index[conjugate(s_inv, labels[i])] for i in range(degree))
-    identity_point = index[P.identity]
-    _check_fixes_identity(pair, labels, sigma, identity_point)
-
-    return FaithfulQuotient(
-        marked=MarkedPair(PermGroup(degree, tau_gens), sigma),
-        point_labels=labels,
-        identity_point=identity_point,
-    )
+    sigma = P.label_perm(partial(conjugate, pair.element.inverse()))
+    _check_fixes_identity(pair, sigma)
+    return MarkedPair(PermGroup(P.order, tau_gens), sigma)
 
 
-def _check_fixes_identity(pair: NormalizerPair, labels, sigma, identity_point):
+def _check_fixes_identity(pair: NormalizerPair, sigma: Permutation):
     """Check that <sigma> acts faithfully on the right translations.
 
     A label map pi commuting with every right translation y -> y x has
     pi(x) = pi(1) x, so it is the left translation by pi(1).  A power of
     sigma that centralizes the translations is therefore trivial when
-    sigma fixes the identity label.
+    sigma fixes the identity label 0.
     """
-    moved = sigma.images[identity_point]
-    if moved != identity_point:
+    moved = sigma.images[0]
+    if moved != 0:
         raise InternalCheckError(
             f"faithful quotient, |P|={pair.subgroup.order}, "
             f"ord s={pair.element.order()}: sigma moves the identity label "
-            f"to {labels[moved].cycle_string()}, so a power of sigma may "
-            f"centralize the translations"
+            f"to {pair.subgroup.elements()[moved].cycle_string()}, so a power "
+            f"of sigma may centralize the translations"
         )
 
 
@@ -203,16 +176,11 @@ class ClassMember:
 class PairClass:
     """An isomorphism class of faithful pairs, shared across groups."""
 
-    def __init__(self, class_id: int, quotient: FaithfulQuotient, key: tuple):
+    def __init__(self, class_id: int, realization: MarkedPair, key: tuple):
         self.class_id = class_id
-        self.realization = quotient.marked
+        self.realization = realization
         self.key = key
         self.members = []
-        labels = quotient.marked.subgroup.elements()
-        self.labels = labels  # the elements of L, sorted
-        self.label_index = {x: i for i, x in enumerate(labels)}
-        self.aut: Optional[PermGroup] = None  # C = C_Aut(L)(c_u) on the labels
-        self.inner: Optional[PermGroup] = None  # N, the kernel of C -> Out
 
     @property
     def subgroup_order(self) -> int:
@@ -231,20 +199,16 @@ class PairClass:
     def out_order(self) -> int:
         return self.aut.order // self.inner.order
 
-    def label_perm(self, automorphism) -> Permutation:
-        """The permutation of the labels of L made by a map on L."""
-        return Permutation(self.label_index[automorphism(x)] for x in self.labels)
-
-    def ensure_aut(self):
-        """Populate C and N; the characters of Out = C / N are built only
-        when first read, by aut_table and out_rows."""
-        if self.aut is not None:
-            return
-        gens = [self.label_perm(m.__getitem__) for m in pair_automorphism_maps(self.realization)]
-        aut = PermGroup(len(self.labels), gens)
+    @cached_property
+    def aut(self) -> PermGroup:
+        """C = C_Aut(L)(c_u) on the labels of L, closed on first read from
+        the strong generators of pair_automorphism_maps."""
+        L = self.realization.subgroup
+        gens = [L.label_perm(m.__getitem__) for m in pair_automorphism_maps(self.realization)]
+        aut = PermGroup(L.order, gens)
         # strong generators along the base l1..lk exactly when the closed
         # order is the product of their basic orbit lengths
-        base = [self.label_index[x] for x in self.realization.subgroup.generators]
+        base = [L.position(x) for x in L.generators]
         expected = 1
         for i, point in enumerate(base):
             level = [g.images for g in gens if all(g.images[y] == y for y in base[:i])]
@@ -255,10 +219,18 @@ class PairClass:
                 f"generators has order {aut.order}, not the basic orbit "
                 f"product {expected}"
             )
+        return aut
+
+    @cached_property
+    def inner(self) -> PermGroup:
+        """N = <c_u, c_x : x in C_L(u)> on the labels of L, the kernel of
+        C -> Out, checked to lie in C on first read."""
+        aut = self.aut
+        L = self.realization.subgroup
         u = self.realization.element
-        fixing_u = [x for x in self.labels if x * u == u * x]
+        fixing_u = [x for x in L.elements() if x * u == u * x]
         inner = [
-            self.label_perm(partial(conjugate, g))
+            L.label_perm(partial(conjugate, g))
             for g in (u,) + small_generating_set(u.degree, fixing_u)
         ]
         if not all(aut.contains(c) for c in inner):
@@ -266,13 +238,11 @@ class PairClass:
                 f"Out(L, u), {self.name}: an inner automorphism fixing u is "
                 f"not in C_Aut(L)(c_u) of order {aut.order}"
             )
-        self.inner = PermGroup(aut.degree, inner)
-        self.aut = aut
+        return PermGroup(L.order, inner)
 
     @cached_property
     def aut_table(self) -> CharacterTable:
         """The character table of C, built on first read."""
-        self.ensure_aut()
         try:
             return character_table(self.aut)
         except (SizeBoundError, InternalCheckError) as exc:
@@ -307,21 +277,21 @@ class PairClass:
         )
 
 
-def _witness(
-    cls: PairClass, quotient: FaithfulQuotient, pair: NormalizerPair, iso=None
-) -> dict:
+def _witness(cls: PairClass, pair: NormalizerPair, iso=None) -> dict:
     """The witness phi: L -> P of a member: decode . f, closed from the
     generators of L.
 
     f: L -> L' is a pair isomorphism onto the member's quotient, given as
     its element map, with f(u l u^-1) = sigma f(l) sigma^-1, or the
-    identity when the member founds the class.  Decoding carries
+    identity when the member founds the class.  A translation t of L'
+    decodes to the element of P at label t(0).  Decoding carries
     sigma tau_x sigma^-1 = tau_(s x s^-1) to s x s^-1, so
     phi(u l u^-1) = s phi(l) s^-1.
     """
     source = cls.realization.subgroup
+    labels = pair.subgroup.elements()
     pairs = [
-        (tau, quotient.decode(tau if iso is None else iso[tau]))
+        (tau, labels[(tau if iso is None else iso[tau]).images[0]])
         for tau in source.generators
     ]
     try:
@@ -362,9 +332,9 @@ class PairClassRegistry:
     Classification happens in a deterministic enumeration order, so class
     identifiers and character labels are reproducible.  A class keeps its
     identifier, realization and key once assigned, but it is not frozen:
-    its members grow as later pairs join it, ensure_aut fills in C and N
-    on first use, and the table of C is built when first read.  The
-    registry has no locking, so it must not be shared between threads.
+    its members grow as later pairs join it, and C, N and the table of C
+    are built when first read.  The registry has no locking, so it must
+    not be shared between threads.
     """
 
     def __init__(self):
@@ -380,8 +350,7 @@ class PairClassRegistry:
         return self._by_group[key]
 
     def _classify(self, pair: NormalizerPair):
-        quotient = faithful_quotient(pair)
-        marked = quotient.marked
+        marked = faithful_quotient(pair)
         key = pair_class_key(marked)
         same_key = self._by_key.setdefault(key, [])
         for cls in same_key:
@@ -390,10 +359,10 @@ class PairClassRegistry:
                 break
         else:
             iso = None
-            cls = PairClass(len(self.classes), quotient, key)
+            cls = PairClass(len(self.classes), marked, key)
             self.classes.append(cls)
             same_key.append(cls)
-        member = ClassMember(pair, _witness(cls, quotient, pair, iso))
+        member = ClassMember(pair, _witness(cls, pair, iso))
         _verify_witness(cls, member)
         cls.members.append(member)
         return cls, member
@@ -420,15 +389,14 @@ def image_of_normalizer(
     with the same action on the generators of P induce the same label
     permutation, so each action is mapped, checked and closed once.  The
     result is closed without a second membership test: each induced map
-    has just passed C.contains, and N <= C was checked by ensure_aut.
+    has just passed C.contains, and N <= C was checked when N was built.
     """
-    cls.ensure_aut()
     actions = {}  # the conjugates of the generators of P -> (g, g^-1)
     for g in pair.centralizer_gens:
         g_inv = g.inverse()
         key = tuple([conjugate_with(g, g_inv, x) for x in pair.subgroup.generators])
         actions.setdefault(key, (g, g_inv))
-    points = [witness[x] for x in cls.labels]
+    points = [witness[x] for x in cls.realization.subgroup.elements()]
     label_of = {y: i for i, y in enumerate(points)}
     induced = []
     for g, g_inv in actions.values():

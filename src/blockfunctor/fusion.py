@@ -8,16 +8,17 @@ freely.  No complement E is built: C_G(d) = D C_E(d) for d in D, so the
 action is free exactly when every nonidentity d in D has a G-class of
 size [G : D].
 
-Triple orbits work on label indices: pi: L -> P is the tuple of
-obj.index[pi(l)] over the sorted elements of L.  Iso(L, P) = Aut(P) . pi0
-for one pi0 found by a first-hit search, with Aut(P) closed once per
-object.  The route reads no pair orbits or witnesses.
+Triple orbits work on labels (PermGroup.position): pi: L -> P is the
+tuple of the labels of pi(l) in P over the elements of L in label
+order.  Iso(L, P) = Aut(P) . pi0 for one pi0 found by a first-hit
+search, with Aut(P) closed once per object.  The route reads no pair
+orbits or witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .autos import MarkedPair, _search_maps, pair_automorphism_maps
 from .ddelta import (
@@ -31,7 +32,6 @@ from .permgroup import (
     PermGroup,
     class_and_centralizer,
     homomorphism,
-    is_p_prime_element,
     normalizer,
     orbit,
     p_part,
@@ -39,7 +39,7 @@ from .permgroup import (
     schreier_walk,
     sylow_subgroup,
 )
-from .permutation import Permutation, conjugate
+from .permutation import conjugate
 
 
 def frobenius_structure(G: PermGroup, p: int) -> PermGroup:
@@ -99,19 +99,17 @@ class FusionObject:
 
     subgroup: PermGroup
     normalizer: PermGroup
-    labels: tuple
-    index: dict
-    aut_f: PermGroup  # automorphisms of P induced by the normalizer
+    aut_f: PermGroup  # automorphisms of P induced by the normalizer, on labels
 
     @cached_property
     def automorphisms(self) -> set:
-        """Aut(P) as index tuples over the labels, closed from the strong
-        generators of the automorphism search on the pair (P, 1)."""
+        """Aut(P) as label tuples, closed from the strong generators of
+        the automorphism search on the pair (P, 1)."""
         P = self.subgroup
         maps = pair_automorphism_maps(MarkedPair(P, P.identity))
-        gens = [tuple([self.index[m[x]] for x in self.labels]) for m in maps]
+        gens = [P.label_perm(m.__getitem__).images for m in maps]
         return orbit(
-            tuple(range(len(self.labels))),
+            tuple(range(P.order)),
             lambda a: [tuple([g[j] for j in a]) for g in gens],
         )
 
@@ -138,22 +136,8 @@ def build_fusion(G: PermGroup, p: int) -> FusionData:
                 f"normal Sylow of order {D.order}"
             )
         N = normalizer(G, P)
-        labels = P.elements()
-        index = {x: i for i, x in enumerate(labels)}
-        obj = FusionObject(
-            subgroup=P,
-            normalizer=N,
-            labels=labels,
-            index=index,
-            aut_f=PermGroup(
-                len(labels),
-                [
-                    Permutation(index[conjugate(g, x)] for x in labels)
-                    for g in N.generators
-                ],
-            ),
-        )
-        objects.append(obj)
+        induced = [P.label_perm(partial(conjugate, g)) for g in N.generators]
+        objects.append(FusionObject(P, N, PermGroup(P.order, induced)))
     return FusionData(group=G, p=p, kernel=D, objects=tuple(objects))
 
 
@@ -183,17 +167,16 @@ def _where(cls: PairClass) -> str:
 
 
 def admissible_isomorphisms(cls: PairClass, obj: FusionObject) -> set:
-    """The isomorphisms pi: L -> P, as index tuples, with pi . i_u . pi^-1
+    """The isomorphisms pi: L -> P, as label tuples, with pi . i_u . pi^-1
     induced by the normalizer; empty when L and P are not isomorphic."""
-    L_group = cls.realization.subgroup
-    sequence = list(L_group.generators)
-    found = _search_maps(
-        L_group, obj.subgroup, sequence, [None] * len(sequence), limit=1
-    )
+    L, P = cls.realization.subgroup, obj.subgroup
+    sequence = list(L.generators)
+    found = _search_maps(L, P, sequence, [None] * len(sequence), limit=1)
     if not found:
         return set()
-    c_u = [cls.label_index[conjugate(cls.realization.element, x)] for x in cls.labels]
-    pi0 = [obj.index[found[0][x]] for x in cls.labels]
+    u = cls.realization.element
+    c_u = [L.position(conjugate(u, x)) for x in L.elements()]
+    pi0 = [P.position(found[0][x]) for x in L.elements()]
     induced = {a.images for a in obj.aut_f.elements()}
     admissible = set()
     images = [0] * len(pi0)
@@ -223,7 +206,6 @@ def triple_orbits(F: FusionData, cls: PairClass):
     """
     if cls.subgroup_order == 1:
         raise DomainError("triple orbits are defined for nontrivial subgroups only")
-    cls.ensure_aut()
     C = cls.aut
 
     left_the_set = f"{_where(cls)}: orbit action left the admissible set"
@@ -259,7 +241,7 @@ def triple_orbits(F: FusionData, cls: PairClass):
             orbits.append(
                 TripleOrbit(
                     object=obj,
-                    rep=tuple(obj.labels[j] for j in start),
+                    rep=tuple(obj.subgroup.elements()[j] for j in start),
                     stabilizer=PermGroup(C.degree, cls.inner.generators + schreier),
                     orbit_size=sum(len(blocks[name]) for name in names),
                 )
@@ -282,7 +264,7 @@ def psi_pair(F: FusionData, cls: PairClass, orbit: TripleOrbit) -> NormalizerPai
     gens = obj.subgroup.generators
     target = [pi[conjugate(cls.realization.element, pi_inv[x])] for x in gens]
     for s in obj.normalizer.elements():
-        if is_p_prime_element(s, F.p) and [conjugate(s, x) for x in gens] == target:
+        if s.order() % F.p and [conjugate(s, x) for x in gens] == target:
             _, fixing_s = class_and_centralizer(obj.normalizer.generators, s)
             return NormalizerPair(F.group, F.p, obj.subgroup, s, fixing_s)
     raise InternalCheckError(
@@ -307,9 +289,6 @@ def _pairs_conjugate(G: PermGroup, sub_a, s_a, sub_b, s_b) -> bool:
 class ClassCheck:
     """Outcome of the orbit matching for one class."""
 
-    class_id: int
-    subgroup_order: int
-    element_order: int
     triple_orbits: int
     pair_orbits: int
     stabilizer_orders: tuple
@@ -337,7 +316,7 @@ def verify_class(F: FusionData, cls: PairClass, registry: PairClassRegistry) -> 
     assigned = {}
     stab_orders = []
     for i, orbit in enumerate(orbits):
-        pairs = [(g, orbit.rep[cls.label_index[g]]) for g in L.generators]
+        pairs = [(g, orbit.rep[L.position(g)]) for g in L.generators]
         try:
             pi = homomorphism(L, orbit.object.subgroup, pairs)
         except InternalCheckError as exc:
@@ -376,9 +355,6 @@ def verify_class(F: FusionData, cls: PairClass, registry: PairClassRegistry) -> 
             )
         stab_orders.append(orbit.stabilizer.order // cls.inner.order)
     return ClassCheck(
-        class_id=cls.class_id,
-        subgroup_order=cls.subgroup_order,
-        element_order=cls.element_order,
         triple_orbits=len(orbits),
         pair_orbits=len(members),
         stabilizer_orders=tuple(stab_orders),

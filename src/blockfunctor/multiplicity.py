@@ -83,7 +83,6 @@ def mult_table_pairs(
     assignments = registry.classify_group(G, p)
     rows = {}
     for cls, member in assignments:
-        cls.ensure_aut()
         image = image_of_normalizer(cls, member.pair, member.phi)
         for irr, dim in enumerate(cls.out_dims(image)):
             key = (cls.class_id, irr)
@@ -112,10 +111,7 @@ def mult_table_fusion(
             continue
         if all(obj.subgroup.order != cls.subgroup_order for obj in F.objects):
             continue
-        orbits = triple_orbits(F, cls)
-        if not orbits:
-            continue
-        for orbit in orbits:
+        for orbit in triple_orbits(F, cls):
             for irr, dim in enumerate(cls.out_dims(orbit.stabilizer)):
                 key = (cls.class_id, irr)
                 rows[key] = rows.get(key, 0) + dim

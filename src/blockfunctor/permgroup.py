@@ -11,6 +11,11 @@ the group: schreier_walk walks one orbit (the conjugates of a subgroup's
 element set, or of an element) and returns Schreier generators of its
 stabilizer.
 
+The label of an element is its position in elements(), which is sorted
+by image tuples, so the identity is always label 0.  A map f on the
+elements acts on the labels as the permutation label_perm(f); this is
+how automorphisms and translations of a group become permutations.
+
 A subgroup is a PermGroup of its own, and a homomorphism is the dict of
 its element images (homomorphism and close_map).  Normalizers are
 memoized on the ambient group, keyed by the element set of the subgroup,
@@ -23,6 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 
 from .config import max_order
 from .errors import DomainError, InternalCheckError, SizeBoundError
@@ -103,6 +110,9 @@ def p_part(n: int, p: int) -> int:
     return out
 
 
+_images = attrgetter("images")  # the sort key of elements()
+
+
 @dataclass(frozen=True)
 class ConjClass:
     rep: Permutation
@@ -128,7 +138,7 @@ class PermGroup:
         self.degree = degree
         elements, kept = _closure(degree, generators, max_order())
         self.generators = tuple(kept)  # the given generators that enlarge it
-        self._elements = tuple(sorted(elements))
+        self._elements = tuple(sorted(elements, key=_images))
         self._element_set = frozenset(self._elements)
         self.order = len(self._elements)
         self._classes = None
@@ -152,11 +162,25 @@ class PermGroup:
         return Permutation.identity(self.degree)
 
     def elements(self) -> tuple:
-        """All elements, canonically sorted (identity first)."""
+        """All elements, sorted by their images; the identity is label 0."""
         return self._elements
 
     def element_set(self) -> frozenset:
         return self._element_set
+
+    @cached_property
+    def _positions(self) -> dict:
+        return {x: i for i, x in enumerate(self._elements)}
+
+    def position(self, x: Permutation) -> int:
+        """The label of a member: its position in elements()."""
+        return self._positions[x]
+
+    def label_perm(self, f) -> Permutation:
+        """The permutation of the labels made by a map f on the elements:
+        label i goes to the label of f(elements()[i])."""
+        positions = self._positions
+        return Permutation([positions[f(x)] for x in self._elements])
 
     def is_abelian(self) -> bool:
         gens = self.generators
@@ -179,7 +203,7 @@ class PermGroup:
                 members = orbit(
                     x, lambda y: [conjugate_with(g, g_inv, y) for g, g_inv in steps]
                 )
-                classes.append(ConjClass(rep=x, elements=tuple(sorted(members))))
+                classes.append(ConjClass(x, tuple(sorted(members, key=_images))))
                 seen |= members
             self._classes = tuple(classes)
             self._class_index = {
@@ -305,10 +329,6 @@ def normalizer(G: PermGroup, P: PermGroup) -> PermGroup:
         )
         N = G._normalizer_cache[pset] = PermGroup(G.degree, _by_order(schreier))
     return N
-
-
-def is_p_prime_element(g: Permutation, p: int) -> bool:
-    return g.order() % p != 0
 
 
 def _canonical_conjugate(G, element_set):

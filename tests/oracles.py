@@ -363,8 +363,9 @@ def carrier_pair_isomorphism(a, b):
 def carrier_witness(cls, quotient, iso, pair):
     """The witness phi: L -> P from a carrier isomorphism onto a member's
     quotient: conjugate the image of u onto sigma by the first carrier
-    element that does so, restrict to the translations and decode."""
-    sigma = quotient.marked.element
+    element that does so, restrict to the translations and decode each
+    translation t to the element of P at label t(0)."""
+    sigma = quotient.element
     image = iso[cls.realization.element]
     adjust = next(
         (h for h in sorted(iso.values()) if package_conjugate(h, image) == sigma), None
@@ -372,8 +373,9 @@ def carrier_witness(cls, quotient, iso, pair):
     if adjust is None:
         raise InternalCheckError("pair isomorphism image is not conjugate to sigma")
     source = cls.realization.subgroup
+    labels = pair.subgroup.elements()
     pairs = [
-        (tau, quotient.decode(package_conjugate(adjust, iso[tau])))
+        (tau, labels[package_conjugate(adjust, iso[tau]).images[0]])
         for tau in source.generators
     ]
     return homomorphism(source, pair.subgroup, pairs)
@@ -384,8 +386,7 @@ class LinearScanRegistry(ddelta.PairClassRegistry):
     class, filtered only by |L|, the order of u and the carrier order."""
 
     def _classify(self, pair):
-        quotient = ddelta.faithful_quotient(pair)
-        marked = quotient.marked
+        marked = ddelta.faithful_quotient(pair)
         for cls in self.classes:
             if (
                 cls.subgroup_order != marked.subgroup.order
@@ -396,15 +397,15 @@ class LinearScanRegistry(ddelta.PairClassRegistry):
             iso = carrier_pair_isomorphism(cls.realization, marked)
             if iso is None:
                 continue
-            member = ddelta.ClassMember(pair, carrier_witness(cls, quotient, iso, pair))
+            member = ddelta.ClassMember(pair, carrier_witness(cls, marked, iso, pair))
             ddelta._verify_witness(cls, member)
             cls.members.append(member)
             return cls, member
         cls = ddelta.PairClass(
-            len(self.classes), quotient, ddelta.pair_class_key(marked)
+            len(self.classes), marked, ddelta.pair_class_key(marked)
         )
         self.classes.append(cls)
-        member = ddelta.ClassMember(pair, ddelta._witness(cls, quotient, pair))
+        member = ddelta.ClassMember(pair, ddelta._witness(cls, pair))
         ddelta._verify_witness(cls, member)
         cls.members.append(member)
         return cls, member
@@ -475,12 +476,13 @@ class CarrierOut:
         """The image in Out of c in C: the carrier automorphism fixing u
         that acts on L as c (on the class's labels), projected."""
         u = cls.realization.element
+        labels = cls.realization.subgroup.elements()
         powers = [u.identity(u.degree)]
         for _ in range(1, u.order()):
             powers.append(powers[-1] * u)
         m = {
-            l * power: cls.labels[c.images[i]] * power
-            for i, l in enumerate(cls.labels)
+            l * power: labels[c.images[i]] * power
+            for i, l in enumerate(labels)
             for power in powers
         }
         return self.projection[self.perm_from_map(m)]
@@ -572,8 +574,8 @@ def section_scan_triple_orbits(F, cls, out_data):
     def admissible(obj, t):
         inverse = {img: l_elements[i] for i, img in enumerate(t)}
         images = [
-            obj.index[t[l_index[package_conjugate(u, inverse[x])]]]
-            for x in obj.labels
+            obj.subgroup.position(t[l_index[package_conjugate(u, inverse[x])]])
+            for x in obj.subgroup.elements()
         ]
         return obj.aut_f.contains(Permutation(images))
 

@@ -22,7 +22,7 @@ from conftest import DATA_DIR
 from blockfunctor import autos
 from blockfunctor.autos import MarkedPair, pair_automorphism_maps
 from blockfunctor.config import max_order
-from blockfunctor.ddelta import FaithfulQuotient, PairClass, PairClassRegistry
+from blockfunctor.ddelta import PairClass, PairClassRegistry
 from blockfunctor.errors import SizeBoundError
 from blockfunctor.grpfile import load_group, parse_group_file
 from blockfunctor.permgroup import PermGroup
@@ -58,9 +58,7 @@ def as_label_perms(G, maps):
 
 def closed_automorphisms(mp):
     """C closed by the package on the sorted elements of L."""
-    cls = PairClass(0, FaithfulQuotient(mp, (), 0), ())
-    cls.ensure_aut()
-    return {g.images for g in cls.aut.elements()}
+    return {g.images for g in PairClass(0, mp, ()).aut.elements()}
 
 
 def commuting_automorphisms(mp):

@@ -8,7 +8,7 @@ from blockfunctor.autos import (
     pair_automorphism_maps,
 )
 from blockfunctor.battery import a4, c3, s3, s4
-from blockfunctor.ddelta import FaithfulQuotient, PairClass
+from blockfunctor.ddelta import PairClass
 from blockfunctor.errors import DomainError
 from blockfunctor.permgroup import PermGroup
 from blockfunctor.permutation import Permutation, conjugate
@@ -23,10 +23,8 @@ def v4():
 
 
 def pair_class(mp):
-    """A class realized by the marked pair, with C and N computed."""
-    cls = PairClass(0, FaithfulQuotient(mp, (), 0), ())
-    cls.ensure_aut()
-    return cls
+    """A class realized by the marked pair; C and N are built on first read."""
+    return PairClass(0, mp, ())
 
 
 def automorphism_class(G):
@@ -56,7 +54,8 @@ def test_automorphism_perms_act_on_element_labels():
     cls = automorphism_class(c3())
     nontrivial = next(g for g in cls.aut.elements() if not g.is_identity())
     g = perm(3, "(1,2,3)")
-    assert cls.labels[nontrivial.images[cls.label_index[g]]] == g.inverse()
+    L = cls.realization.subgroup
+    assert L.elements()[nontrivial.images[L.position(g)]] == g.inverse()
 
 
 def marked(G, sub_gens, s):

@@ -53,7 +53,6 @@ def test_out_group_table_of_klein_pair():
         c for c in registry.classes
         if c.subgroup_order == 4 and c.element_order == 1
     )
-    cls.ensure_aut()
     # N is trivial here, so C is Out and every row of its table is kept
     assert cls.inner.order == 1
     table = cls.aut_table
@@ -209,7 +208,6 @@ def test_linear_characters_match_class_matrices_on_every_abelian_c():
         registry = PairClassRegistry()
         registry.classify_group(loaded.group, loaded.p)
         for cls in registry.classes:
-            cls.ensure_aut()
             if cls.aut.is_abelian():
                 assert_linear_path_matches_class_matrices(cls.aut)
                 seen += 1

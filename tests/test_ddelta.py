@@ -68,7 +68,7 @@ def test_faithful_quotient_shapes():
     pairs = pair_orbit_reps(s3(), 3)
     quotients = [faithful_quotient(pair) for pair in pairs]
     # the carrier L<u> has order |L| ord u
-    orders = [(oracles.carrier(q.marked).order, q.marked.element.order()) for q in quotients]
+    orders = [(oracles.carrier(q).order, q.element.order()) for q in quotients]
     assert orders == [(1, 1), (1, 1), (3, 1), (6, 2)]
 
 
@@ -76,13 +76,24 @@ def test_faithful_quotient_has_trivial_cyclic_centralizer():
     for builder, p in FIXTURES:
         for pair in pair_orbit_reps(builder(), p):
             q = faithful_quotient(pair)
-            u = q.marked.element
-            translations = q.marked.subgroup
+            u = q.element
+            translations = q.subgroup
             for j in range(1, u.order()):
                 power = u ** j
                 assert any(
                     power * t != t * power for t in translations.generators
                 )
+
+
+def test_translations_decode_to_the_element_they_translate_by():
+    # the witnesses decode a translation t to the element of P at label
+    # t(0), which is right only when the identity is label 0
+    for builder, p in FIXTURES:
+        for pair in pair_orbit_reps(builder(), p):
+            labels = pair.subgroup.elements()
+            for t in faithful_quotient(pair).subgroup.generators:
+                x = labels[t.images[0]]
+                assert all(labels[t.images[i]] == y * x for i, y in enumerate(labels))
 
 
 def test_faithful_quotient_refuses_a_sigma_that_moves_the_identity():
@@ -92,17 +103,15 @@ def test_faithful_quotient_refuses_a_sigma_that_moves_the_identity():
         pr for pr in pair_orbit_reps(s3(), 3)
         if (pr.subgroup.order, pr.element.order()) == (3, 2)
     )
-    labels = pair.subgroup.elements()
-    index = {x: i for i, x in enumerate(labels)}
-    identity_point = index[pair.subgroup.identity]
-    left = Permutation(index[labels[1] * y] for y in labels)
-    translations = faithful_quotient(pair).marked.subgroup.generators
+    P = pair.subgroup
+    left = P.label_perm(lambda y: P.elements()[1] * y)
+    translations = faithful_quotient(pair).subgroup.generators
     assert all(left * t == t * left for t in translations)
     with pytest.raises(InternalCheckError, match=re.escape(
         "faithful quotient, |P|=3, ord s=2: sigma moves the identity label "
         "to (1,2,3), so a power of sigma may centralize the translations"
     )):
-        ddelta._check_fixes_identity(pair, labels, left, identity_point)
+        ddelta._check_fixes_identity(pair, left)
 
 
 def test_classification_counts():
@@ -127,7 +136,7 @@ def test_classification_is_an_equivalence():
     entries = []
     for cls in registry.classes:
         for member in cls.members:
-            entries.append((cls.class_id, faithful_quotient(member.pair).marked))
+            entries.append((cls.class_id, faithful_quotient(member.pair)))
     for i, (cid_a, marked_a) in enumerate(entries):
         for cid_b, marked_b in entries[i:]:
             related = find_pair_isomorphism(marked_a, marked_b) is not None
@@ -173,17 +182,14 @@ def test_out_group_examples():
         return tuple(cls.aut_table.degrees[row] for row in cls.out_rows)
 
     trivial = by_shape[(1, 1)]
-    trivial.ensure_aut()
     assert trivial.out_order == 1
     assert out_degrees(trivial) == (1,)
 
     c3_class = by_shape[(3, 1)]
-    c3_class.ensure_aut()
     assert c3_class.out_order == 2
     assert out_degrees(c3_class) == (1, 1)
 
     klein_moved = by_shape[(4, 3)]
-    klein_moved.ensure_aut()
     assert oracles.carrier_out(klein_moved).aut.order == 12
     assert klein_moved.out_order == 1
     # C = N = <c_u>: the automorphisms fixing u are the conjugations by u
@@ -208,7 +214,6 @@ def test_image_of_normalizer_examples():
     registry = PairClassRegistry()
     assignments = registry.classify_group(s3(), 3)
     for cls, member in assignments:
-        cls.ensure_aut()
         image = image_of_normalizer(cls, member.pair, member.phi)
         if (cls.subgroup_order, cls.element_order) == (3, 1):
             assert cls.out_order == 2
@@ -237,7 +242,6 @@ def test_fixed_dims_are_witness_independent():
         (c, m) for c, m in assignments
         if c.subgroup_order == 3 and c.element_order == 1
     )
-    cls.ensure_aut()
     pair = member.pair
     n_ps = [
         g
@@ -280,13 +284,13 @@ def a4_class(subgroup_order, element_order):
 
 def as_maps(cls, perms):
     """Label permutations of C as element maps on L."""
-    return [{x: cls.labels[g.images[i]] for i, x in enumerate(cls.labels)} for g in perms]
+    labels = cls.realization.subgroup.elements()
+    return [{x: labels[g.images[i]] for i, x in enumerate(labels)} for g in perms]
 
 
 def test_out_errors_name_the_pair_class(monkeypatch):
     # (V4, u of order 3): C = N = <c_u> has order 3
     cls = a4_class(4, 3)
-    cls.ensure_aut()
     with pytest.raises(InternalCheckError, match=re.escape(
         "Out(L, u), pair class (|L|=4, ord u=3): a preimage in C of order 1 "
         "does not contain N of order 3"
@@ -298,15 +302,15 @@ def test_out_errors_name_the_pair_class(monkeypatch):
         "Out(L, u), pair class (|L|=4, ord u=3): an inner automorphism fixing "
         "u is not in C_Aut(L)(c_u) of order 1"
     )):
-        a4_class(4, 3).ensure_aut()
+        a4_class(4, 3).inner
 
 
 def test_non_strong_generators_are_refused_by_name(monkeypatch):
     # (V4, 1): C = Aut(V4) = S3 on the labels; two generators that both
     # move the first base point close to S3 but give the orbit product 3
     cls = a4_class(4, 1)
-    cls.ensure_aut()
-    first = cls.label_index[cls.realization.subgroup.generators[0]]
+    L = cls.realization.subgroup
+    first = L.position(L.generators[0])
     moving = [g for g in cls.aut.elements() if g.images[first] != first]
     gens = next(
         (a, b) for a in moving for b in moving if cls.aut.subgroup([a, b]).order == 6
@@ -316,12 +320,11 @@ def test_non_strong_generators_are_refused_by_name(monkeypatch):
         "Out(L, u), pair class (|L|=4, ord u=1): C_Aut(L)(c_u) closed from its "
         "generators has order 6, not the basic orbit product 3"
     )):
-        a4_class(4, 1).ensure_aut()
+        a4_class(4, 1).aut
 
 
 def test_character_table_refusal_names_the_pair_class(monkeypatch):
     cls = a4_class(4, 1)
-    cls.ensure_aut()
     monkeypatch.setattr(chartab, "max_order", lambda: 5)
     with pytest.raises(SizeBoundError, match=re.escape(
         "Out(L, u), pair class (|L|=4, ord u=1): character table: the group "
@@ -388,7 +391,7 @@ def test_witness_closure_failure_names_the_pair_class():
         "classification, pair class (|L|=8, ord u=1): generator images do not "
         "define a homomorphism"
     )):
-        ddelta._witness(cls, faithful_quotient(member.pair), member.pair, {a: b, b: a})
+        ddelta._witness(cls, member.pair, {a: b, b: a})
 
 
 def test_normalizer_image_checks_name_the_pair_class():

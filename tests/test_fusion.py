@@ -353,7 +353,8 @@ def test_verify_class_checks_name_the_class_and_orbit(monkeypatch):
     # a representative sending a generator of L outside P, to an element
     # of order 3, so pi does not close to a homomorphism
     F, cls, registry = a4_class_with_fusion((4, 1))
-    first = cls.label_index[cls.realization.subgroup.generators[0]]
+    L = cls.realization.subgroup
+    first = L.position(L.generators[0])
 
     def outside(orbits):
         rep = list(orbits[0].rep)

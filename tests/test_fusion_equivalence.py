@@ -53,7 +53,7 @@ def test_triple_orbits_match_the_section_scan(name, monkeypatch):
             if obj.subgroup.order != cls.subgroup_order:
                 continue
             admissible = {
-                tuple(obj.labels[j] for j in t)
+                tuple(obj.subgroup.elements()[j] for j in t)
                 for t in admissible_isomorphisms(cls, obj)
             }
             assert admissible == by_object.get(id(obj), set())
@@ -93,11 +93,11 @@ def test_isomorphisms_number_aut_p(name, monkeypatch):
 def test_a_corrupted_right_action_is_named(monkeypatch):
     F, classes = fusion_setup("a4", monkeypatch)
     cls = next(c for c in classes if c.subgroup_order == 4 and c.element_order == 1)
-    cls.ensure_aut()
+    cls.inner  # C and N are built before C is replaced
     # swapping the identity with another label is no automorphism
-    swap = list(range(len(cls.labels)))
+    swap = list(range(cls.subgroup_order))
     swap[0], swap[1] = 1, 0
-    monkeypatch.setattr(cls, "aut", PermGroup(len(cls.labels), [Permutation(swap)]))
+    monkeypatch.setattr(cls, "aut", PermGroup(cls.subgroup_order, [Permutation(swap)]))
     with pytest.raises(InternalCheckError) as failure:
         triple_orbits(F, cls)
     assert str(failure.value) == (

@@ -57,7 +57,7 @@ CASES = list(fixture_cases()) + list(nonnormal_cases())
 
 
 def quotients(G, p):
-    return [faithful_quotient(pair).marked for pair in pair_orbit_reps(G, p)]
+    return [faithful_quotient(pair) for pair in pair_orbit_reps(G, p)]
 
 
 def assert_intertwines(m, a, b):

@@ -1,6 +1,7 @@
 import itertools
 import math
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -417,6 +418,35 @@ def test_closure_keeps_exactly_the_generators_that_enlarge_the_group(case):
         if g.images not in oracles.closure(n, [k.images for k in expected]):
             expected.append(g)
     assert G.generators == tuple(expected)
+
+
+def assert_label_invariants(G):
+    """Labels are positions in elements(), the identity is label 0, and
+    label_perm of conjugation by each element is the permutation built
+    from a position dict."""
+    elements = G.elements()
+    assert elements[0] == G.identity
+    assert [G.position(x) for x in elements] == list(range(G.order))
+    index = {x: i for i, x in enumerate(elements)}
+    for g in elements:
+        expected = Permutation([index[conjugate(g, x)] for x in elements])
+        assert G.label_perm(partial(conjugate, g)) == expected
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_labels_of_the_fixtures(name):
+    assert_label_invariants(BUILDERS[name]())
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(generator_lists())
+def test_labels_of_random_groups(case):
+    n, gens = case
+    try:
+        G = PermGroup(n, gens)
+    except SizeBoundError:
+        assume(False)
+    assert_label_invariants(G)
 
 
 @pytest.mark.parametrize("name", BUILDERS)

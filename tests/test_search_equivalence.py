@@ -74,7 +74,7 @@ def test_every_pair_class_search_matches_leaf_only(name, searches):
     registry = PairClassRegistry()
     registry.classify_group(loaded.group, loaded.p)
     for cls in registry.classes:
-        cls.ensure_aut()  # runs pair_automorphism_maps once per class
+        cls.aut  # runs pair_automorphism_maps once per class
     # a class with nontrivial u has c_u in C, so its searches close maps
     # under the twist (u, u)
     with_u = any(cls.element_order > 1 for cls in registry.classes)
