@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 usage, 2 group file parse error, 3 domain error
 (violated hypotheses or size bound), 4 internal or theorem-violation
 check failure.
+
+Each command handler returns its report document; main alone puts
+schema_version and command first, renders JSON or the command's TSV and
+writes stdout.
 """
 
 from __future__ import annotations
@@ -76,10 +80,6 @@ def _load(path):
     return load_group(parse_group_file(text))
 
 
-def _emit(text):
-    sys.stdout.write(text)
-
-
 def _group_doc(loaded):
     return {
         "name": loaded.name,
@@ -99,19 +99,15 @@ def _invariants_doc(loaded):
     }
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(args) -> dict:
     loaded = _load(args.file)
-    doc = {
-        "schema_version": reports.SCHEMA_VERSION,
-        "command": "invariants",
+    return {
         "group": _group_doc(loaded),
         "invariants": _invariants_doc(loaded),
     }
-    _emit(reports.render_json(doc) if args.json else reports.render_invariants_tsv(doc))
-    return 0
 
 
-def cmd_pairs(args) -> int:
+def cmd_pairs(args) -> dict:
     loaded = _load(args.file)
     registry = PairClassRegistry()
     assignments = registry.classify_group(loaded.group, loaded.p)
@@ -128,22 +124,16 @@ def cmd_pairs(args) -> int:
                 "u_order": cls.element_order,
             }
         )
-    doc = {
-        "schema_version": reports.SCHEMA_VERSION,
-        "command": "pairs",
+    return {
         "group": _group_doc(loaded),
         "orbits": rows,
     }
-    _emit(reports.render_json(doc) if args.json else reports.render_pairs_tsv(doc))
-    return 0
 
 
-def cmd_chartab(args) -> int:
+def cmd_chartab(args) -> dict:
     loaded = _load(args.file)
     table = character_table(loaded.group)
-    doc = {
-        "schema_version": reports.SCHEMA_VERSION,
-        "command": "chartab",
+    return {
         "group": _group_doc(loaded),
         "character_table": {
             "modulus": table.modulus,
@@ -153,8 +143,6 @@ def cmd_chartab(args) -> int:
             "values": [list(row) for row in table.values],
         },
     }
-    _emit(reports.render_json(doc) if args.json else reports.render_chartab_tsv(doc))
-    return 0
 
 
 def _table_classes_doc(table):
@@ -183,7 +171,7 @@ def _table_classes_doc(table):
     return classes
 
 
-def cmd_mult(args) -> int:
+def cmd_mult(args) -> dict:
     loaded = _load(args.file)
     registry = PairClassRegistry()
     cross_check = None
@@ -212,9 +200,7 @@ def cmd_mult(args) -> int:
             registry.classify_group(loaded.group, loaded.p)
             table = mult_table_fusion(fusion, registry, loaded.name)
 
-    doc = {
-        "schema_version": reports.SCHEMA_VERSION,
-        "command": "mult",
+    return {
         "group": _group_doc(loaded),
         "formula": args.formula,
         "invariants": _invariants_doc(loaded),
@@ -222,11 +208,9 @@ def cmd_mult(args) -> int:
         "cross_check": cross_check,
         "classes": _table_classes_doc(table),
     }
-    _emit(reports.render_json(doc) if args.json else reports.render_mult_tsv(doc))
-    return 0
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> dict:
     left = _load(args.file0)
     right = _load(args.file1)
     if left.p != right.p:
@@ -250,9 +234,7 @@ def cmd_compare(args) -> int:
                 "right": b,
             }
         )
-    doc = {
-        "schema_version": reports.SCHEMA_VERSION,
-        "command": "compare",
+    return {
         "groups": [_group_doc(left), _group_doc(right)],
         "verdict": {
             "stable": verdict.stable,
@@ -263,11 +245,9 @@ def cmd_compare(args) -> int:
         "k_minus_l_right": right_table.k - right_table.l,
         "diff": diff_rows,
     }
-    _emit(reports.render_json(doc) if args.json else reports.render_compare_tsv(doc))
-    return 0
 
 
-def cmd_verify_psi(args) -> int:
+def cmd_verify_psi(args) -> tuple:
     loaded = _load(args.file)
     fusion = build_fusion(loaded.group, loaded.p)
     registry = PairClassRegistry()
@@ -279,70 +259,56 @@ def cmd_verify_psi(args) -> int:
             continue
         if not registry.members_for(loaded.group, cls):
             continue
+        row = {
+            "class_id": cls.class_id,
+            "L_order": cls.subgroup_order,
+            "u_order": cls.element_order,
+        }
         try:
             result = verify_class(fusion, cls, registry)
-            rows.append(
-                {
-                    "class_id": cls.class_id,
-                    "L_order": cls.subgroup_order,
-                    "u_order": cls.element_order,
-                    "triple_orbits": result.triple_orbits,
-                    "pair_orbits": result.pair_orbits,
-                    "stabilizer_orders": ",".join(
-                        str(v) for v in result.stabilizer_orders
-                    ),
-                    "status": "PASS",
-                    "detail": "-",
-                }
+            row.update(
+                triple_orbits=result.triple_orbits,
+                pair_orbits=result.pair_orbits,
+                stabilizer_orders=",".join(str(v) for v in result.stabilizer_orders),
+                status="PASS",
+                detail="-",
             )
         except InternalCheckError as exc:
             failed = True
-            rows.append(
-                {
-                    "class_id": cls.class_id,
-                    "L_order": cls.subgroup_order,
-                    "u_order": cls.element_order,
-                    "triple_orbits": "-",
-                    "pair_orbits": "-",
-                    "stabilizer_orders": "-",
-                    "status": "FAIL",
-                    "detail": str(exc).replace("\t", " "),
-                }
+            row.update(
+                triple_orbits="-",
+                pair_orbits="-",
+                stabilizer_orders="-",
+                status="FAIL",
+                detail=str(exc).replace("\t", " "),
             )
-    doc = {
-        "schema_version": reports.SCHEMA_VERSION,
-        "command": "verify-psi",
-        "group": _group_doc(loaded),
-        "classes": rows,
-    }
-    _emit(reports.render_json(doc) if args.json else reports.render_verify_tsv(doc))
-    return 4 if failed else 0
+        rows.append(row)
+    return {"group": _group_doc(loaded), "classes": rows}, 4 if failed else 0
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> tuple:
     results = battery.run_selftest()
     checks = [
         {"name": name, "ok": ok, "detail": detail} for name, ok, detail in results
     ]
     doc = {
-        "schema_version": reports.SCHEMA_VERSION,
-        "command": "selftest",
         "checks": checks,
         "passed": sum(1 for c in checks if c["ok"]),
         "total": len(checks),
     }
-    _emit(reports.render_json(doc) if args.json else reports.render_selftest_tsv(doc))
-    return 0 if doc["passed"] == doc["total"] else 4
+    return doc, 0 if doc["passed"] == doc["total"] else 4
 
 
-_HANDLERS = {
-    "invariants": cmd_invariants,
-    "pairs": cmd_pairs,
-    "chartab": cmd_chartab,
-    "mult": cmd_mult,
-    "compare": cmd_compare,
-    "verify-psi": cmd_verify_psi,
-    "selftest": cmd_selftest,
+# command -> (handler, TSV renderer); a handler returns its document, or
+# the document and an exit code when the command can fail its own checks
+_COMMANDS = {
+    "invariants": (cmd_invariants, reports.render_invariants_tsv),
+    "pairs": (cmd_pairs, reports.render_pairs_tsv),
+    "chartab": (cmd_chartab, reports.render_chartab_tsv),
+    "mult": (cmd_mult, reports.render_mult_tsv),
+    "compare": (cmd_compare, reports.render_compare_tsv),
+    "verify-psi": (cmd_verify_psi, reports.render_verify_tsv),
+    "selftest": (cmd_selftest, reports.render_selftest_tsv),
 }
 
 
@@ -352,7 +318,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a command is required (see --help)")
-        return _HANDLERS[args.command](args)
+        handler, render_tsv = _COMMANDS[args.command]
+        result = handler(args)
+        body, code = result if isinstance(result, tuple) else (result, 0)
+        doc = {"schema_version": reports.SCHEMA_VERSION, "command": args.command, **body}
+        sys.stdout.write(reports.render_json(doc) if args.json else render_tsv(doc))
+        return code
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1

@@ -385,28 +385,39 @@ def image_of_normalizer(
 
     N_G(P, s) = C_{N_G(P)}(s) is generated by pair.centralizer_gens.  Each
     such g induces phi^-1 . c_g . phi on L, which must lie in C; the
-    result is the subgroup of C generated by these and N.  Generators
-    with the same action on the generators of P induce the same label
-    permutation, so each action is mapped, checked and closed once.  The
-    result is closed without a second membership test: each induced map
-    has just passed C.contains, and N <= C was checked when N was built.
+    result is the subgroup of C generated by these and N.  On labels,
+    phi is the permutation w sending the label of l in L to the label of
+    phi(l) in P, and the induced map is w . a_g . w^-1, where a_g is the
+    label permutation of c_g on P.  Generators with the same action on
+    the generators of P induce the same map, so each action is checked
+    and closed once.  The result is closed without a second membership
+    test: each induced map has just passed C.contains, and N <= C was
+    checked when N was built.
     """
+    P = pair.subgroup
     actions = {}  # the conjugates of the generators of P -> (g, g^-1)
     for g in pair.centralizer_gens:
         g_inv = g.inverse()
-        key = tuple([conjugate_with(g, g_inv, x) for x in pair.subgroup.generators])
+        key = tuple([conjugate_with(g, g_inv, x) for x in P.generators])
         actions.setdefault(key, (g, g_inv))
-    points = [witness[x] for x in cls.realization.subgroup.elements()]
-    label_of = {y: i for i, y in enumerate(points)}
+    try:
+        w = Permutation([P.position(witness[x]) for x in cls.realization.subgroup.elements()])
+    except (KeyError, ValueError):
+        raise InternalCheckError(
+            f"normalizer image, {cls.name}: witness image is not the member "
+            f"subgroup of order {P.order}"
+        ) from None
+    w_inv = w.inverse()
     induced = []
     for g, g_inv in actions.values():
-        moved = [label_of.get(conjugate_with(g, g_inv, y)) for y in points]
-        if None in moved:
+        try:
+            a_g = P.label_perm(partial(conjugate_with, g, g_inv))
+        except KeyError:
             raise InternalCheckError(
                 f"normalizer image, {cls.name}: the action of "
                 f"{g.cycle_string()} leaves the witness image"
-            )
-        perm = Permutation(moved)
+            ) from None
+        perm = w * a_g * w_inv
         if not cls.aut.contains(perm):
             raise InternalCheckError(
                 f"normalizer image, {cls.name}: the map induced by "

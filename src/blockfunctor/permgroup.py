@@ -530,49 +530,14 @@ def direct_product(G: PermGroup, H: PermGroup) -> PermGroup:
     return PermGroup(degree, gens)
 
 
-def _mat_mult(a, b, p):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
-        for i in range(n)
-    )
-
-
-def _mat_order(m, p, cap=10 ** 6):
-    n = len(m)
-    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    power = m
-    for k in range(1, cap + 1):
-        if power == ident:
-            return k
-        power = _mat_mult(power, m, p)
-    raise DomainError("matrix order exceeds the search cap")
-
-
-def _mat_invertible(m, p):
-    n = len(m)
-    rows = [list(r) for r in m]
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, n) if rows[r][col] % p), None)
-        if pivot is None:
-            return False
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [v * inv % p for v in rows[rank]]
-        for r in range(n):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col]
-                rows[r] = [(v - f * w) % p for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank == n
-
-
 def frobenius_group(p: int, rank: int, matrix) -> PermGroup:
     """The affine group of translations of (F_p)^rank plus a matrix action.
 
-    The matrix must be invertible mod p, its multiplicative order m must be
-    coprime to p, and every proper power must fix only the zero vector.
+    Everything about the matrix is read from g, its permutation of the
+    p^rank vectors (vector 0 is the zero vector), which is the last
+    generator: g must be a bijection (the matrix is invertible mod p), its
+    order m must be coprime to p, and every proper power of g must fix
+    only vector 0.
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
@@ -585,20 +550,32 @@ def frobenius_group(p: int, rank: int, matrix) -> PermGroup:
     if p ** rank > bound:
         raise SizeBoundError(f"{where}: the translations alone have order {p}^{rank} "
                              f"= {p ** rank}, over the configured bound {bound}")
-    if not _mat_invertible(m, p):
-        raise DomainError("matrix is not invertible mod p")
-    order = _mat_order(m, p)
-    if order % p == 0:
-        raise DomainError(f"matrix order {order} is divisible by p = {p}")
-    if p ** rank * order > bound:
-        raise SizeBoundError(f"{where}: order {p}^{rank} * {order} = {p ** rank * order}, "
-                             f"over the configured bound {bound}")
-
     vectors = [
         tuple((v // p ** i) % p for i in range(rank))
         for v in range(p ** rank)
     ]
     index = {v: i for i, v in enumerate(vectors)}
+    try:  # the matrix's permutation of the vectors
+        g = Permutation(
+            index[tuple(sum(m[i][j] * v[j] for j in range(rank)) % p for i in range(rank))]
+            for v in vectors
+        )
+    except ValueError:
+        raise DomainError("matrix is not invertible mod p") from None
+    order = g.order()
+    if order % p == 0:
+        raise DomainError(f"matrix order {order} is divisible by p = {p}")
+    if p ** rank * order > bound:
+        raise SizeBoundError(f"{where}: order {p}^{rank} * {order} = {p ** rank * order}, "
+                             f"over the configured bound {bound}")
+    power = g
+    for j in range(1, order):
+        fixed = next((i for i in range(1, p ** rank) if power.images[i] == i), None)
+        if fixed is not None:
+            raise DomainError(
+                f"action is not free: matrix power {j} fixes the nonzero vector {vectors[fixed]}"
+            )
+        power = power * g
 
     def translation(basis):
         return Permutation(
@@ -606,28 +583,7 @@ def frobenius_group(p: int, rank: int, matrix) -> PermGroup:
             for v in vectors
         )
 
-    def matrix_perm(mat):
-        return Permutation(
-            index[tuple(sum(mat[i][j] * v[j] for j in range(rank)) % p for i in range(rank))]
-            for v in vectors
-        )
-
-    power = m
-    for j in range(1, order):
-        fixed = [
-            v for v in vectors
-            if any(v) and all(
-                sum(power[i][k] * v[k] for k in range(rank)) % p == v[i]
-                for i in range(rank)
-            )
-        ]
-        if fixed:
-            raise DomainError(
-                f"action is not free: matrix power {j} fixes the nonzero vector {fixed[0]}"
-            )
-        power = _mat_mult(power, m, p)
-
-    group = PermGroup(p ** rank, [translation(i) for i in range(rank)] + [matrix_perm(m)])
+    group = PermGroup(p ** rank, [translation(i) for i in range(rank)] + [g])
     if group.order != p ** rank * order:
         raise InternalCheckError("affine group has unexpected order")
     return group

@@ -4,8 +4,9 @@ Points are 0-based internally; all text I/O is 1-based.  The product
 ``a * b`` applies ``a`` first and then ``b``, and conjugation is fixed as
 ``conjugate(g, x) == g * x * g.inverse()`` throughout the package.
 
-Validation happens at the boundary only: ``Permutation(images)``,
-``from_cycles`` and ``parse`` check that the images are a permutation.
+Validation happens at the boundary only: ``Permutation(images)`` and
+``parse`` check that the images are a permutation.  ``parse`` is the only
+reader of cycle notation; group files read their ``gen`` lines through it.
 Products, inverses, powers and the identity are permutations by
 construction and skip the check through ``_trusted``.
 """
@@ -15,6 +16,14 @@ from __future__ import annotations
 from math import lcm
 
 _new = object.__new__
+
+
+class CycleSyntaxError(ValueError):
+    """Bad cycle notation; ``index`` is where the cycle at fault starts."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
 
 
 class Permutation:
@@ -33,37 +42,42 @@ class Permutation:
         return _trusted(tuple(range(degree)))
 
     @classmethod
-    def from_cycles(cls, degree: int, cycles) -> "Permutation":
-        """Build a permutation from disjoint cycles of 0-based points."""
+    def parse(cls, degree: int, text: str) -> "Permutation":
+        """Parse 1-based cycle notation like ``(1,2,3) (4, 5)``; ``()`` is
+        the identity.  Whitespace may separate cycles and surround points.
+
+        The cycles are read left to right, and the first fault raises
+        CycleSyntaxError with the index in ``text`` where its cycle starts.
+        """
         images = list(range(degree))
         seen = set()
-        for cycle in cycles:
-            for pt in cycle:
-                if not 0 <= pt < degree:
-                    raise ValueError(f"point {pt + 1} out of range 1..{degree}")
-                if pt in seen:
-                    raise ValueError(f"repeated point {pt + 1}")
-                seen.add(pt)
-            for a, b in zip(cycle, tuple(cycle[1:]) + (cycle[0],)):
-                images[a] = b
-        return cls(images)
-
-    @classmethod
-    def parse(cls, degree: int, text: str) -> "Permutation":
-        """Parse cycle notation like ``(1,2,3)(4,5)``; ``()`` is the identity."""
-        cycles = []
-        rest = text.replace(" ", "")
-        while rest:
-            if not rest.startswith("("):
-                raise ValueError(f"expected '(' in {text!r}")
-            end = rest.find(")")
+        i, n = 0, len(text)
+        while i < n:
+            if text[i].isspace():
+                i += 1
+                continue
+            if text[i] != "(":
+                raise CycleSyntaxError(f"expected '(' but found {text[i]!r}", i)
+            end = text.find(")", i)
             if end < 0:
-                raise ValueError(f"unclosed cycle in {text!r}")
-            body = rest[1:end]
-            if body:
-                cycles.append(tuple(int(tok) - 1 for tok in body.split(",")))
-            rest = rest[end + 1:]
-        return cls.from_cycles(degree, cycles)
+                raise CycleSyntaxError("unclosed cycle", i)
+            body = text[i + 1:end].strip()
+            points = []
+            for tok in body.split(",") if body else ():
+                tok = tok.strip()
+                if not tok.isdecimal():  # what int() reads: no superscripts
+                    raise CycleSyntaxError(f"expected a point, got {tok!r}", i)
+                pt = int(tok)
+                if not 1 <= pt <= degree:
+                    raise CycleSyntaxError(f"point {pt} out of range 1..{degree}", i)
+                if pt in seen:
+                    raise CycleSyntaxError(f"repeated point {pt}", i)
+                seen.add(pt)
+                points.append(pt - 1)
+            for a, b in zip(points, points[1:] + points[:1]):
+                images[a] = b
+            i = end + 1
+        return cls(images)
 
     @property
     def degree(self) -> int:

@@ -16,14 +16,19 @@ SINGLE_BLOCK_NOTE = (
     "fixed-point-free complement action; rows are block multiplicities"
 )
 
+# the columns of each table, in order: the header line and the keys each
+# row is read by
+PAIRS_COLUMNS = (
+    "orbit_index", "class_id", "P_order", "s_order", "s_rep", "L_order", "u_order",
+)
 MULT_COLUMNS = (
-    "class_id",
-    "L_order",
-    "u_order",
-    "out_order",
-    "irr_index",
-    "irr_degree",
+    "class_id", "L_order", "u_order", "out_order", "irr_index", "irr_degree",
     "multiplicity",
+)
+DIFF_COLUMNS = ("class_id", "L_order", "u_order", "irr_index", "left", "right")
+VERIFY_COLUMNS = (
+    "class_id", "L_order", "u_order", "triple_orbits", "pair_orbits",
+    "stabilizer_orders", "status", "detail",
 )
 
 
@@ -33,6 +38,13 @@ def render_json(doc: dict) -> str:
 
 def _bool(value) -> str:
     return "true" if value else "false"
+
+
+def _table(columns, rows, prefix=""):
+    """The header line and one line per row, each starting with prefix."""
+    return [prefix + "\t".join(columns)] + [
+        prefix + "\t".join(str(row[key]) for key in columns) for row in rows
+    ]
 
 
 def _header_lines(doc):
@@ -59,24 +71,7 @@ def render_pairs_tsv(doc: dict) -> str:
     group = doc["group"]
     lines.append(f"# group\t{group['name']}")
     lines.append(f"# p\t{group['p']}")
-    lines.append(
-        "orbit_index\tclass_id\tP_order\ts_order\ts_rep\tL_order\tu_order"
-    )
-    for row in doc["orbits"]:
-        lines.append(
-            "\t".join(
-                str(row[key])
-                for key in (
-                    "orbit_index",
-                    "class_id",
-                    "P_order",
-                    "s_order",
-                    "s_rep",
-                    "L_order",
-                    "u_order",
-                )
-            )
-        )
+    lines += _table(PAIRS_COLUMNS, doc["orbits"])
     return "\n".join(lines) + "\n"
 
 
@@ -108,23 +103,9 @@ def render_mult_tsv(doc: dict) -> str:
         lines.append(f"# {SINGLE_BLOCK_NOTE}")
     if doc.get("cross_check") is not None:
         lines.append(f"# cross-check\t{doc['cross_check']}")
-    lines.append("\t".join(MULT_COLUMNS))
-    for cls in doc["classes"]:
-        for row in cls["rows"]:
-            lines.append(
-                "\t".join(
-                    str(v)
-                    for v in (
-                        cls["class_id"],
-                        cls["L_order"],
-                        cls["u_order"],
-                        cls["out_order"],
-                        row["irr_index"],
-                        row["irr_degree"],
-                        row["multiplicity"],
-                    )
-                )
-            )
+    lines += _table(
+        MULT_COLUMNS, ({**cls, **row} for cls in doc["classes"] for row in cls["rows"])
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -140,16 +121,7 @@ def render_compare_tsv(doc: dict) -> str:
     lines.append(f"defect_isomorphic\t{_bool(verdict['defect_isomorphic'])}")
     lines.append(f"k_minus_l_left\t{doc['k_minus_l_left']}")
     lines.append(f"k_minus_l_right\t{doc['k_minus_l_right']}")
-    lines.append("diff\tclass_id\tL_order\tu_order\tirr_index\tleft\tright")
-    for row in doc["diff"]:
-        lines.append(
-            "diff\t"
-            + "\t".join(
-                str(row[key])
-                for key in ("class_id", "L_order", "u_order", "irr_index",
-                            "left", "right")
-            )
-        )
+    lines += _table(DIFF_COLUMNS, doc["diff"], prefix="diff\t")
     return "\n".join(lines) + "\n"
 
 
@@ -158,26 +130,7 @@ def render_verify_tsv(doc: dict) -> str:
     group = doc["group"]
     lines.append(f"# group\t{group['name']}")
     lines.append(f"# p\t{group['p']}")
-    lines.append(
-        "class_id\tL_order\tu_order\ttriple_orbits\tpair_orbits\t"
-        "stabilizer_orders\tstatus\tdetail"
-    )
-    for row in doc["classes"]:
-        lines.append(
-            "\t".join(
-                str(row[key])
-                for key in (
-                    "class_id",
-                    "L_order",
-                    "u_order",
-                    "triple_orbits",
-                    "pair_orbits",
-                    "stabilizer_orders",
-                    "status",
-                    "detail",
-                )
-            )
-        )
+    lines += _table(VERIFY_COLUMNS, doc["classes"])
     return "\n".join(lines) + "\n"
 
 

@@ -32,7 +32,9 @@ greedy generating sequence as small_generating_set found it before Dimino
 closure, re-closing the kept elements after each one it added.
 ``find_complement`` and ``complement_fixed_point`` are the complement
 search and the free-action scan that the fusion route ran before it read
-class sizes.
+class sizes.  ``matrix_frobenius`` is the frobenius file form by matrix
+arithmetic (product, order, Gauss-Jordan rank), as frobenius_group built
+it before it read the matrix from its permutation of the vectors.
 """
 
 from __future__ import annotations
@@ -170,6 +172,90 @@ def perm_order(a):
         x = compose(x, a)
         n += 1
     return n
+
+
+def mat_mult(a, b, p):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
+        for i in range(n)
+    )
+
+
+def mat_order(m, p):
+    """The multiplicative order of an invertible matrix mod p."""
+    n = len(m)
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    power, k = m, 1
+    while power != ident:
+        power = mat_mult(power, m, p)
+        k += 1
+    return k
+
+
+def mat_invertible(m, p):
+    """Gauss-Jordan elimination mod p: does every column find a pivot?"""
+    n = len(m)
+    rows = [list(r) for r in m]
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if rows[r][col] % p), None)
+        if pivot is None:
+            return False
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [v * inv % p for v in rows[rank]]
+        for r in range(n):
+            if r != rank and rows[r][col] % p:
+                f = rows[r][col]
+                rows[r] = [(v - f * w) % p for v, w in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank == n
+
+
+def matrix_frobenius(p, rank, matrix, bound):
+    """The frobenius file form by matrix arithmetic, with the checks in
+    the order frobenius_group makes them.  Returns the refusal as
+    (exception class name, message), or (group order, generator images):
+    the translations by the basis vectors, then the matrix, each as its
+    image tuple on the vectors numbered in base p, least digit first."""
+    if p < 2 or any(p % d == 0 for d in range(2, p)):
+        return ("DomainError", f"{p} is not prime")
+    if rank < 1:
+        return ("DomainError", "rank must be positive")
+    m = tuple(tuple(v % p for v in row) for row in matrix)
+    if len(m) != rank or any(len(row) != rank for row in m):
+        return ("DomainError", f"matrix must be {rank}x{rank}")
+    where, size = f"frobenius form, p={p}, rank {rank}", p ** rank
+    if size > bound:
+        return ("SizeBoundError", f"{where}: the translations alone have order "
+                                  f"{p}^{rank} = {size}, over the configured bound {bound}")
+    if not mat_invertible(m, p):
+        return ("DomainError", "matrix is not invertible mod p")
+    order = mat_order(m, p)
+    if order % p == 0:
+        return ("DomainError", f"matrix order {order} is divisible by p = {p}")
+    if size * order > bound:
+        return ("SizeBoundError", f"{where}: order {p}^{rank} * {order} = "
+                                  f"{size * order}, over the configured bound {bound}")
+    vectors = [tuple((v // p ** i) % p for i in range(rank)) for v in range(size)]
+
+    def times(mat, v):
+        return tuple(sum(mat[i][k] * v[k] for k in range(rank)) % p for i in range(rank))
+
+    power = m
+    for j in range(1, order):
+        fixed = [v for v in vectors if any(v) and times(power, v) == v]
+        if fixed:
+            return ("DomainError", f"action is not free: matrix power {j} fixes "
+                                   f"the nonzero vector {fixed[0]}")
+        power = mat_mult(power, m, p)
+    index = {v: i for i, v in enumerate(vectors)}
+    translations = [
+        tuple(index[tuple((v[i] + int(i == b)) % p for i in range(rank))] for v in vectors)
+        for b in range(rank)
+    ]
+    return (size * order, translations + [tuple(index[times(m, v)] for v in vectors)])
 
 
 def is_p_power_order(x, p):

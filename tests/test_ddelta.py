@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -395,16 +396,27 @@ def test_witness_closure_failure_names_the_pair_class():
 
 
 def test_normalizer_image_checks_name_the_pair_class():
-    # the member P = <(1,2)(3,4)> of S4, mapped onto <(3,4)>, which its
-    # normalizer D8 does not normalize
+    # the member P = <(1,2)(3,4)> of S4, with (1,2,3), which does not
+    # normalize P, among the generators of N_G(P, s)
     cls, member = member_of(s4(), 2, (2, 1), index=1)
     assert member.pair.subgroup.generators == (perm(4, "(1,2)(3,4)"),)
-    pair = member.pair
+    pair = dataclasses.replace(
+        member.pair,
+        centralizer_gens=member.pair.centralizer_gens + (perm(4, "(1,2,3)"),),
+    )
     with pytest.raises(InternalCheckError, match=re.escape(
         "normalizer image, pair class (|L|=2, ord u=1): the action of "
-        "(1,3,2,4) leaves the witness image"
+        "(1,2,3) leaves the witness image"
     )):
-        image_of_normalizer(cls, pair, corrupted(cls, member, [perm(4, "(3,4)")]))
+        image_of_normalizer(cls, pair, member.phi)
+    # the same member, with a witness onto <(3,4)> instead of P
+    with pytest.raises(InternalCheckError, match=re.escape(
+        "normalizer image, pair class (|L|=2, ord u=1): witness image is not "
+        "the member subgroup of order 2"
+    )):
+        image_of_normalizer(
+            cls, member.pair, corrupted(cls, member, [perm(4, "(3,4)")])
+        )
     # (C2^3, u of order 7): C = <c_u>, and a generator swap does not
     # normalize it, so s induces a map outside C
     cls, member = member_of(g56(), 2, (8, 7))

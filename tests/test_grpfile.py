@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import DATA_DIR
-from blockfunctor.errors import DomainError, GroupFileError
+from blockfunctor.errors import DomainError, GroupFileError, SizeBoundError
 from blockfunctor.grpfile import load_group, parse_group_file
 
 S3_TEXT = "name S3\ndegree 3\nprime 3\ngen (1,2,3)\ngen (1,2)\n"
@@ -93,24 +93,76 @@ def test_identity_generator():
     assert loaded.group.order == 2
 
 
-def test_load_group_orders():
-    expected = {
-        "s3.grp": 6,
-        "c3.grp": 3,
-        "a4.grp": 12,
-        "s4.grp": 24,
-        "f20.grp": 20,
-        "f20b.grp": 20,
-        "f21.grp": 21,
-        "g72.grp": 72,
-        "g56.grp": 56,
-        "f75.grp": 75,
-        "f80.grp": 80,
-        "f240.grp": 240,
-    }
-    for name, order in expected.items():
+FIXTURE_ORDERS = {
+    "a4.grp": 12,
+    "c3.grp": 3,
+    "c6.grp": 6,
+    "f20.grp": 20,
+    "f20b.grp": 20,
+    "f21.grp": 21,
+    "f240.grp": 240,
+    "f351.grp": 351,
+    "f75.grp": 75,
+    "f80.grp": 80,
+    "g56.grp": 56,
+    "g72.grp": 72,
+    "s3.grp": 6,
+    "s4.grp": 24,
+}
+
+
+def test_load_group_orders(monkeypatch):
+    monkeypatch.delenv("BLOCKFUNCTOR_MAX_ORDER", raising=False)
+    # every fixture in the directory has an expected order or is f2r11,
+    # which is refused at the default bound, so a new one cannot be skipped
+    names = sorted(path.name for path in DATA_DIR.glob("*.grp"))
+    assert names == sorted([*FIXTURE_ORDERS, "f2r11.grp"])
+    for name, order in FIXTURE_ORDERS.items():
         loaded = load_group(parse_group_file((DATA_DIR / name).read_text()))
         assert loaded.group.order == order, name
+    with pytest.raises(SizeBoundError) as info:
+        load_group(parse_group_file((DATA_DIR / "f2r11.grp").read_text()))
+    assert str(info.value) == (
+        "frobenius form, p=2, rank 11: the translations alone have order "
+        "2^11 = 2048, over the configured bound 512"
+    )
+
+
+PARSE_ERRORS = [
+    # cycle syntax: the column is where the cycle at fault starts
+    ("degree 4\nprime 2\ngen (1,2) x\n", "line 3, column 11: expected '(' but found 'x'"),
+    ("degree 4\nprime 2\ngen (1,2\n", "line 3, column 5: unclosed cycle"),
+    ("degree 4\nprime 2\ngen (1 2)\n", "line 3, column 5: expected a point, got '1 2'"),
+    ("degree 4\nprime 2\ngen (1,2) (3, 5)\n",
+     "line 3, column 11: point 5 out of range 1..4"),
+    ("degree 4\nprime 2\n  gen (1,2)(2,3)\n", "line 3, column 12: repeated point 2"),
+    # every scalar key appears once
+    ("name A\nname B\n", "line 2: duplicate key name"),
+    ("degree 3\ndegree 4\n", "line 2: duplicate key degree"),
+    ("prime 3\nprime 5\n", "line 2: duplicate key prime"),
+    ("frobenius\nfrobenius\n", "line 2: duplicate key frobenius"),
+    ("frobenius\np 3\np 5\n", "line 3: duplicate key p"),
+    ("frobenius\nrank 1\nrank 2\n", "line 3: duplicate key rank"),
+    ("frobenius\nmatrix 1\nmatrix 2\n", "line 3: duplicate key matrix"),
+    # the integer floors
+    ("degree 0\n", "line 1: degree must be positive"),
+    ("prime 1\n", "line 1: prime must be at least 2"),
+    ("frobenius\nrank 0\n", "line 2: rank must be positive"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS)
+def test_parse_errors_name_line_and_column(text, message):
+    with pytest.raises(GroupFileError) as info:
+        parse_group_file(text)
+    assert str(info.value) == message
+
+
+def test_a_digit_int_cannot_read_is_a_parse_error():
+    # "²" is a digit to str.isdigit, but int() refuses it
+    with pytest.raises(GroupFileError) as info:
+        parse_group_file("degree 4\nprime 2\ngen (1,\u00b2)\n")
+    assert str(info.value) == "line 3, column 5: expected a point, got '\u00b2'"
 
 
 def test_load_group_rejects_composite_prime():

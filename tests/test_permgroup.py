@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import DATA_DIR
 from blockfunctor.battery import a4, c3, f20, f21, g72, s3, s4
+from blockfunctor.config import DEFAULT_MAX_ORDER
 from blockfunctor.errors import DomainError, InternalCheckError, SizeBoundError
 from blockfunctor.grpfile import load_group, parse_group_file
 from blockfunctor.permgroup import (
@@ -329,6 +330,38 @@ def test_frobenius_group_is_refused_on_its_order_before_it_is_built(monkeypatch)
         frobenius_group(3, 2, matrix)
     monkeypatch.setenv("BLOCKFUNCTOR_MAX_ORDER", "72")
     assert frobenius_group(3, 2, matrix).order == 72
+
+
+def frobenius_sweep():
+    """Every 1x1 matrix for p <= 13 (composite p included), every 2x2
+    matrix over F_2, F_3 and F_5, and every 3x3 matrix over F_2."""
+    for p in range(2, 14):
+        for a in range(p):
+            yield p, 1, [[a]]
+    for p in (2, 3, 5):
+        for e in itertools.product(range(p), repeat=4):
+            yield p, 2, [e[0:2], e[2:4]]
+    for e in itertools.product(range(2), repeat=9):
+        yield 2, 3, [e[0:3], e[3:6], e[6:9]]
+
+
+def test_frobenius_group_matches_the_matrix_route(monkeypatch):
+    monkeypatch.delenv("BLOCKFUNCTOR_MAX_ORDER", raising=False)
+    built = 0
+    for p, rank, matrix in frobenius_sweep():
+        expected = oracles.matrix_frobenius(p, rank, matrix, DEFAULT_MAX_ORDER)
+        if not isinstance(expected[0], str):
+            # the closure keeps every generator but an identity matrix
+            order, gens = expected
+            expected = (order, [x for x in gens if x != oracles.identity(p ** rank)])
+            built += 1
+        try:
+            G = frobenius_group(p, rank, matrix)
+            got = (G.order, [g.images for g in G.generators])
+        except DomainError as exc:
+            got = (type(exc).__name__, str(exc))
+        assert got == expected, (p, rank, matrix)
+    assert built > 100
 
 
 def test_quotient_group_examples():

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockfunctor.permutation import Permutation, conjugate, conjugate_with
+from blockfunctor.permutation import (
+    CycleSyntaxError,
+    Permutation,
+    conjugate,
+    conjugate_with,
+)
 
 
 def test_identity():
@@ -42,13 +47,7 @@ def test_order():
     assert Permutation.identity(1).order() == 1
 
 
-def test_from_cycles_rejects_bad_input():
-    with pytest.raises(ValueError):
-        Permutation.from_cycles(3, [(0, 0, 1)])
-    with pytest.raises(ValueError):
-        Permutation.from_cycles(3, [(0, 1), (1, 2)])
-    with pytest.raises(ValueError):
-        Permutation.from_cycles(3, [(0, 5)])
+def test_constructor_rejects_bad_images():
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
     with pytest.raises(ValueError):
@@ -57,10 +56,24 @@ def test_from_cycles_rejects_bad_input():
         Permutation((1, 2))
 
 
-@pytest.mark.parametrize("text", ["(1,2", "1,2)", "(1,x)", "(1,9)", "(1,2)(2,3)"])
-def test_parse_rejects_bad_text(text):
+BAD_TEXT = [
+    (5, "(1,2"), (5, "1,2)"), (5, "(1,x)"), (5, "(1,9)"), (5, "(1,2)(2,3)"),
+    # spaces inside a cycle separate no points: "1 2" is not the point 12
+    (20, "(1 2)"), (20, "(1 2,3)"),
+]
+
+
+@pytest.mark.parametrize("degree, text", BAD_TEXT, ids=[text for _, text in BAD_TEXT])
+def test_parse_rejects_bad_text(degree, text):
     with pytest.raises(ValueError):
-        Permutation.parse(5, text)
+        Permutation.parse(degree, text)
+
+
+def test_parse_error_carries_the_index_of_the_cycle_at_fault():
+    with pytest.raises(CycleSyntaxError) as info:
+        Permutation.parse(4, "(1,2) (3, 5)")
+    assert (str(info.value), info.value.index) == ("point 5 out of range 1..4", 6)
+    assert Permutation.parse(4, " (1, 2)  (3,4) ") == Permutation.parse(4, "(1,2)(3,4)")
 
 
 def _validated_product(a, b):
