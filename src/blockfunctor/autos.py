@@ -9,15 +9,16 @@ Pruning is exact, so the maps are found in the same depth-first order
 as by closing every full candidate tuple.  Accepted maps are verified
 bijections on the whole group.  Searches are complete and deterministic.
 
-A pair (L, u) is a group L with an element u normalizing it, and both
-pair searches run on L alone.  The closure of a partial map is also
-closed under x -> u x u^-1 with image u' m(x) u'^-1, so a map that
-breaks the intertwining relation conflicts as soon as its prefix does.
-An isomorphism of pairs is an isomorphism L -> L' found this way, and
-C = C_Aut(L)(c_u) is computed as a strong generating set by a
-stabilizer-chain backtrack along the generators l1..lk of L: each
+A pair (L, u) is a group L with an element u normalizing it, and the
+pair isomorphism search runs on L alone.  The closure of a partial map
+is also closed under x -> u x u^-1 with image u' m(x) u'^-1, so a map
+that breaks the intertwining relation conflicts as soon as its prefix
+does.  An isomorphism of pairs is an isomorphism L -> L' found this
+way.  Aut(L) is computed without that twist, as a strong generating set
+by a stabilizer-chain backtrack along the generators l1..lk of L: each
 generator found answers one first-hit search, and the basic orbits give
-|C| before any closure.
+|Aut(L)| before any closure.  C = C_Aut(L)(c_u) is not searched for: it
+is the centralizer of c_u in Aut(L) (ddelta.PairClass.aut).
 """
 
 from __future__ import annotations
@@ -149,26 +150,23 @@ def _basic_orbit(x, maps):
     return orbit(x, lambda y: [m[y] for m in maps])
 
 
-def pair_automorphism_maps(mp: MarkedPair):
-    """Strong generators of C = C_Aut(L)(c_u), as element maps on L.
+def pair_automorphism_maps(L: PermGroup):
+    """Strong generators of Aut(L), the automorphisms of the pair (L, 1),
+    as element maps on L.
 
-    Every candidate map is closed on L under multiplication and under
-    c_u (see _search_maps), so each map found commutes with c_u.  The
-    candidate images of the generators l1..lk of L are the elements of L
-    with the same order and L-class size.  The base is l1..lk.  Level i
-    is the subgroup fixing l1..l(i-1), and its basic orbit is the set of
-    images of li under that subgroup.  The levels are filled from the
-    deepest one up.  At level i every candidate image of li outside the
-    orbit of the generators found so far is tested by one first-hit
+    The candidate images of the generators l1..lk of L are the elements
+    of L with the same order and L-class size.  The base is l1..lk.
+    Level i is the subgroup fixing l1..l(i-1), and its basic orbit is the
+    set of images of li under that subgroup.  The levels are filled from
+    the deepest one up.  At level i every candidate image of li outside
+    the orbit of the generators found so far is tested by one first-hit
     search with l1..l(i-1) fixed; a hit is a new strong generator and
-    grows the orbit, a miss is not in the orbit.  So |C| is the product
-    of the basic orbit lengths, and SizeBoundError is raised as soon as
-    that product passes the configured bound, before any group is built.
+    grows the orbit, a miss is not in the orbit.  So |Aut(L)| is the
+    product of the basic orbit lengths, and SizeBoundError is raised as
+    soon as that product passes the configured bound, before any group
+    is built.
     """
-    L = mp.subgroup
-    u = mp.element
     bound = max_order()
-    commuting = None if u.is_identity() else (u, u)
     sequence = list(L.generators)
     lists = _candidate_lists(L, L, sequence, [None] * len(sequence))
     free = [set(pool) for pool in lists]
@@ -181,7 +179,7 @@ def pair_automorphism_maps(mp: MarkedPair):
         for cand in lists[i]:
             if cand in basic:
                 continue
-            hit = _search_maps(L, L, sequence, fixed + [{cand}] + free[i + 1:], 1, commuting)
+            hit = _search_maps(L, L, sequence, fixed + [{cand}] + free[i + 1:], 1)
             if not hit:
                 continue
             maps.append(hit[0])
@@ -189,7 +187,7 @@ def pair_automorphism_maps(mp: MarkedPair):
             if order * len(basic) > bound:
                 raise SizeBoundError(
                     f"automorphism search, pair class (|L|={L.order}, "
-                    f"ord u={u.order()}): C_Aut(L)(c_u) has more than "
+                    f"ord u=1): C_Aut(L)(c_u) has more than "
                     f"{bound} elements, over the configured bound {bound}"
                 )
         order *= len(basic)

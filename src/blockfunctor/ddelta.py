@@ -26,10 +26,16 @@ acting on the labels of L (PermGroup.label_perm) and its normal
 subgroup N = <c_u, c_x : x in C_L(u)>, with Out(L, u) = C / N.  A
 subgroup of Out is carried by its preimage in C, which contains N, and
 the irreducibles of Out are the characters of C with N in their kernel.
-C, from strong generators found by a search on L alone, and N are built
-on first read; the character table of C is built only when a
-multiplicity or a report first reads it, so commands that need only
-subgroups of Out, such as verify-psi, build no table.
+C and N are built on first read.  C is the stabilizer of c_u under
+conjugation in Aut(L), closed from the Schreier generators of one walk
+over the Aut(L)-class of c_u and checked by orbit-stabilizer; Aut(L)
+comes from one search on L (autos.pair_automorphism_maps).  Many
+classes share one L and many share one C, so the classes of a registry
+share Aut(L) once per element set of L and the character table of C
+once per element set of C (SharedGroups); a table depends only on the
+element set.  The table of C is built only when a multiplicity or a
+report first reads it, so commands that need only subgroups of Out,
+such as verify-psi, build no table.
 """
 
 from __future__ import annotations
@@ -54,17 +60,18 @@ from .permgroup import (
     p_subgroup_classes,
     small_generating_set,
 )
-from .permutation import Permutation, conjugate, conjugate_with
+from .permutation import Permutation, conjugate, conjugate_with, conjugation
 
 
 def pair_class_key(marked: MarkedPair) -> tuple:
     """The isomorphism invariant of a faithful pair (L, u) described in
     the module docstring."""
     u = marked.element
+    c_u = conjugation(u)
     identity = marked.subgroup.identity
     profile = []
     for x in marked.subgroup.elements():
-        image = conjugate(u, x)
+        image = c_u(x)
         order = x.order()
         k, power = 0, identity
         while k < order and power != image:
@@ -128,18 +135,18 @@ def pair_orbit_reps(G: PermGroup, p: int):
 def faithful_quotient(pair: NormalizerPair) -> MarkedPair:
     """The pair (P, image of s) realized faithfully on the labels of P.
 
-    The marked subgroup L is the group of right translations of P on its
-    labels and the marked element u is the conjugation action of s on
-    them, so u acts on L as s acts on P, and faithfully.
+    The marked subgroup L is P.regular, the group of right translations
+    of P on its labels, built once per P, and the marked element u is the
+    conjugation action of s on them, so u acts on L as s acts on P, and
+    faithfully.
     """
     P = pair.subgroup
-    tau_gens = [P.label_perm(lambda y: y * x) for x in P.generators]
     # products compose left to right, so the label map y -> s^-1 y s is the
     # permutation that conjugates right translations by s:
     # sigma tau_x sigma^-1 = tau_(s x s^-1)
-    sigma = P.label_perm(partial(conjugate, pair.element.inverse()))
+    sigma = P.label_perm(conjugation(pair.element.inverse()))
     _check_fixes_identity(pair, sigma)
-    return MarkedPair(PermGroup(P.order, tau_gens), sigma)
+    return MarkedPair(P.regular, sigma)
 
 
 def _check_fixes_identity(pair: NormalizerPair, sigma: Permutation):
@@ -160,6 +167,53 @@ def _check_fixes_identity(pair: NormalizerPair, sigma: Permutation):
         )
 
 
+class SharedGroups:
+    """Aut(L) once per element set of L and the character table of C
+    once per element set of C, for the classes of one registry.
+
+    It holds no class, so the classes that share it form no reference
+    cycle with it and are freed as soon as the registry is.
+    """
+
+    def __init__(self):
+        self._automorphisms = {}  # element set of L -> Aut(L) on its labels
+        self._tables = {}  # element set of C -> its character table
+
+    def automorphism_group(self, L: PermGroup, name: str) -> PermGroup:
+        """Aut(L) on the labels of L, closed from the strong generators of
+        pair_automorphism_maps once per element set of L.  ``name`` is the
+        class that reads it first, for the error message.
+
+        The generators are strong along the base l1..lk exactly when the
+        closed order is the product of their basic orbit lengths.
+        """
+        aut = self._automorphisms.get(L.element_set())
+        if aut is not None:
+            return aut
+        gens = [L.label_perm(m.__getitem__) for m in pair_automorphism_maps(L)]
+        aut = PermGroup(L.order, gens)
+        base = [L.position(x) for x in L.generators]
+        expected = 1
+        for i, point in enumerate(base):
+            level = [g.images for g in gens if all(g.images[y] == y for y in base[:i])]
+            expected *= len(orbit(point, lambda y: [a[y] for a in level]))
+        if aut.order != expected:
+            raise InternalCheckError(
+                f"Out(L, u), {name}: C_Aut(L)(c_u) closed from its "
+                f"generators has order {aut.order}, not the basic orbit "
+                f"product {expected}"
+            )
+        self._automorphisms[L.element_set()] = aut
+        return aut
+
+    def character_table_of(self, C: PermGroup) -> CharacterTable:
+        """The character table of C, built once per element set of C."""
+        table = self._tables.get(C.element_set())
+        if table is None:
+            table = self._tables[C.element_set()] = character_table(C)
+        return table
+
+
 @dataclass
 class ClassMember:
     """A pair orbit assigned to a class, with its intertwining witness.
@@ -174,13 +228,19 @@ class ClassMember:
 
 
 class PairClass:
-    """An isomorphism class of faithful pairs, shared across groups."""
+    """An isomorphism class of faithful pairs, shared across groups.
 
-    def __init__(self, class_id: int, realization: MarkedPair, key: tuple):
+    Aut(L) and the character table of C come from ``shared``, which the
+    classes of one registry share; a class made on its own gets a
+    SharedGroups of its own.
+    """
+
+    def __init__(self, class_id: int, realization: MarkedPair, key: tuple, shared=None):
         self.class_id = class_id
         self.realization = realization
         self.key = key
         self.members = []
+        self.shared = SharedGroups() if shared is None else shared
 
     @property
     def subgroup_order(self) -> int:
@@ -202,22 +262,28 @@ class PairClass:
     @cached_property
     def aut(self) -> PermGroup:
         """C = C_Aut(L)(c_u) on the labels of L, closed on first read from
-        the strong generators of pair_automorphism_maps."""
+        the Schreier generators of the walk over the Aut(L)-class of c_u.
+
+        The walk must start inside Aut(L), and |C| times the length of
+        the class must be |Aut(L)|; a Schreier generator left out breaks
+        the second check.
+        """
         L = self.realization.subgroup
-        gens = [L.label_perm(m.__getitem__) for m in pair_automorphism_maps(self.realization)]
-        aut = PermGroup(L.order, gens)
-        # strong generators along the base l1..lk exactly when the closed
-        # order is the product of their basic orbit lengths
-        base = [L.position(x) for x in L.generators]
-        expected = 1
-        for i, point in enumerate(base):
-            level = [g.images for g in gens if all(g.images[y] == y for y in base[:i])]
-            expected *= len(orbit(point, lambda y: [a[y] for a in level]))
-        if aut.order != expected:
+        aut_l = self.shared.automorphism_group(L, self.name)
+        c_u = L.label_perm(conjugation(self.realization.element))
+        if not aut_l.contains(c_u):
+            raise InternalCheckError(
+                f"Out(L, u), {self.name}: c_u is not in Aut(L) of order {aut_l.order}"
+            )
+        conj_class, fixing = class_and_centralizer(aut_l.generators, c_u)
+        # a central c_u, such as u = 1, has the generators of Aut(L) for its
+        # Schreier generators, which would only close Aut(L) again
+        aut = aut_l if len(conj_class) == 1 else PermGroup(L.order, fixing)
+        if aut.order * len(conj_class) != aut_l.order:
             raise InternalCheckError(
                 f"Out(L, u), {self.name}: C_Aut(L)(c_u) closed from its "
-                f"generators has order {aut.order}, not the basic orbit "
-                f"product {expected}"
+                f"Schreier generators has order {aut.order}, but c_u has "
+                f"{len(conj_class)} conjugates in Aut(L) of order {aut_l.order}"
             )
         return aut
 
@@ -230,7 +296,7 @@ class PairClass:
         u = self.realization.element
         fixing_u = [x for x in L.elements() if x * u == u * x]
         inner = [
-            L.label_perm(partial(conjugate, g))
+            L.label_perm(conjugation(g))
             for g in (u,) + small_generating_set(u.degree, fixing_u)
         ]
         if not all(aut.contains(c) for c in inner):
@@ -242,9 +308,10 @@ class PairClass:
 
     @cached_property
     def aut_table(self) -> CharacterTable:
-        """The character table of C, built on first read."""
+        """The character table of C, from ``shared`` on first read; its
+        group has the element set of C."""
         try:
-            return character_table(self.aut)
+            return self.shared.character_table_of(self.aut)
         except (SizeBoundError, InternalCheckError) as exc:
             raise type(exc)(f"Out(L, u), {self.name}: {exc}") from exc
 
@@ -253,7 +320,7 @@ class PairClass:
         """The rows of aut_table inflated from Out: those equal to their
         degree on every class meeting N, in table order."""
         table = self.aut_table
-        kernel = {self.aut.class_index_of(n) for n in self.inner.elements()}
+        kernel = {table.group.class_index_of(n) for n in self.inner.elements()}
         return tuple(
             r for r, d in enumerate(table.degrees)
             if all(table.values[r][j] == d for j in kernel)
@@ -333,14 +400,16 @@ class PairClassRegistry:
     identifiers and character labels are reproducible.  A class keeps its
     identifier, realization and key once assigned, but it is not frozen:
     its members grow as later pairs join it, and C, N and the table of C
-    are built when first read.  The registry has no locking, so it must
-    not be shared between threads.
+    are built when first read, Aut(L) and the table of C from the
+    registry's SharedGroups.  The registry has no locking, so it must not
+    be shared between threads.
     """
 
     def __init__(self):
         self.classes = []
         self._by_key = {}  # class key -> classes with it, in creation order
         self._by_group = {}  # (G, p) -> assignments; a PermGroup hashes by identity
+        self.shared = SharedGroups()
 
     def classify_group(self, G: PermGroup, p: int):
         """Classify every pair orbit of G; returns (class, member) pairs."""
@@ -359,7 +428,7 @@ class PairClassRegistry:
                 break
         else:
             iso = None
-            cls = PairClass(len(self.classes), marked, key)
+            cls = PairClass(len(self.classes), marked, key, self.shared)
             self.classes.append(cls)
             same_key.append(cls)
         member = ClassMember(pair, _witness(cls, pair, iso))

@@ -11,16 +11,19 @@ size [G : D].
 Triple orbits work on labels (PermGroup.position): pi: L -> P is the
 tuple of the labels of pi(l) in P over the elements of L in label
 order.  Iso(L, P) = Aut(P) . pi0 for one pi0 found by a first-hit
-search, with Aut(P) closed once per object.  The route reads no pair
-orbits or witnesses.
+search once per object and element set of L, however many classes
+share L.  P and its regular representation P.regular share labels, so
+Aut(P) on them is the shared Aut(L) for L = P.regular, searched once
+per registry.  The right action is that of C = C_Aut(L)(c_u), which
+the class builds as a centralizer in Aut(L) (ddelta.PairClass.aut).
+The route reads no pair orbits or witnesses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, partial
+from dataclasses import dataclass, field
 
-from .autos import MarkedPair, _search_maps, pair_automorphism_maps
+from .autos import _search_maps
 from .ddelta import (
     NormalizerPair,
     PairClass,
@@ -39,7 +42,7 @@ from .permgroup import (
     schreier_walk,
     sylow_subgroup,
 )
-from .permutation import conjugate
+from .permutation import conjugate, conjugation
 
 
 def frobenius_structure(G: PermGroup, p: int) -> PermGroup:
@@ -100,18 +103,22 @@ class FusionObject:
     subgroup: PermGroup
     normalizer: PermGroup
     aut_f: PermGroup  # automorphisms of P induced by the normalizer, on labels
+    # element set of L -> pi0 as labels of P, or None when L is not isomorphic to P
+    _first_isomorphisms: dict = field(default_factory=dict, compare=False, repr=False)
 
-    @cached_property
-    def automorphisms(self) -> set:
-        """Aut(P) as label tuples, closed from the strong generators of
-        the automorphism search on the pair (P, 1)."""
-        P = self.subgroup
-        maps = pair_automorphism_maps(MarkedPair(P, P.identity))
-        gens = [P.label_perm(m.__getitem__).images for m in maps]
-        return orbit(
-            tuple(range(P.order)),
-            lambda a: [tuple([g[j] for j in a]) for g in gens],
-        )
+    def first_isomorphism(self, L: PermGroup):
+        """pi0: L -> P from a first-hit search along the generators of L,
+        as the labels in P of its images over the elements of L, or None;
+        searched once per element set of L.  Iso(L, P) = Aut(P) . pi0 does
+        not depend on which pi0 is found."""
+        key = L.element_set()
+        if key not in self._first_isomorphisms:
+            P, sequence = self.subgroup, list(L.generators)
+            found = _search_maps(L, P, sequence, [None] * len(sequence), limit=1)
+            self._first_isomorphisms[key] = (
+                tuple([P.position(found[0][x]) for x in L.elements()]) if found else None
+            )
+        return self._first_isomorphisms[key]
 
 
 @dataclass(frozen=True)
@@ -136,7 +143,7 @@ def build_fusion(G: PermGroup, p: int) -> FusionData:
                 f"normal Sylow of order {D.order}"
             )
         N = normalizer(G, P)
-        induced = [P.label_perm(partial(conjugate, g)) for g in N.generators]
+        induced = [P.label_perm(conjugation(g)) for g in N.generators]
         objects.append(FusionObject(P, N, PermGroup(P.order, induced)))
     return FusionData(group=G, p=p, kernel=D, objects=tuple(objects))
 
@@ -169,18 +176,19 @@ def _where(cls: PairClass) -> str:
 def admissible_isomorphisms(cls: PairClass, obj: FusionObject) -> set:
     """The isomorphisms pi: L -> P, as label tuples, with pi . i_u . pi^-1
     induced by the normalizer; empty when L and P are not isomorphic."""
-    L, P = cls.realization.subgroup, obj.subgroup
-    sequence = list(L.generators)
-    found = _search_maps(L, P, sequence, [None] * len(sequence), limit=1)
-    if not found:
+    L = cls.realization.subgroup
+    pi0 = obj.first_isomorphism(L)
+    if pi0 is None:
         return set()
     u = cls.realization.element
-    c_u = [L.position(conjugate(u, x)) for x in L.elements()]
-    pi0 = [P.position(found[0][x]) for x in L.elements()]
+    c_u = L.label_perm(conjugation(u)).images
     induced = {a.images for a in obj.aut_f.elements()}
+    # P and its regular representation share labels, so Aut(P) on them is
+    # the shared Aut(L) for L = P.regular
+    automorphisms = cls.shared.automorphism_group(obj.subgroup.regular, cls.name)
     admissible = set()
     images = [0] * len(pi0)
-    for alpha in obj.automorphisms:
+    for alpha in (a.images for a in automorphisms.elements()):
         pi = tuple([alpha[j] for j in pi0])
         for i, j in enumerate(c_u):
             images[pi[i]] = pi[j]
@@ -264,7 +272,7 @@ def psi_pair(F: FusionData, cls: PairClass, orbit: TripleOrbit) -> NormalizerPai
     gens = obj.subgroup.generators
     target = [pi[conjugate(cls.realization.element, pi_inv[x])] for x in gens]
     for s in obj.normalizer.elements():
-        if s.order() % F.p and [conjugate(s, x) for x in gens] == target:
+        if s.order() % F.p and list(map(conjugation(s), gens)) == target:
             _, fixing_s = class_and_centralizer(obj.normalizer.generators, s)
             return NormalizerPair(F.group, F.p, obj.subgroup, s, fixing_s)
     raise InternalCheckError(
@@ -278,9 +286,10 @@ def _pairs_conjugate(G: PermGroup, sub_a, s_a, sub_b, s_b) -> bool:
         return False
     bset = sub_b.element_set()
     for g in G.elements():
-        if conjugate(g, s_a) != s_b:
+        c_g = conjugation(g)
+        if c_g(s_a) != s_b:
             continue
-        if all(conjugate(g, x) in bset for x in sub_a.generators):
+        if all(c_g(x) in bset for x in sub_a.generators):
             return True
     return False
 

@@ -47,10 +47,11 @@ class GroupSpecFile:
 
 
 def _parse_int(value: str, line_no: int, key: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
+    """An optional '-' and decimal digits; int() alone would also read
+    '+3' and '1_0'."""
+    if not value.removeprefix("-").isdecimal():
         raise GroupFileError(f"{key} expects an integer, got {value!r}", line=line_no)
+    return int(value)
 
 
 # Each scalar key may appear once.  An integer key maps to the least value

@@ -14,7 +14,9 @@ stabilizer.
 The label of an element is its position in elements(), which is sorted
 by image tuples, so the identity is always label 0.  A map f on the
 elements acts on the labels as the permutation label_perm(f); this is
-how automorphisms and translations of a group become permutations.
+how automorphisms and translations of a group become permutations.  The
+group of right translations, regular, is built once per group and has
+the same labels.
 
 A subgroup is a PermGroup of its own, and a homomorphism is the dict of
 its element images (homomorphism and close_map).  Normalizers are
@@ -181,6 +183,16 @@ class PermGroup:
         label i goes to the label of f(elements()[i])."""
         positions = self._positions
         return Permutation([positions[f(x)] for x in self._elements])
+
+    @cached_property
+    def regular(self) -> PermGroup:
+        """The right-regular representation on the labels, generated by the
+        translations y -> y x for x in generators.  The translation by x
+        sends label 0 to the label of x, so elements()[j] is the translation
+        by self.elements()[j]: both groups have the same labels."""
+        return PermGroup(self.order, [
+            self.label_perm(lambda y, x=x: y * x) for x in self.generators
+        ])
 
     def is_abelian(self) -> bool:
         gens = self.generators

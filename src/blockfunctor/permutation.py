@@ -8,12 +8,16 @@ Validation happens at the boundary only: ``Permutation(images)`` and
 ``parse`` check that the images are a permutation.  ``parse`` is the only
 reader of cycle notation; group files read their ``gen`` lines through it.
 Products, inverses, powers and the identity are permutations by
-construction and skip the check through ``_trusted``.
+construction and skip the check through ``_trusted``.  Products and
+conjugates gather their images with ``operator.itemgetter``, one C call
+per pass over the points.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from math import lcm
+from operator import itemgetter
 
 _new = object.__new__
 
@@ -84,8 +88,10 @@ class Permutation:
         return len(self.images)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        images = other.images
-        return _trusted(tuple([images[i] for i in self.images]))
+        images = self.images
+        if len(images) < 2:  # the identity is all there is, and itemgetter
+            return self  # with one index returns a scalar, not a tuple
+        return _trusted(itemgetter(*images)(other.images))
 
     def inverse(self) -> "Permutation":
         images = [0] * len(self.images)
@@ -176,8 +182,16 @@ def conjugate(g: Permutation, x: Permutation) -> Permutation:
     return conjugate_with(g, g.inverse(), x)
 
 
+def conjugation(g: Permutation):
+    """The map x -> g * x * g^-1, with g^-1 computed once for all the
+    elements it is applied to."""
+    return partial(conjugate_with, g, g.inverse())
+
+
 def conjugate_with(g: Permutation, g_inv: Permutation, x: Permutation) -> Permutation:
     """The conjugate g * x * g_inv, for a caller that holds g_inv = g^-1;
     one pass over the points instead of two products."""
-    x_images, inv_images = x.images, g_inv.images
-    return _trusted(tuple([inv_images[x_images[i]] for i in g.images]))
+    images = g.images
+    if len(images) < 2:  # see Permutation.__mul__
+        return x
+    return _trusted(itemgetter(*itemgetter(*images)(x.images))(g_inv.images))

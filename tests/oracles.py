@@ -35,6 +35,10 @@ search and the free-action scan that the fusion route ran before it read
 class sizes.  ``matrix_frobenius`` is the frobenius file form by matrix
 arithmetic (product, order, Gauss-Jordan rank), as frobenius_group built
 it before it read the matrix from its permutation of the vectors.
+``twisted_centralizer`` is C = C_Aut(L)(c_u) by the stabilizer-chain
+backtrack on L that closes every partial map under conjugation by u, as
+the package searched for C before it took the centralizer of c_u in a
+shared Aut(L).
 """
 
 from __future__ import annotations
@@ -488,7 +492,7 @@ class LinearScanRegistry(ddelta.PairClassRegistry):
             cls.members.append(member)
             return cls, member
         cls = ddelta.PairClass(
-            len(self.classes), marked, ddelta.pair_class_key(marked)
+            len(self.classes), marked, ddelta.pair_class_key(marked), self.shared
         )
         self.classes.append(cls)
         member = ddelta.ClassMember(pair, ddelta._witness(cls, pair))
@@ -539,6 +543,36 @@ def carrier_automorphism_maps(mp):
                     raise SizeBoundError(f"Aut(L, u) has more than {bound} elements")
         order *= len(basic)
     return maps
+
+
+def twisted_centralizer(mp):
+    """C = C_Aut(L)(c_u) as the element set of its label permutations of
+    L, closed from strong generators that a backtrack along l1..lk finds
+    by first-hit searches closed under the twist (u, u), and checked
+    against their basic orbit product."""
+    L, u = mp.subgroup, mp.element
+    commuting = None if u.is_identity() else (u, u)
+    sequence = list(L.generators)
+    lists = autos._candidate_lists(L, L, sequence, [None] * len(sequence))
+    free = [set(pool) for pool in lists]
+    maps = []
+    for i in reversed(range(len(sequence))):
+        fixed = [{y} for y in sequence[:i]]
+        basic = autos._basic_orbit(sequence[i], maps)
+        for cand in lists[i]:
+            if cand in basic:
+                continue
+            hit = _search_maps(L, L, sequence, fixed + [{cand}] + free[i + 1:], 1, commuting)
+            if hit:
+                maps.append(hit[0])
+                basic = autos._basic_orbit(sequence[i], maps)
+    C = PermGroup(L.order, [L.label_perm(m.__getitem__) for m in maps])
+    expected = 1
+    for i, x in enumerate(sequence):
+        level = [m for m in maps if all(m[y] == y for y in sequence[:i])]
+        expected *= len(autos._basic_orbit(x, level))
+    assert C.order == expected
+    return C.element_set()
 
 
 @dataclass(frozen=True)

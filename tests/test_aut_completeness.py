@@ -1,14 +1,18 @@
-"""C = C_Aut(L)(c_u) from strong generators against full enumerations.
+"""C = C_Aut(L)(c_u) as a centralizer in Aut(L), against full enumerations.
 
-The stabilizer-chain backtrack keeps one automorphism per new basic orbit
-point, so each of its searches is a first-hit search.  That every search
-is exact is shown in test_search_equivalence; here the group closed from
-the generators must be the whole of C.  On the pair classes of the
-fixtures its element set must equal that of every automorphism of L
-commuting with conjugation by u, found by closing every tuple of images
-in L of the generators of L.  On random small groups G, marked (G, 1)
-so that C = Aut(G), it must equal the set of every automorphism listed
-by ``oracles.leaf_only_search`` over the search's own candidate lists.
+Aut(L) comes from a stabilizer-chain backtrack that keeps one
+automorphism per new basic orbit point, so each of its searches is a
+first-hit search, and C is the stabilizer of c_u under conjugation in
+Aut(L).  That every search is exact is shown in test_search_equivalence;
+here the group closed from the generators must be the whole of C.  On
+the pair classes of the fixtures its element set must equal that of
+every automorphism of L commuting with conjugation by u, found by
+closing every tuple of images in L of the generators of L.  On random
+small groups G, marked (G, 1) so that C = Aut(G), it must equal the set
+of every automorphism listed by ``oracles.leaf_only_search`` over the
+search's own candidate lists.  On the classes of the fixtures, F75 and
+random small groups it must equal the C that
+``oracles.twisted_centralizer`` finds by a search closed under the twist.
 """
 
 import math
@@ -25,7 +29,7 @@ from blockfunctor.config import max_order
 from blockfunctor.ddelta import PairClass, PairClassRegistry
 from blockfunctor.errors import SizeBoundError
 from blockfunctor.grpfile import load_group, parse_group_file
-from blockfunctor.permgroup import PermGroup
+from blockfunctor.permgroup import PermGroup, is_prime
 from blockfunctor.permutation import Permutation
 
 FIXTURES = ("s3", "c3", "a4", "s4", "f20", "f20b", "f21", "g72", "g56")
@@ -108,6 +112,33 @@ def test_automorphism_group_order_matches_enumeration(G):
     expected = as_label_perms(G, enumerated_automorphisms(G, G.generators, lists))
     if len(expected) > max_order():
         with pytest.raises(SizeBoundError):
-            pair_automorphism_maps(mp)
+            pair_automorphism_maps(G)
     else:
         assert closed_automorphisms(mp) == expected
+
+
+@pytest.mark.parametrize("name", FIXTURES + ("f75",))
+def test_centralizer_matches_the_twisted_search(name):
+    loaded = load_group(parse_group_file((DATA_DIR / f"{name}.grp").read_text()))
+    registry = PairClassRegistry()
+    registry.classify_group(loaded.group, loaded.p)
+    for cls in registry.classes:
+        assert cls.aut.element_set() == oracles.twisted_centralizer(cls.realization)
+
+
+@st.composite
+def small_groups_at_a_prime(draw):
+    G = draw(small_groups())
+    assume(G.order <= 168)  # keep the cost of classification small
+    primes = [q for q in range(2, G.order + 1) if G.order % q == 0 and is_prime(q)]
+    return G, draw(st.sampled_from(primes or [2]))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(small_groups_at_a_prime())
+def test_centralizer_matches_the_twisted_search_on_random_groups(case):
+    G, p = case
+    registry = PairClassRegistry()
+    registry.classify_group(G, p)
+    for cls in registry.classes:
+        assert cls.aut.element_set() == oracles.twisted_centralizer(cls.realization)

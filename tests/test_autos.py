@@ -146,12 +146,16 @@ def test_pair_automorphism_count_for_a4_marking():
     cls = pair_class(mp)
     assert cls.aut.order == 3
     assert cls.inner.element_set() == cls.aut.element_set()
-    # its strong generators are maps on L, and commute there with
-    # conjugation by u
-    maps = pair_automorphism_maps(mp)
-    assert len(maps) == 1
+    # the search finds strong generators of Aut(V4) = S3 as maps on L,
+    # two of them, with no regard to u; C is the centralizer of c_u there
+    maps = pair_automorphism_maps(mp.subgroup)
+    assert len(maps) == 2
     for m in maps:
         assert set(m) == set(m.values()) == mp.subgroup.element_set()
+    assert cls.shared.automorphism_group(mp.subgroup, cls.name).order == 6
+    labels = mp.subgroup.elements()
+    for c in cls.aut.elements():
+        m = {x: labels[c.images[i]] for i, x in enumerate(labels)}
         assert all(m[conjugate(mp.element, x)] == conjugate(mp.element, m[x]) for x in m)
 
 

@@ -298,12 +298,38 @@ def test_out_errors_name_the_pair_class(monkeypatch):
     )):
         cls.out_dims(cls.aut.subgroup([]))
 
-    monkeypatch.setattr(ddelta, "pair_automorphism_maps", lambda mp: [])
+    # a C that lost its elements fails the check that N lies in it
+    cls = a4_class(4, 3)
+    cls.aut = cls.aut.subgroup([])
     with pytest.raises(InternalCheckError, match=re.escape(
         "Out(L, u), pair class (|L|=4, ord u=3): an inner automorphism fixing "
         "u is not in C_Aut(L)(c_u) of order 1"
     )):
-        a4_class(4, 3).inner
+        cls.inner
+
+    # an Aut(L) that lost its elements fails the check that c_u lies in it
+    monkeypatch.setattr(ddelta, "pair_automorphism_maps", lambda L: [])
+    with pytest.raises(InternalCheckError, match=re.escape(
+        "Out(L, u), pair class (|L|=4, ord u=3): c_u is not in Aut(L) of order 1"
+    )):
+        a4_class(4, 3).aut
+
+
+def test_missing_schreier_generators_are_refused_by_name(monkeypatch):
+    # (V4, u of order 3): c_u has 2 conjugates in Aut(V4) = S3, and C has
+    # order 3; a walk that returns no Schreier generators closes C to the
+    # trivial group, which breaks orbit-stabilizer
+    cls = a4_class(4, 3)
+    walk = ddelta.class_and_centralizer
+    monkeypatch.setattr(
+        ddelta, "class_and_centralizer", lambda gens, s: (walk(gens, s)[0], ())
+    )
+    with pytest.raises(InternalCheckError, match=re.escape(
+        "Out(L, u), pair class (|L|=4, ord u=3): C_Aut(L)(c_u) closed from its "
+        "Schreier generators has order 1, but c_u has 2 conjugates in Aut(L) "
+        "of order 6"
+    )):
+        cls.aut
 
 
 def test_non_strong_generators_are_refused_by_name(monkeypatch):
@@ -316,7 +342,7 @@ def test_non_strong_generators_are_refused_by_name(monkeypatch):
     gens = next(
         (a, b) for a in moving for b in moving if cls.aut.subgroup([a, b]).order == 6
     )
-    monkeypatch.setattr(ddelta, "pair_automorphism_maps", lambda mp: as_maps(cls, gens))
+    monkeypatch.setattr(ddelta, "pair_automorphism_maps", lambda L: as_maps(cls, gens))
     with pytest.raises(InternalCheckError, match=re.escape(
         "Out(L, u), pair class (|L|=4, ord u=1): C_Aut(L)(c_u) closed from its "
         "generators has order 6, not the basic orbit product 3"

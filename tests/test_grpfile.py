@@ -144,6 +144,12 @@ PARSE_ERRORS = [
     ("frobenius\np 3\np 5\n", "line 3: duplicate key p"),
     ("frobenius\nrank 1\nrank 2\n", "line 3: duplicate key rank"),
     ("frobenius\nmatrix 1\nmatrix 2\n", "line 3: duplicate key matrix"),
+    # an integer is an optional '-' and decimal digits, which int() alone
+    # would widen with '+' and '_'
+    ("degree 1_0\n", "line 1: degree expects an integer, got '1_0'"),
+    ("degree +3\n", "line 1: degree expects an integer, got '+3'"),
+    ("frobenius\np 3\nrank 1\nmatrix 2_0\n", "line 4: matrix expects an integer, got '2_0'"),
+    ("degree -\n", "line 1: degree expects an integer, got '-'"),
     # the integer floors
     ("degree 0\n", "line 1: degree must be positive"),
     ("prime 1\n", "line 1: prime must be at least 2"),
@@ -163,6 +169,12 @@ def test_a_digit_int_cannot_read_is_a_parse_error():
     with pytest.raises(GroupFileError) as info:
         parse_group_file("degree 4\nprime 2\ngen (1,\u00b2)\n")
     assert str(info.value) == "line 3, column 5: expected a point, got '\u00b2'"
+
+
+def test_negative_matrix_entries_are_read_mod_p():
+    spec = parse_group_file("frobenius\np 3\nrank 1\nmatrix -1\n")
+    assert spec.frobenius == (3, 1, (-1,))
+    assert load_group(spec).group.order == 6
 
 
 def test_load_group_rejects_composite_prime():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from blockfunctor import ddelta
+from blockfunctor import ddelta, fusion
 from blockfunctor.battery import (
     GOLDEN_A4,
     GOLDEN_S3,
@@ -217,11 +217,12 @@ def test_s4_pairs_table_still_works():
      ((f20, f20_relabeled), 5), ((s3, c3), 3)],
 )
 def test_one_character_table_per_class_with_members(builders, p, monkeypatch):
+    # exactly one table per distinct element set of C among those classes
     built = []
     table_of = ddelta.character_table
 
     def counting(group):
-        built.append(group)
+        built.append(group.element_set())
         return table_of(group)
 
     monkeypatch.setattr(ddelta, "character_table", counting)
@@ -235,4 +236,49 @@ def test_one_character_table_per_class_with_members(builders, p, monkeypatch):
         cls for cls in registry.classes
         if any(registry.members_for(G, cls) for G in groups)
     ]
-    assert sorted(map(id, built)) == sorted(id(cls.aut) for cls in with_members)
+    # classes with one C share its table, and every table is read
+    assert len(built) == len(set(built))
+    assert set(built) == {cls.aut.element_set() for cls in with_members}
+    assert all(cls.aut_table.group.element_set() == cls.aut.element_set()
+               for cls in with_members)
+
+
+def test_c13_c12_shares_aut_l_and_the_table_of_c(monkeypatch):
+    # C13:C12 at 13 (frobenius, p 13, rank 1, matrix 2): the trivial class
+    # and 12 classes on one L = C13, each with C = Aut(C13)
+    searched, built = [], []
+    search, table_of = ddelta.pair_automorphism_maps, ddelta.character_table
+
+    def counting_search(L):
+        searched.append(L.element_set())
+        return search(L)
+
+    def counting_table(group):
+        built.append(group.element_set())
+        return table_of(group)
+
+    monkeypatch.setattr(ddelta, "pair_automorphism_maps", counting_search)
+    monkeypatch.setattr(ddelta, "character_table", counting_table)
+    registry = PairClassRegistry()
+    mult_table_pairs(frobenius_group(13, 1, [[2]]), 13, registry)
+    shapes = sorted((cls.subgroup_order, cls.element_order) for cls in registry.classes)
+    assert shapes == [(1, 1)] + sorted((13, d) for d in (1, 2, 3, 3, 4, 4, 6, 6, 12, 12, 12, 12))
+    distinct_l = {cls.realization.subgroup.element_set() for cls in registry.classes}
+    assert len(distinct_l) == 2
+    # one search per distinct L, and one table per distinct C
+    assert sorted(map(len, searched)) == [1, 13] and set(searched) == distinct_l
+    assert sorted(map(len, built)) == [1, 12]
+    # the fusion route finds pi0: L -> P once for the 12 classes on L, and
+    # reads Aut(P) from the same shared Aut(L)
+    first_hits = []
+    search_maps = fusion._search_maps
+
+    def counting_first_hits(A, B, *args, **kwargs):
+        first_hits.append((A.element_set(), B.element_set()))
+        return search_maps(A, B, *args, **kwargs)
+
+    monkeypatch.setattr(fusion, "_search_maps", counting_first_hits)
+    G = registry.classes[0].members[0].pair.ambient
+    mult_table_fusion(build_fusion(G, 13), registry)
+    assert len(first_hits) == 1
+    assert sorted(map(len, searched)) == [1, 13] and sorted(map(len, built)) == [1, 12]

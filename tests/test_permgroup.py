@@ -507,3 +507,16 @@ def test_normalizers_of_every_sylow_subgroup_match_the_element_scan(name):
             P = G.subgroup_from_elements([Permutation(x) for x in sub])
             N = normalizer(G, P)
             assert {x.images for x in N.elements()} == oracles.normalizer_elements(raw, sub)
+
+
+@pytest.mark.parametrize("builder", [c3, s3, a4, s4, f20, g72])
+def test_regular_representation_shares_the_labels(builder):
+    G = builder()
+    L = G.regular
+    assert L is G.regular  # built once per group
+    assert L.degree == L.order == G.order
+    elements = G.elements()
+    for j, x in enumerate(elements):
+        # label j of L is the right translation by the element at label j of G
+        assert L.elements()[j].images == tuple(G.position(y * x) for y in elements)
+    assert len(L.generators) == len(G.generators)

@@ -128,6 +128,16 @@ def test_fused_conjugate_matches_products(case):
     assert _is_permutation(conjugate(g, x))
 
 
+def test_degree_one_products_and_conjugates_are_tuples():
+    # operator.itemgetter with one index returns a scalar, so degree 1
+    # takes its own path; the results must still be permutation tuples
+    e = Permutation.identity(1)
+    for result in (e * e, conjugate(e, e), conjugate_with(e, e, e), e ** 3, e.inverse()):
+        assert result.images == (0,) and result == e and hash(result) == hash(e)
+    two = Permutation.parse(2, "(1,2)")
+    assert (two * two).images == (0, 1) and conjugate(two, two).images == (1, 0)
+
+
 def test_conjugate_is_an_automorphism_action():
     g = Permutation.parse(4, "(1,2,3,4)")
     x = Permutation.parse(4, "(1,2)")

@@ -1,9 +1,11 @@
 """Byte-exact CLI reports on every fixture, pinned by committed files.
 
 Each case runs one command in-process and records its exit code, stdout
-and stderr.  The desk-scale fixtures are pinned in reports.golden and the
-F75 stretch fixture in stretch.golden.  When a report is meant to change,
-regenerate both files with
+and stderr.  The desk-scale fixtures are pinned in reports.golden, the
+F75 stretch fixture in stretch.golden, and F80, F240 and F351 under a
+raised order bound in raised.golden; the last route builds centralizers
+in Aut(C2^4) = GL(4,2) and Aut(C3^3) = GL(3,3).  When a report is meant
+to change, regenerate the files with
 
     PYTHONPATH=src python tests/test_reports_golden.py
 
@@ -45,6 +47,11 @@ CASES = [
 STRETCH_CASES = [
     ("verify-psi", "f75.grp"),
     ("mult", "f75.grp", "--formula", "both"),
+]
+RAISED_GOLDEN = DATA_DIR / "raised.golden"
+RAISED_BOUND = "25000"  # over |GL(4,2)| = 20160 and |GL(3,3)| = 11232
+RAISED_CASES = [
+    ("mult", f"{name}.grp", "--formula", "both") for name in ("f80", "f240", "f351")
 ]
 
 
@@ -92,6 +99,18 @@ def test_stretch_report_matches_golden(case, monkeypatch):
     assert render(case) == _golden_blocks(STRETCH_GOLDEN)[f"=== {' '.join(case)}"]
 
 
+def test_raised_golden_file_covers_exactly_the_cases():
+    assert list(_golden_blocks(RAISED_GOLDEN)) == [
+        f"=== {' '.join(case)}" for case in RAISED_CASES
+    ]
+
+
+@pytest.mark.parametrize("case", RAISED_CASES, ids=lambda case: "-".join(case))
+def test_raised_bound_report_matches_golden(case, monkeypatch):
+    monkeypatch.setenv("BLOCKFUNCTOR_MAX_ORDER", RAISED_BOUND)
+    assert render(case) == _golden_blocks(RAISED_GOLDEN)[f"=== {' '.join(case)}"]
+
+
 def refuse_tables(monkeypatch):
     def refuse(group):
         raise AssertionError(f"a character table of a group of order {group.order}")
@@ -118,8 +137,14 @@ def test_verify_psi_on_f75_builds_no_character_table(monkeypatch):
 
 
 if __name__ == "__main__":
-    os.environ.pop("BLOCKFUNCTOR_MAX_ORDER", None)
-    for path, cases in ((GOLDEN, CASES), (STRETCH_GOLDEN, STRETCH_CASES)):
+    for path, cases, bound in (
+        (GOLDEN, CASES, None),
+        (STRETCH_GOLDEN, STRETCH_CASES, None),
+        (RAISED_GOLDEN, RAISED_CASES, RAISED_BOUND),
+    ):
+        os.environ.pop("BLOCKFUNCTOR_MAX_ORDER", None)
+        if bound is not None:
+            os.environ["BLOCKFUNCTOR_MAX_ORDER"] = bound
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write("".join(render(case) for case in cases))
         sys.stdout.write(f"wrote {len(cases)} cases to {path}\n")

@@ -1,15 +1,16 @@
 """The pruned generator-image search against the leaf-only oracle.
 
 Every call the pipeline makes to the search while classifying pairs,
-computing Aut(L, u), running the fusion route and comparing groups is
+computing Aut(L), running the fusion route and comparing groups is
 recorded, then repeated with ``oracles.leaf_only_search`` over the same
 candidate lists.  Pruning is exact only if both return the same maps in
 the same order; for the first-hit searches (pair and group isomorphism,
-and the strong generators of C_Aut(L)(c_u)) that means the same witness.
-The pair searches run on L and close every partial map under
-conjugation by (u, u'), so the relation m(u x u^-1) = u' m(x) u'^-1
+and the strong generators of Aut(L)) that means the same witness.
+The pair isomorphism search runs on L and closes every partial map
+under conjugation by (u, u'), so the relation m(u x u^-1) = u' m(x) u'^-1
 prunes the search; the oracle closes only complete tuples and checks
-that relation on every element of L.
+that relation on every element of L.  The searches for Aut(L) run
+without that twist.
 """
 
 import itertools
@@ -73,12 +74,18 @@ def test_every_pair_class_search_matches_leaf_only(name, searches):
     loaded = load(name)
     registry = PairClassRegistry()
     registry.classify_group(loaded.group, loaded.p)
+    classified = len(searches)
     for cls in registry.classes:
-        cls.aut  # runs pair_automorphism_maps once per class
-    # a class with nontrivial u has c_u in C, so its searches close maps
-    # under the twist (u, u)
-    with_u = any(cls.element_order > 1 for cls in registry.classes)
-    assert any(call[5] is not None for call in searches) == with_u
+        cls.aut  # runs pair_automorphism_maps once per distinct L
+    # C is a centralizer in Aut(L), so the searches behind it are those
+    # for Aut(L) on the realizations, with no twist (an L whose generators
+    # have no other candidate images, such as C2, needs no search)
+    aut_calls = searches[classified:]
+    assert aut_calls
+    assert all(A is B and commuting is None for A, B, *_, commuting, _ in aut_calls)
+    assert {call[0].element_set() for call in aut_calls} <= {
+        cls.realization.subgroup.element_set() for cls in registry.classes
+    }
     if name != "s4":
         mult_table_fusion(build_fusion(loaded.group, loaded.p), registry, name)
     assert_same_as_leaf_only(searches)
