@@ -13,7 +13,6 @@ from .ddelta import (
     NormalizerPair,
     PairClass,
     PairClassRegistry,
-    faithful_quotient,
     image_of_normalizer,
     pair_orbit_reps,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "conjugate",
     "cross_check_formulas",
     "direct_product",
-    "faithful_quotient",
     "find_group_isomorphism",
     "find_pair_isomorphism",
     "fixed_point_dim",

@@ -10,24 +10,27 @@ as by closing every full candidate tuple.  Accepted maps are verified
 bijections on the whole group.  Searches are complete and deterministic.
 
 A pair (L, u) is a group L with an element u normalizing it, and the
-pair isomorphism search runs on L alone.  The closure of a partial map
-is also closed under x -> u x u^-1 with image u' m(x) u'^-1, so a map
-that breaks the intertwining relation conflicts as soon as its prefix
-does.  An isomorphism of pairs is an isomorphism L -> L' found this
-way.  Aut(L) is computed without that twist, as a strong generating set
-by a stabilizer-chain backtrack along the generators l1..lk of L: each
-generator found answers one first-hit search, and the basic orbits give
-|Aut(L)| before any closure.  C = C_Aut(L)(c_u) is not searched for: it
-is the centralizer of c_u in Aut(L) (ddelta.PairClass.aut).
+pair isomorphism search runs on L alone.  Only the action c_u of u on L
+matters, so u may lie outside L and may centralize L without being 1.
+The closure of a partial map is also closed under x -> u x u^-1 with
+image u' m(x) u'^-1, so a map that breaks the intertwining relation
+conflicts as soon as its prefix does.  An isomorphism of pairs is an
+isomorphism L -> L' found this way.  Aut(L) is computed without that
+twist, as a strong generating set by a stabilizer-chain backtrack along
+the generators l1..lk of L: each generator found answers one first-hit
+search, and the basic orbits give |Aut(L)| before any closure.
+C = C_Aut(L)(c_u) is not searched for: it is the centralizer of c_u in
+Aut(L) (ddelta.PairClass.aut).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .config import max_order
 from .errors import DomainError, SizeBoundError
-from .permutation import Permutation, conjugate
+from .permutation import Permutation, conjugate, conjugation
 from .permgroup import (
     PermGroup,
     close_map,
@@ -53,6 +56,16 @@ class MarkedPair:
         for x in self.subgroup.generators:
             if conjugate(self.element, x) not in pset:
                 raise DomainError("marked element does not normalize the subgroup")
+
+    @cached_property
+    def action(self) -> Permutation:
+        """c_u, the action of u on L by conjugation, on the labels of L."""
+        return self.subgroup.label_perm(conjugation(self.element))
+
+    @cached_property
+    def action_order(self) -> int:
+        """The order of c_u."""
+        return self.action.order()
 
 
 def _candidate_lists(A, B, sequence, restrictions):
@@ -134,12 +147,12 @@ def find_pair_isomorphism(a: MarkedPair, b: MarkedPair):
     element map on L that the search closed and checked to be a
     bijection, or None when there is none."""
     L, M = a.subgroup, b.subgroup
-    if L.order != M.order or a.element.order() != b.element.order():
+    if L.order != M.order or a.action_order != b.action_order:
         return None
     if _profile(L) != _profile(M):
         return None
-    # u and u' have one order, so both or neither are trivial
-    twist = None if a.element.is_identity() else (a.element, b.element)
+    # c_u and c_u' have one order, so both or neither are trivial
+    twist = None if a.action_order == 1 else (a.element, b.element)
     sequence = list(L.generators)
     maps = _search_maps(L, M, sequence, [None] * len(sequence), 1, twist)
     return maps[0] if maps else None

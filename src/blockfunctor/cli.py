@@ -73,10 +73,17 @@ def _build_parser() -> _Parser:
 
 def _load(path):
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GroupFileError(
+            f"not UTF-8 text (byte 0x{data[exc.start]:02x})",
+            line=data.count(b"\n", 0, exc.start) + 1,
+        ) from None
     return load_group(parse_group_file(text))
 
 

@@ -2,24 +2,24 @@
 
 A normalizer pair of a group G at a prime p is a p-subgroup P together
 with a p'-element s of N_G(P).  Pairs are enumerated one representative
-per conjugacy orbit, reduced to their faithful quotient (the action of
-<s> on P with the centralizing part collapsed), and classified up to
-pair isomorphism in a registry shared across groups, so that identical
-class labels mean isomorphic faithful pairs on both sides of any later
-comparison.
+per conjugacy orbit and classified up to pair isomorphism in a registry
+shared across groups, so that identical class labels mean isomorphic
+pairs on both sides of any later comparison.
 
-A faithful pair is a group L with an element u acting faithfully on it,
-and (L, u) is isomorphic to (L', u') when some isomorphism f: L -> L'
+A pair is classified on P itself by the action c_s of s on P: only c_s
+enters the triple (L, u, V), so s may centralize P without being 1, and
+the order of u is the order of that action (MarkedPair.action_order).
+(L, u) is isomorphic to (L', u') when some isomorphism f: L -> L'
 satisfies f(u l u^-1) = u' f(l) u'^-1; autos.find_pair_isomorphism
-searches for f on L alone.  Each class carries an isomorphism-invariant
-key, computed once when the class is created: |L|, the order of u, and
-the sorted multiset over l in L of (ord l, k(l)), where k(l) is the
+searches for f on L alone.  A class is realized on the (P, s) of the
+member that founds it.  Each class carries an isomorphism-invariant
+key, computed once when the class is created: |L|, the order of c_u,
+and the sorted multiset over l in L of (ord l, k(l)), where k(l) is the
 least k >= 0 with u l u^-1 = l^k, or -1 when there is none.  A pair
 isomorphism f preserves both numbers, so isomorphic pairs have equal
 keys, and a new pair is tested for isomorphism only against the classes
-with its key.  The witness of a member is f followed by decoding the
-translations of its quotient into its own subgroup P: the right
-translation by x sends the identity, label 0 of P, to the label of x.
+with its key.  The witness of a member is f itself, onto the member's
+P; the founding member's witness is the identity map.
 
 Out(L, u) is never built as a group.  A class holds C = C_Aut(L)(c_u)
 acting on the labels of L (PermGroup.label_perm) and its normal
@@ -54,31 +54,28 @@ from .errors import DomainError, InternalCheckError, SizeBoundError
 from .permgroup import (
     PermGroup,
     class_and_centralizer,
-    homomorphism,
     normalizer,
     orbit,
     p_subgroup_classes,
-    small_generating_set,
 )
 from .permutation import Permutation, conjugate, conjugate_with, conjugation
 
 
 def pair_class_key(marked: MarkedPair) -> tuple:
-    """The isomorphism invariant of a faithful pair (L, u) described in
-    the module docstring."""
-    u = marked.element
-    c_u = conjugation(u)
+    """The isomorphism invariant of a pair (L, u) described in the module
+    docstring."""
+    elements = marked.subgroup.elements()
     identity = marked.subgroup.identity
     profile = []
-    for x in marked.subgroup.elements():
-        image = c_u(x)
+    for x, j in zip(elements, marked.action.images):
+        image = elements[j]
         order = x.order()
         k, power = 0, identity
         while k < order and power != image:
             power = power * x
             k += 1
         profile.append((order, k if k < order else -1))
-    return (marked.subgroup.order, u.order(), tuple(sorted(profile)))
+    return (marked.subgroup.order, marked.action_order, tuple(sorted(profile)))
 
 
 @dataclass(frozen=True)
@@ -130,41 +127,6 @@ def pair_orbit_reps(G: PermGroup, p: int):
         class_reps.sort(key=lambda rep: (rep[0].order(), rep[0].images))
         reps.extend(NormalizerPair(G, p, P, s, fixing_s) for s, fixing_s in class_reps)
     return reps
-
-
-def faithful_quotient(pair: NormalizerPair) -> MarkedPair:
-    """The pair (P, image of s) realized faithfully on the labels of P.
-
-    The marked subgroup L is P.regular, the group of right translations
-    of P on its labels, built once per P, and the marked element u is the
-    conjugation action of s on them, so u acts on L as s acts on P, and
-    faithfully.
-    """
-    P = pair.subgroup
-    # products compose left to right, so the label map y -> s^-1 y s is the
-    # permutation that conjugates right translations by s:
-    # sigma tau_x sigma^-1 = tau_(s x s^-1)
-    sigma = P.label_perm(conjugation(pair.element.inverse()))
-    _check_fixes_identity(pair, sigma)
-    return MarkedPair(P.regular, sigma)
-
-
-def _check_fixes_identity(pair: NormalizerPair, sigma: Permutation):
-    """Check that <sigma> acts faithfully on the right translations.
-
-    A label map pi commuting with every right translation y -> y x has
-    pi(x) = pi(1) x, so it is the left translation by pi(1).  A power of
-    sigma that centralizes the translations is therefore trivial when
-    sigma fixes the identity label 0.
-    """
-    moved = sigma.images[0]
-    if moved != 0:
-        raise InternalCheckError(
-            f"faithful quotient, |P|={pair.subgroup.order}, "
-            f"ord s={pair.element.order()}: sigma moves the identity label "
-            f"to {pair.subgroup.elements()[moved].cycle_string()}, so a power "
-            f"of sigma may centralize the translations"
-        )
 
 
 class SharedGroups:
@@ -228,7 +190,7 @@ class ClassMember:
 
 
 class PairClass:
-    """An isomorphism class of faithful pairs, shared across groups.
+    """An isomorphism class of pairs, shared across groups.
 
     Aut(L) and the character table of C come from ``shared``, which the
     classes of one registry share; a class made on its own gets a
@@ -248,7 +210,8 @@ class PairClass:
 
     @property
     def element_order(self) -> int:
-        return self.realization.element.order()
+        """The order of u on L, which reports print as u_order."""
+        return self.realization.action_order
 
     @property
     def name(self) -> str:
@@ -270,7 +233,7 @@ class PairClass:
         """
         L = self.realization.subgroup
         aut_l = self.shared.automorphism_group(L, self.name)
-        c_u = L.label_perm(conjugation(self.realization.element))
+        c_u = self.realization.action
         if not aut_l.contains(c_u):
             raise InternalCheckError(
                 f"Out(L, u), {self.name}: c_u is not in Aut(L) of order {aut_l.order}"
@@ -294,11 +257,8 @@ class PairClass:
         aut = self.aut
         L = self.realization.subgroup
         u = self.realization.element
-        fixing_u = [x for x in L.elements() if x * u == u * x]
-        inner = [
-            L.label_perm(conjugation(g))
-            for g in (u,) + small_generating_set(u.degree, fixing_u)
-        ]
+        _, fixing_u = class_and_centralizer(L.generators, u)
+        inner = [L.label_perm(conjugation(g)) for g in (u,) + fixing_u]
         if not all(aut.contains(c) for c in inner):
             raise InternalCheckError(
                 f"Out(L, u), {self.name}: an inner automorphism fixing u is "
@@ -344,29 +304,6 @@ class PairClass:
         )
 
 
-def _witness(cls: PairClass, pair: NormalizerPair, iso=None) -> dict:
-    """The witness phi: L -> P of a member: decode . f, closed from the
-    generators of L.
-
-    f: L -> L' is a pair isomorphism onto the member's quotient, given as
-    its element map, with f(u l u^-1) = sigma f(l) sigma^-1, or the
-    identity when the member founds the class.  A translation t of L'
-    decodes to the element of P at label t(0).  Decoding carries
-    sigma tau_x sigma^-1 = tau_(s x s^-1) to s x s^-1, so
-    phi(u l u^-1) = s phi(l) s^-1.
-    """
-    source = cls.realization.subgroup
-    labels = pair.subgroup.elements()
-    pairs = [
-        (tau, labels[(tau if iso is None else iso[tau]).images[0]])
-        for tau in source.generators
-    ]
-    try:
-        return homomorphism(source, pair.subgroup, pairs)
-    except InternalCheckError as exc:
-        raise InternalCheckError(f"classification, {cls.name}: {exc}") from exc
-
-
 def _verify_witness(cls: PairClass, member: ClassMember):
     """Check the intertwining relation on the class generators."""
     u = cls.realization.element
@@ -394,7 +331,7 @@ def _verify_witness(cls: PairClass, member: ClassMember):
 
 
 class PairClassRegistry:
-    """Classes of faithful pairs discovered so far, shared across groups.
+    """Classes of pairs discovered so far, shared across groups.
 
     Classification happens in a deterministic enumeration order, so class
     identifiers and character labels are reproducible.  A class keeps its
@@ -419,19 +356,19 @@ class PairClassRegistry:
         return self._by_group[key]
 
     def _classify(self, pair: NormalizerPair):
-        marked = faithful_quotient(pair)
+        marked = MarkedPair(pair.subgroup, pair.element)
         key = pair_class_key(marked)
         same_key = self._by_key.setdefault(key, [])
         for cls in same_key:
-            iso = find_pair_isomorphism(cls.realization, marked)
-            if iso is not None:
+            phi = find_pair_isomorphism(cls.realization, marked)
+            if phi is not None:
                 break
         else:
-            iso = None
             cls = PairClass(len(self.classes), marked, key, self.shared)
             self.classes.append(cls)
             same_key.append(cls)
-        member = ClassMember(pair, _witness(cls, pair, iso))
+            phi = {x: x for x in pair.subgroup.elements()}
+        member = ClassMember(pair, phi)
         _verify_witness(cls, member)
         cls.members.append(member)
         return cls, member

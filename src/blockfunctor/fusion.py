@@ -12,10 +12,10 @@ Triple orbits work on labels (PermGroup.position): pi: L -> P is the
 tuple of the labels of pi(l) in P over the elements of L in label
 order.  Iso(L, P) = Aut(P) . pi0 for one pi0 found by a first-hit
 search once per object and element set of L, however many classes
-share L.  P and its regular representation P.regular share labels, so
-Aut(P) on them is the shared Aut(L) for L = P.regular, searched once
-per registry.  The right action is that of C = C_Aut(L)(c_u), which
-the class builds as a centralizer in Aut(L) (ddelta.PairClass.aut).
+share L.  Aut(P) on the labels of P is the registry's shared Aut(L)
+for L = P, searched once per element set.  The right action is that of
+C = C_Aut(L)(c_u), which the class builds as a centralizer in Aut(L)
+(ddelta.PairClass.aut).
 The route reads no pair orbits or witnesses.
 """
 
@@ -152,8 +152,8 @@ def build_fusion(G: PermGroup, p: int) -> FusionData:
 class TripleOrbit:
     """A double-coset orbit of admissible isomorphisms onto an object.
 
-    The representative pi: L -> P is the tuple of images of the class
-    realization's translation elements in canonical order; the stabilizer
+    The representative pi: L -> P is the tuple of images of the elements
+    of the class realization's L in canonical order; the stabilizer
     is the preimage in the class's C of the orbit's stabilizer in Out, so
     it contains N.
     """
@@ -180,12 +180,9 @@ def admissible_isomorphisms(cls: PairClass, obj: FusionObject) -> set:
     pi0 = obj.first_isomorphism(L)
     if pi0 is None:
         return set()
-    u = cls.realization.element
-    c_u = L.label_perm(conjugation(u)).images
+    c_u = cls.realization.action.images
     induced = {a.images for a in obj.aut_f.elements()}
-    # P and its regular representation share labels, so Aut(P) on them is
-    # the shared Aut(L) for L = P.regular
-    automorphisms = cls.shared.automorphism_group(obj.subgroup.regular, cls.name)
+    automorphisms = cls.shared.automorphism_group(obj.subgroup, cls.name)
     admissible = set()
     images = [0] * len(pi0)
     for alpha in (a.images for a in automorphisms.elements()):

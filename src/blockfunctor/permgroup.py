@@ -14,9 +14,7 @@ stabilizer.
 The label of an element is its position in elements(), which is sorted
 by image tuples, so the identity is always label 0.  A map f on the
 elements acts on the labels as the permutation label_perm(f); this is
-how automorphisms and translations of a group become permutations.  The
-group of right translations, regular, is built once per group and has
-the same labels.
+how automorphisms of a group become permutations.
 
 A subgroup is a PermGroup of its own, and a homomorphism is the dict of
 its element images (homomorphism and close_map).  Normalizers are
@@ -161,7 +159,8 @@ class PermGroup:
 
     @property
     def identity(self) -> Permutation:
-        return Permutation.identity(self.degree)
+        """Label 0: the elements are sorted by their images."""
+        return self._elements[0]
 
     def elements(self) -> tuple:
         """All elements, sorted by their images; the identity is label 0."""
@@ -183,16 +182,6 @@ class PermGroup:
         label i goes to the label of f(elements()[i])."""
         positions = self._positions
         return Permutation([positions[f(x)] for x in self._elements])
-
-    @cached_property
-    def regular(self) -> PermGroup:
-        """The right-regular representation on the labels, generated by the
-        translations y -> y x for x in generators.  The translation by x
-        sends label 0 to the label of x, so elements()[j] is the translation
-        by self.elements()[j]: both groups have the same labels."""
-        return PermGroup(self.order, [
-            self.label_perm(lambda y, x=x: y * x) for x in self.generators
-        ])
 
     def is_abelian(self) -> bool:
         gens = self.generators
@@ -259,9 +248,11 @@ class PermGroup:
         return PermGroup(self.degree, gens)
 
     def subgroup_from_elements(self, elements) -> PermGroup:
-        """The subgroup with the given closed element list, on the greedy
-        generators of small_generating_set.  Every element is a member, so
-        the order check proves that the list was closed."""
+        """The subgroup with the given closed element list, generated by the
+        elements by descending order and then images, of which Dimino
+        closure keeps each one outside the group of those before it.  Every
+        element is a member, so the order check proves that the list was
+        closed."""
         H = self.subgroup(_by_order(elements))
         if H.order != len(elements):
             raise InternalCheckError("generating set does not span the given elements")
@@ -271,13 +262,6 @@ class PermGroup:
 def _by_order(perms):
     """The permutations by descending order, then by images."""
     return sorted(perms, key=lambda x: (-x.order(), x.images))
-
-
-def small_generating_set(degree, elements):
-    """A greedy small generating sequence for a closed element list: each
-    element, by descending order and then images, that lies outside the
-    group of the ones kept before it."""
-    return tuple(_closure(degree, _by_order(elements), len(elements))[1])
 
 
 def schreier_walk(seed, gens, act, one):

@@ -7,17 +7,24 @@ conjugation by every group element, and the character sums use
 hand-written integer tables of the three outer groups that occur for the
 golden fixtures.
 
-The carrier oracles build the carrier L<u> of a pair (L, u) from the
-generators of L (for a faithful quotient, the translations) plus u, as
-the package did before it searched on L alone.  ``carrier_pair_isomorphism``
-searches the carriers for an isomorphism taking L onto L' and u into
-the class of u', and ``carrier_witness`` conjugates its image of u onto
-u' by scanning the carrier.  ``LinearScanRegistry`` is the package's
-registry with the classification it had before class keys, on this
-carrier route, kept to show that keyed classification on L changes
-nothing.  ``section_scan_triple_orbits`` is the
-fusion route as it was before it moved to label indices, kept to show
-that the index-tuple walk and its Schreier stabilizers change nothing.
+``faithful_quotient`` is the translation route, as the package reduced
+a pair (P, s) before it classified the pair on P itself: L is
+``regular(P)``, the right translations of P on its labels, and u is the
+action of s on them; ``decode_witness`` reads a witness back into P
+from the translation at each label.  The carrier oracles build the
+carrier L<u> of a faithful quotient (L, u) from the translations plus u,
+as the package did before it searched on L alone; they take a class on
+the faithful quotient of its realization, whose labels are those of P,
+so that an s acting with a kernel does not enlarge the carrier.
+``carrier_pair_isomorphism`` searches the carriers for an isomorphism
+taking L onto L' and u into the class of u', and ``carrier_witness``
+conjugates its image of u onto u' by scanning the carrier.
+``LinearScanRegistry`` is the package's registry with the
+classification it had before class keys, on this carrier route, kept
+to show that keyed classification on P changes nothing.
+``section_scan_triple_orbits`` is the fusion route as it was before it
+moved to label indices, kept to show that the index-tuple walk and its
+Schreier stabilizers change nothing.
 ``carrier_out`` is Out(L, u) as it was built before C / N: Aut(L, u)
 from a search of every level (the level of u included), closed on the
 labels of the carrier, Inn inside it, and the coset action of Aut on
@@ -28,8 +35,9 @@ p-subgroup enumeration by layered normalizer extension, as every group
 without a normal Sylow subgroup had it before one Sylow subgroup.
 ``stabilizer_chain`` is the base and transversals every PermGroup carried
 before a group was its element set.  ``greedy_generating_set`` is the
-greedy generating sequence as small_generating_set found it before Dimino
-closure, re-closing the kept elements after each one it added.
+greedy generating sequence that subgroup_from_elements takes, found as
+before Dimino closure, re-closing the kept elements after each one it
+added.
 ``find_complement`` and ``complement_fixed_point`` are the complement
 search and the free-action scan that the fusion route ran before it read
 class sizes.  ``matrix_frobenius`` is the frobenius file form by matrix
@@ -58,9 +66,8 @@ from blockfunctor.permgroup import (
     normalizer,
     orbit,
     quotient_group,
-    small_generating_set,
 )
-from blockfunctor.permutation import Permutation
+from blockfunctor.permutation import Permutation, conjugation
 from blockfunctor.permutation import conjugate as package_conjugate
 
 
@@ -416,6 +423,39 @@ def centralizer(G, s):
     return G.subgroup_from_elements([g for g in G.elements() if g * s == s * g])
 
 
+def regular(P):
+    """The right-regular representation of P on its labels, generated by
+    the translations y -> y x for x in the generators of P.  The
+    translation by x sends label 0 to the label of x, so label j is the
+    translation by the element at label j of P: both have the same labels."""
+    return PermGroup(P.order, [P.label_perm(lambda y, x=x: y * x) for x in P.generators])
+
+
+def faithful_quotient(pair):
+    """The marked pair (regular(P), sigma) of a pair (P, s), given as any
+    object with a subgroup and an element: sigma is the label map
+    y -> s^-1 y s, which conjugates the translations as s conjugates P,
+    sigma tau_x sigma^-1 = tau_(s x s^-1), and acts on them faithfully."""
+    P = pair.subgroup
+    sigma = P.label_perm(conjugation(pair.element.inverse()))
+    return autos.MarkedPair(regular(P), sigma)
+
+
+def decode_witness(cls, pair, iso=None):
+    """The witness phi: L -> P of a member on the translation route: iso,
+    a pair isomorphism from the class's translations onto the member's
+    faithful quotient, or the identity for the founding member, followed
+    by decoding each translation t to the element of P at label t(0),
+    closed from the generators of L."""
+    source = cls.realization.subgroup
+    labels = pair.subgroup.elements()
+    pairs = [
+        (tau, labels[(tau if iso is None else iso[tau]).images[0]])
+        for tau in source.generators
+    ]
+    return homomorphism(source, pair.subgroup, pairs)
+
+
 def carrier(mp):
     """The carrier L<u> of a marked pair, from the generators of L and u."""
     L = mp.subgroup
@@ -476,7 +516,7 @@ class LinearScanRegistry(ddelta.PairClassRegistry):
     class, filtered only by |L|, the order of u and the carrier order."""
 
     def _classify(self, pair):
-        marked = ddelta.faithful_quotient(pair)
+        marked = faithful_quotient(pair)
         for cls in self.classes:
             if (
                 cls.subgroup_order != marked.subgroup.order
@@ -495,7 +535,7 @@ class LinearScanRegistry(ddelta.PairClassRegistry):
             len(self.classes), marked, ddelta.pair_class_key(marked), self.shared
         )
         self.classes.append(cls)
-        member = ddelta.ClassMember(pair, ddelta._witness(cls, pair))
+        member = ddelta.ClassMember(pair, decode_witness(cls, pair))
         ddelta._verify_witness(cls, member)
         cls.members.append(member)
         return cls, member
@@ -505,7 +545,7 @@ def all_isomorphisms(cls, obj):
     """Every isomorphism L -> P from an unlimited search, as image tuples
     over the sorted elements of L."""
     L_group = cls.realization.subgroup
-    sequence = list(small_generating_set(L_group.degree, L_group.elements()))
+    sequence = list(greedy_generating_set(L_group.degree, L_group.elements()))
     maps = _search_maps(L_group, obj.subgroup, sequence, [None] * len(sequence))
     return [tuple(m[x] for x in L_group.elements()) for m in maps]
 
@@ -577,9 +617,11 @@ def twisted_centralizer(mp):
 
 @dataclass(frozen=True)
 class CarrierOut:
-    """Aut(L, u) on the labels of the carrier, and Out(L, u) as the
-    action of Aut(L, u) on the cosets of Inn."""
+    """Aut(L, u) on the labels of the carrier of ``pair``, a class's
+    faithful quotient, and Out(L, u) as the action of Aut(L, u) on the
+    cosets of Inn."""
 
+    pair: autos.MarkedPair
     carrier: PermGroup
     aut: PermGroup
     labels: tuple
@@ -592,11 +634,11 @@ class CarrierOut:
     def perm_from_map(self, m):
         return Permutation(self.index[m[x]] for x in self.labels)
 
-    def project_c(self, cls, c):
+    def project_c(self, c):
         """The image in Out of c in C: the carrier automorphism fixing u
         that acts on L as c (on the class's labels), projected."""
-        u = cls.realization.element
-        labels = cls.realization.subgroup.elements()
+        u = self.pair.element
+        labels = self.pair.subgroup.elements()
         powers = [u.identity(u.degree)]
         for _ in range(1, u.order()):
             powers.append(powers[-1] * u)
@@ -609,8 +651,9 @@ class CarrierOut:
 
 
 def carrier_out(cls):
-    """Out(L, u) of a pair class by the carrier route."""
-    mp = cls.realization
+    """Out(L, u) of a pair class by the carrier route, on the faithful
+    quotient of its realization."""
+    mp = faithful_quotient(cls.realization)
     G = carrier(mp)
     maps = carrier_automorphism_maps(mp)
     labels = G.elements()
@@ -628,6 +671,7 @@ def carrier_out(cls):
     )
     out_group, projection = quotient_group(aut, inn)
     return CarrierOut(
+        pair=mp,
         carrier=G,
         aut=aut,
         labels=labels,
@@ -642,12 +686,14 @@ def carrier_out(cls):
 def carrier_image_of_normalizer(out, cls, ambient, subgroup, element, witness):
     """The image of N_G(P, s) in the carrier route's Out, as a subgroup:
     each generator g of N_G(P) /\\ C_G(s) gives the pair automorphism
-    acting as phi^-1 . c_g . phi on the translations and fixing u."""
+    acting as phi^-1 . c_g . phi on the translations and fixing u.  The
+    witness on the class's L is read on the translations at its labels."""
     n_ps = centralizer(normalizer(ambient, subgroup), element)
-    phi = witness
+    labels = cls.realization.subgroup.elements()
+    phi = {t: witness[labels[i]] for i, t in enumerate(out.pair.subgroup.elements())}
     phi_inv = {v: k for k, v in phi.items()}
     realization = out.carrier
-    u = cls.realization.element
+    u = out.pair.element
     images = []
     for g in n_ps.generators:
         pairs = []
@@ -675,8 +721,8 @@ def section_scan_triple_orbits(F, cls, out_data):
     class's ``carrier_out``, and the stabilizers are element sets of its
     Out.
     """
-    u = cls.realization.element
-    l_elements = cls.realization.subgroup.elements()
+    u = out_data.pair.element
+    l_elements = out_data.pair.subgroup.elements()
     l_index = {x: i for i, x in enumerate(l_elements)}
     projection = out_data.projection
 

@@ -137,6 +137,15 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
     assert as_tsv.encode() == run_cli(["invariants", data("s3.grp")]).stdout
 
 
+def test_a_group_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.grp"
+    bad.write_bytes(b"degree 3\nprime 3\nname S\xff3\ngen (1,2,3)\n")
+    assert main(["invariants", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "parse error: line 3: not UTF-8 text (byte 0xff)\n"
+    assert captured.out == ""
+
+
 def test_exit_codes(tmp_path):
     # usage errors
     assert run_cli([]).returncode == 1

@@ -4,17 +4,18 @@ import re
 import pytest
 
 import oracles
+from conftest import DATA_DIR
 from blockfunctor import chartab, ddelta
-from blockfunctor.autos import find_pair_isomorphism
+from blockfunctor.autos import MarkedPair, find_pair_isomorphism
 from blockfunctor.battery import a4, c3, f20, f21, g56, g72, s3, s4
 from blockfunctor.ddelta import (
     NormalizerPair,
     PairClassRegistry,
-    faithful_quotient,
     image_of_normalizer,
     pair_orbit_reps,
 )
 from blockfunctor.errors import DomainError, InternalCheckError, SizeBoundError
+from blockfunctor.grpfile import load_group, parse_group_file
 from blockfunctor.multiplicity import invariants_kl
 from blockfunctor.permgroup import homomorphism, normalizer
 from blockfunctor.permutation import Permutation, conjugate
@@ -67,23 +68,24 @@ def test_pairs_for_prime_not_dividing_order():
 
 def test_faithful_quotient_shapes():
     pairs = pair_orbit_reps(s3(), 3)
-    quotients = [faithful_quotient(pair) for pair in pairs]
+    quotients = [oracles.faithful_quotient(pair) for pair in pairs]
     # the carrier L<u> has order |L| ord u
     orders = [(oracles.carrier(q).order, q.element.order()) for q in quotients]
     assert orders == [(1, 1), (1, 1), (3, 1), (6, 2)]
 
 
-def test_faithful_quotient_has_trivial_cyclic_centralizer():
+def test_action_order_is_the_least_power_centralizing_p():
     for builder, p in FIXTURES:
         for pair in pair_orbit_reps(builder(), p):
-            q = faithful_quotient(pair)
-            u = q.element
-            translations = q.subgroup
-            for j in range(1, u.order()):
-                power = u ** j
-                assert any(
-                    power * t != t * power for t in translations.generators
-                )
+            s, P = pair.element, pair.subgroup
+            order = MarkedPair(P, s).action_order
+            centralizing = [
+                j for j in range(1, s.order() + 1)
+                if all((s ** j) * x == x * (s ** j) for x in P.generators)
+            ]
+            assert order == centralizing[0]
+            # the faithful quotient's sigma has the order of the action
+            assert oracles.faithful_quotient(pair).element.order() == order
 
 
 def test_translations_decode_to_the_element_they_translate_by():
@@ -92,27 +94,9 @@ def test_translations_decode_to_the_element_they_translate_by():
     for builder, p in FIXTURES:
         for pair in pair_orbit_reps(builder(), p):
             labels = pair.subgroup.elements()
-            for t in faithful_quotient(pair).subgroup.generators:
+            for t in oracles.faithful_quotient(pair).subgroup.generators:
                 x = labels[t.images[0]]
                 assert all(labels[t.images[i]] == y * x for i, y in enumerate(labels))
-
-
-def test_faithful_quotient_refuses_a_sigma_that_moves_the_identity():
-    # a left translation y -> a y commutes with every right translation,
-    # which is what the check must exclude; it moves the identity label
-    pair = next(
-        pr for pr in pair_orbit_reps(s3(), 3)
-        if (pr.subgroup.order, pr.element.order()) == (3, 2)
-    )
-    P = pair.subgroup
-    left = P.label_perm(lambda y: P.elements()[1] * y)
-    translations = faithful_quotient(pair).subgroup.generators
-    assert all(left * t == t * left for t in translations)
-    with pytest.raises(InternalCheckError, match=re.escape(
-        "faithful quotient, |P|=3, ord s=2: sigma moves the identity label "
-        "to (1,2,3), so a power of sigma may centralize the translations"
-    )):
-        ddelta._check_fixes_identity(pair, left)
 
 
 def test_classification_counts():
@@ -130,18 +114,33 @@ def test_classification_counts():
 
 
 def test_classification_is_an_equivalence():
-    # same class if and only if the faithful quotients admit a pair isomorphism
+    # same class if and only if the faithful quotients on the translations
+    # admit a pair isomorphism
     registry = PairClassRegistry()
     for builder, p in [(s3, 3), (a4, 2)]:
         registry.classify_group(builder(), p)
     entries = []
     for cls in registry.classes:
         for member in cls.members:
-            entries.append((cls.class_id, faithful_quotient(member.pair)))
+            entries.append((cls.class_id, oracles.faithful_quotient(member.pair)))
     for i, (cid_a, marked_a) in enumerate(entries):
         for cid_b, marked_b in entries[i:]:
             related = find_pair_isomorphism(marked_a, marked_b) is not None
             assert related == (cid_a == cid_b)
+
+
+def test_an_element_centralizing_p_joins_the_class_of_the_identity():
+    # C3 x C2 at 3: (4,5) centralizes P = <(1,2,3)>, so the pair orbit
+    # (P, (4,5)) acts on P as (P, 1) does
+    G = load_group(parse_group_file((DATA_DIR / "c6.grp").read_text())).group
+    assignments = PairClassRegistry().classify_group(G, 3)
+    assert [(m.pair.subgroup.order, m.pair.element) for _, m in assignments][2:] == [
+        (3, perm(5, "()")), (3, perm(5, "(4,5)")),
+    ]
+    cls = assignments[2][0]
+    assert assignments[3][0] is cls
+    assert cls.element_order == 1
+    assert len(cls.members) == 2
 
 
 def test_registry_is_shared_across_groups():
@@ -406,19 +405,6 @@ def test_witness_checks_name_the_pair_class():
         "the member subgroup of order 2"
     )):
         ddelta._verify_witness(cls, ddelta.ClassMember(member.pair, elsewhere))
-
-
-def test_witness_closure_failure_names_the_pair_class():
-    # (D8, 1): the generators of L have orders 4 and 2, so swapping their
-    # images breaks the relations
-    cls, member = member_of(s4(), 2, (8, 1))
-    a, b = cls.realization.subgroup.generators
-    assert (a.order(), b.order()) == (4, 2)
-    with pytest.raises(InternalCheckError, match=re.escape(
-        "classification, pair class (|L|=8, ord u=1): generator images do not "
-        "define a homomorphism"
-    )):
-        ddelta._witness(cls, member.pair, {a: b, b: a})
 
 
 def test_normalizer_image_checks_name_the_pair_class():

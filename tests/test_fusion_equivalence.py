@@ -61,7 +61,7 @@ def test_triple_orbits_match_the_section_scan(name, monkeypatch):
         for o in triple_orbits(F, cls):
             # the stabilizer is a preimage in C: it contains N, and its
             # image in the carrier route's Out is the oracle's stabilizer
-            image = {out.project_c(cls, c) for c in o.stabilizer.elements()}
+            image = {out.project_c(c) for c in o.stabilizer.elements()}
             assert o.stabilizer.order == cls.inner.order * len(image)
             got.append((id(o.object), o.rep, o.orbit_size, image))
         assert got == [
@@ -85,7 +85,7 @@ def test_isomorphisms_number_aut_p(name, monkeypatch):
                 continue
             isomorphisms = oracles.all_isomorphisms(cls, obj)
             if isomorphisms:
-                aut_p = cls.shared.automorphism_group(obj.subgroup.regular, cls.name)
+                aut_p = cls.shared.automorphism_group(obj.subgroup, cls.name)
                 assert len(isomorphisms) == aut_p.order
                 hits += 1
     assert hits > 0

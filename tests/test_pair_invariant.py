@@ -1,10 +1,12 @@
 """Keyed pair classification against the linear scan it replaced.
 
-The registry tests a new faithful pair for isomorphism only against the
-classes with the same key.  That is exact when the key is an isomorphism
+The registry tests a new pair for isomorphism only against the classes
+with the same key.  That is exact when the key is an isomorphism
 invariant, so it must give the same class ids, members and witnesses as
-``oracles.LinearScanRegistry``, which tries every class; and every two
-class realizations that are isomorphic as pairs must have equal keys.
+``oracles.LinearScanRegistry``, which tries every class on the faithful
+quotients; a witness is compared on labels, where P and its translations
+agree.  Every two class realizations that are isomorphic as pairs must
+have equal keys.
 Relabeling the points of a group must leave its classes unchanged.
 The normalizer memo must give the brute-force normalizer, also to a new
 Subgroup object with the same elements.
@@ -48,7 +50,8 @@ def reversed_points(G):
 
 
 def table(registry):
-    """Class ids with their keys and members: pair, witness map."""
+    """Class ids with their keys and members: pair, and the witness as the
+    labels in P of the images of the elements of L in label order."""
     return [
         (
             cls.class_id,
@@ -57,7 +60,10 @@ def table(registry):
                 (
                     m.pair.subgroup.element_set(),
                     m.pair.element,
-                    m.phi,
+                    tuple(
+                        m.pair.subgroup.position(m.phi[x])
+                        for x in cls.realization.subgroup.elements()
+                    ),
                 )
                 for m in cls.members
             ],

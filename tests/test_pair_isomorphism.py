@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 import oracles
 from conftest import DATA_DIR
 from blockfunctor.autos import find_pair_isomorphism
-from blockfunctor.ddelta import faithful_quotient, pair_class_key, pair_orbit_reps
+from blockfunctor.ddelta import (
+    PairClass,
+    PairClassRegistry,
+    pair_class_key,
+    pair_orbit_reps,
+)
 from blockfunctor.errors import SizeBoundError
 from blockfunctor.grpfile import load_group, parse_group_file
 from blockfunctor.permgroup import PermGroup, is_prime
@@ -57,7 +62,7 @@ CASES = list(fixture_cases()) + list(nonnormal_cases())
 
 
 def quotients(G, p):
-    return [faithful_quotient(pair) for pair in pair_orbit_reps(G, p)]
+    return [oracles.faithful_quotient(pair) for pair in pair_orbit_reps(G, p)]
 
 
 def assert_intertwines(m, a, b):
@@ -96,6 +101,21 @@ def test_pair_isomorphism_matches_the_carrier_route(name, G, p):
     # key and are not isomorphic, so the routes are compared on misses too
     if name in ("g72", "g56"):
         assert misses > 0
+
+
+@pytest.mark.parametrize("name,G,p", CASES, ids=[c[0] for c in CASES])
+def test_classes_on_p_match_the_translation_route(name, G, p):
+    # a class realized on its founding member's P has the key, the order
+    # of u, C and N of the same class realized on the translations of P
+    registry = PairClassRegistry()
+    registry.classify_group(G, p)
+    for cls in registry.classes:
+        quotient = oracles.faithful_quotient(cls.members[0].pair)
+        translated = PairClass(cls.class_id, quotient, pair_class_key(quotient))
+        assert translated.key == cls.key
+        assert translated.element_order == cls.element_order
+        assert translated.aut.element_set() == cls.aut.element_set()
+        assert translated.inner.element_set() == cls.inner.element_set()
 
 
 def permutations_of(n):
