@@ -8,6 +8,10 @@ prefix group has its image fixed, so only that one candidate is tried.
 Pruning is exact, so the maps are found in the same depth-first order
 as by closing every full candidate tuple.  Accepted maps are verified
 bijections on the whole group.  Searches are complete and deterministic.
+The search works on element maps, and a map leaves this module in one
+form only, as a label map (_label_map): the labels in the target group
+(PermGroup.position) of the images of the source's elements, in label
+order.
 
 A pair (L, u) is a group L with an element u normalizing it, and the
 pair isomorphism search runs on L alone.  Only the action c_u of u on L
@@ -18,7 +22,8 @@ conflicts as soon as its prefix does.  An isomorphism of pairs is an
 isomorphism L -> L' found this way.  Aut(L) is computed without that
 twist, as a strong generating set by a stabilizer-chain backtrack along
 the generators l1..lk of L: each generator found answers one first-hit
-search, and the basic orbits give |Aut(L)| before any closure.
+search and is a permutation of the labels of L, and the basic orbits on
+labels give |Aut(L)| before any closure.
 C = C_Aut(L)(c_u) is not searched for: it is the centralizer of c_u in
 Aut(L) (ddelta.PairClass.aut).
 """
@@ -131,21 +136,29 @@ def _profile(group: PermGroup):
     return sorted((c.rep.order(), c.size) for c in group.conjugacy_data())
 
 
+def _label_map(A: PermGroup, B: PermGroup, m) -> tuple:
+    """The labels in B of the images under the element map m of the
+    elements of A, in label order: the form in which every map the
+    search found leaves this module."""
+    position = B.position
+    return tuple([position(m[x]) for x in A.elements()])
+
+
 def find_group_isomorphism(A: PermGroup, B: PermGroup):
-    """An isomorphism A -> B as the element map that the search closed and
-    checked to be a bijection, or None.  The search runs along the
-    generators of A."""
+    """An isomorphism A -> B as the label map of the element map that the
+    search closed and checked to be a bijection, or None.  The search
+    runs along the generators of A."""
     if A.order != B.order or _profile(A) != _profile(B):
         return None
     sequence = list(A.generators)
     maps = _search_maps(A, B, sequence, [None] * len(sequence), limit=1)
-    return maps[0] if maps else None
+    return _label_map(A, B, maps[0]) if maps else None
 
 
 def find_pair_isomorphism(a: MarkedPair, b: MarkedPair):
     """An isomorphism f: L -> L' with f(u x u^-1) = u' f(x) u'^-1, as the
-    element map on L that the search closed and checked to be a
-    bijection, or None when there is none."""
+    label map of the element map on L that the search closed and checked
+    to be a bijection, or None when there is none."""
     L, M = a.subgroup, b.subgroup
     if L.order != M.order or a.action_order != b.action_order:
         return None
@@ -155,48 +168,47 @@ def find_pair_isomorphism(a: MarkedPair, b: MarkedPair):
     twist = None if a.action_order == 1 else (a.element, b.element)
     sequence = list(L.generators)
     maps = _search_maps(L, M, sequence, [None] * len(sequence), 1, twist)
-    return maps[0] if maps else None
-
-
-def _basic_orbit(x, maps):
-    """The orbit of x under the automorphisms given as element maps."""
-    return orbit(x, lambda y: [m[y] for m in maps])
+    return _label_map(L, M, maps[0]) if maps else None
 
 
 def pair_automorphism_maps(L: PermGroup):
     """Strong generators of Aut(L), the automorphisms of the pair (L, 1),
-    as element maps on L.
+    as permutations of the labels of L.
 
     The candidate images of the generators l1..lk of L are the elements
     of L with the same order and L-class size.  The base is l1..lk.
     Level i is the subgroup fixing l1..l(i-1), and its basic orbit is the
-    set of images of li under that subgroup.  The levels are filled from
-    the deepest one up.  At level i every candidate image of li outside
-    the orbit of the generators found so far is tested by one first-hit
-    search with l1..l(i-1) fixed; a hit is a new strong generator and
-    grows the orbit, a miss is not in the orbit.  So |Aut(L)| is the
-    product of the basic orbit lengths, and SizeBoundError is raised as
-    soon as that product passes the configured bound, before any group
-    is built.
+    set of labels of the images of li under that subgroup.  The levels
+    are filled from the deepest one up.  At level i every candidate image
+    of li outside the orbit of the generators found so far is tested by
+    one first-hit search with l1..l(i-1) fixed; a hit is a new strong
+    generator and grows the orbit, a miss is not in the orbit.  So
+    |Aut(L)| is the product of the basic orbit lengths, and
+    SizeBoundError is raised as soon as that product passes the
+    configured bound, before any group is built.
     """
     bound = max_order()
     sequence = list(L.generators)
     lists = _candidate_lists(L, L, sequence, [None] * len(sequence))
     free = [set(pool) for pool in lists]
-    maps = []
+    gens = []
+
+    def step(y):
+        return [g.images[y] for g in gens]
+
     order = 1
     for i in reversed(range(len(sequence))):
-        x = sequence[i]
+        x = L.position(sequence[i])
         fixed = [{y} for y in sequence[:i]]
-        basic = _basic_orbit(x, maps)
+        basic = orbit(x, step)
         for cand in lists[i]:
-            if cand in basic:
+            if L.position(cand) in basic:
                 continue
             hit = _search_maps(L, L, sequence, fixed + [{cand}] + free[i + 1:], 1)
             if not hit:
                 continue
-            maps.append(hit[0])
-            basic = _basic_orbit(x, maps)
+            gens.append(Permutation(_label_map(L, L, hit[0])))
+            basic = orbit(x, step)
             if order * len(basic) > bound:
                 raise SizeBoundError(
                     f"automorphism search, pair class (|L|={L.order}, "
@@ -204,4 +216,4 @@ def pair_automorphism_maps(L: PermGroup):
                     f"{bound} elements, over the configured bound {bound}"
                 )
         order *= len(basic)
-    return maps
+    return gens

@@ -11,15 +11,17 @@ enters the triple (L, u, V), so s may centralize P without being 1, and
 the order of u is the order of that action (MarkedPair.action_order).
 (L, u) is isomorphic to (L', u') when some isomorphism f: L -> L'
 satisfies f(u l u^-1) = u' f(l) u'^-1; autos.find_pair_isomorphism
-searches for f on L alone.  A class is realized on the (P, s) of the
-member that founds it.  Each class carries an isomorphism-invariant
-key, computed once when the class is created: |L|, the order of c_u,
-and the sorted multiset over l in L of (ord l, k(l)), where k(l) is the
-least k >= 0 with u l u^-1 = l^k, or -1 when there is none.  A pair
-isomorphism f preserves both numbers, so isomorphic pairs have equal
-keys, and a new pair is tested for isomorphism only against the classes
-with its key.  The witness of a member is f itself, onto the member's
-P; the founding member's witness is the identity map.
+searches for f on L alone.  A NormalizerPair is a MarkedPair, and a
+class is realized on the pair (P, s) that founds it.  Each class
+carries an isomorphism-invariant key, computed once when the class is
+created: |L|, the order of c_u, and the sorted multiset over l in L of
+(ord l, k(l)), where k(l) is the least k >= 0 with u l u^-1 = l^k, or
+-1 when there is none.  A pair isomorphism f preserves both numbers, so
+isomorphic pairs have equal keys, and a new pair is tested for
+isomorphism only against the classes with its key.  The witness of a
+member is f as the search returns it, a label map: the permutation
+sending the label of l in L to the label of f(l) in the member's P.
+The founding member's witness is the identity.
 
 Out(L, u) is never built as a group.  A class holds C = C_Aut(L)(c_u)
 acting on the labels of L (PermGroup.label_perm) and its normal
@@ -58,7 +60,7 @@ from .permgroup import (
     orbit,
     p_subgroup_classes,
 )
-from .permutation import Permutation, conjugate, conjugate_with, conjugation
+from .permutation import Permutation, conjugate_with, conjugation
 
 
 def pair_class_key(marked: MarkedPair) -> tuple:
@@ -79,24 +81,21 @@ def pair_class_key(marked: MarkedPair) -> tuple:
 
 
 @dataclass(frozen=True)
-class NormalizerPair:
-    """A p-subgroup P with a p'-element s of its normalizer, and generators
-    of C_{N_G(P)}(s): the Schreier generators of the walk over the
-    N_G(P)-class of s (permgroup.class_and_centralizer)."""
+class NormalizerPair(MarkedPair):
+    """The marked pair (P, s) of a p-subgroup P of ``ambient`` and a
+    p'-element s of its normalizer, with generators of C_{N_G(P)}(s): the
+    Schreier generators of the walk over the N_G(P)-class of s
+    (permgroup.class_and_centralizer).  MarkedPair checks that s
+    normalizes P."""
 
     ambient: PermGroup
     p: int
-    subgroup: PermGroup
-    element: Permutation
     centralizer_gens: tuple
 
     def __post_init__(self):
         if self.element.order() % self.p == 0:
             raise DomainError("marked element order is divisible by p")
-        pset = self.subgroup.element_set()
-        for x in self.subgroup.generators:
-            if conjugate(self.element, x) not in pset:
-                raise DomainError("element does not normalize the subgroup")
+        super().__post_init__()
 
 
 def pair_orbit_reps(G: PermGroup, p: int):
@@ -125,7 +124,10 @@ def pair_orbit_reps(G: PermGroup, p: int):
             seen |= conj_class
             class_reps.append((s, fixing_s))
         class_reps.sort(key=lambda rep: (rep[0].order(), rep[0].images))
-        reps.extend(NormalizerPair(G, p, P, s, fixing_s) for s, fixing_s in class_reps)
+        reps.extend(
+            NormalizerPair(P, s, ambient=G, p=p, centralizer_gens=fixing_s)
+            for s, fixing_s in class_reps
+        )
     return reps
 
 
@@ -142,9 +144,10 @@ class SharedGroups:
         self._tables = {}  # element set of C -> its character table
 
     def automorphism_group(self, L: PermGroup, name: str) -> PermGroup:
-        """Aut(L) on the labels of L, closed from the strong generators of
-        pair_automorphism_maps once per element set of L.  ``name`` is the
-        class that reads it first, for the error message.
+        """Aut(L) on the labels of L, closed once per element set of L from
+        the strong generators that pair_automorphism_maps returns on those
+        labels.  ``name`` is the class that reads it first, for the error
+        message.
 
         The generators are strong along the base l1..lk exactly when the
         closed order is the product of their basic orbit lengths.
@@ -152,7 +155,7 @@ class SharedGroups:
         aut = self._automorphisms.get(L.element_set())
         if aut is not None:
             return aut
-        gens = [L.label_perm(m.__getitem__) for m in pair_automorphism_maps(L)]
+        gens = pair_automorphism_maps(L)
         aut = PermGroup(L.order, gens)
         base = [L.position(x) for x in L.generators]
         expected = 1
@@ -180,13 +183,15 @@ class SharedGroups:
 class ClassMember:
     """A pair orbit assigned to a class, with its intertwining witness.
 
-    The witness phi is the element map of an isomorphism from the class
-    realization's marked subgroup onto the member's subgroup, and it
-    satisfies phi(u l u^-1) = s phi(l) s^-1.
+    The witness of an isomorphism phi: L -> P from the class
+    realization's subgroup onto the member's, with phi(u l u^-1) =
+    s phi(l) s^-1, is the permutation w sending the label of l in L to
+    the label of phi(l) in P; on labels the relation reads
+    c_u * w == w * c_s.
     """
 
     pair: NormalizerPair
-    phi: dict
+    witness: Permutation
 
 
 class PairClass:
@@ -305,28 +310,23 @@ class PairClass:
 
 
 def _verify_witness(cls: PairClass, member: ClassMember):
-    """Check the intertwining relation on the class generators."""
-    u = cls.realization.element
-    s = member.pair.element
-    phi = member.phi
-    for tau in cls.realization.subgroup.generators:
-        left = phi.get(conjugate(u, tau))
-        right = conjugate(s, phi[tau])
-        if left is None or left != right:
-            raise InternalCheckError(
-                f"classification, {cls.name}: witness fails the intertwining "
-                f"relation on {tau.cycle_string()}"
-            )
-    image = set(phi.values())
-    if not len(image) == len(phi) == member.pair.subgroup.order:
+    """Check that the witness w permutes |P| labels and that
+    c_u * w == w * c_s on every label of L."""
+    w = member.witness
+    c_u = cls.realization.action
+    order = member.pair.subgroup.order
+    if not w.degree == c_u.degree == order:
         raise InternalCheckError(
             f"classification, {cls.name}: witness is not a bijection onto the "
-            f"subgroup of order {member.pair.subgroup.order}"
+            f"subgroup of order {order}"
         )
-    if image != member.pair.subgroup.element_set():
+    left, right = (c_u * w).images, (w * member.pair.action).images
+    if left != right:
+        i = next(i for i, (a, b) in enumerate(zip(left, right)) if a != b)
+        tau = cls.realization.subgroup.elements()[i]
         raise InternalCheckError(
-            f"classification, {cls.name}: witness image is not the member "
-            f"subgroup of order {member.pair.subgroup.order}"
+            f"classification, {cls.name}: witness fails the intertwining "
+            f"relation on {tau.cycle_string()}"
         )
 
 
@@ -356,19 +356,19 @@ class PairClassRegistry:
         return self._by_group[key]
 
     def _classify(self, pair: NormalizerPair):
-        marked = MarkedPair(pair.subgroup, pair.element)
-        key = pair_class_key(marked)
+        key = pair_class_key(pair)
         same_key = self._by_key.setdefault(key, [])
         for cls in same_key:
-            phi = find_pair_isomorphism(cls.realization, marked)
-            if phi is not None:
+            labels = find_pair_isomorphism(cls.realization, pair)
+            if labels is not None:
+                witness = Permutation(labels)
                 break
         else:
-            cls = PairClass(len(self.classes), marked, key, self.shared)
+            cls = PairClass(len(self.classes), pair, key, self.shared)
             self.classes.append(cls)
             same_key.append(cls)
-            phi = {x: x for x in pair.subgroup.elements()}
-        member = ClassMember(pair, phi)
+            witness = Permutation.identity(pair.subgroup.order)
+        member = ClassMember(pair, witness)
         _verify_witness(cls, member)
         cls.members.append(member)
         return cls, member
@@ -383,20 +383,16 @@ class PairClassRegistry:
         return [m for m in cls.members if m.pair.ambient is G]
 
 
-def image_of_normalizer(
-    cls: PairClass, pair: NormalizerPair, witness: dict
-) -> PermGroup:
+def image_of_normalizer(cls: PairClass, pair: NormalizerPair, w: Permutation) -> PermGroup:
     """The preimage in C of the image of N_G(P, s) in Out(L, u), through
-    a witness phi: L -> P given as its element map.
+    the witness w of an isomorphism phi: L -> P (ClassMember).
 
     N_G(P, s) = C_{N_G(P)}(s) is generated by pair.centralizer_gens.  Each
     such g induces phi^-1 . c_g . phi on L, which must lie in C; the
-    result is the subgroup of C generated by these and N.  On labels,
-    phi is the permutation w sending the label of l in L to the label of
-    phi(l) in P, and the induced map is w . a_g . w^-1, where a_g is the
-    label permutation of c_g on P.  Generators with the same action on
-    the generators of P induce the same map, so each action is checked
-    and closed once.  The result is closed without a second membership
+    result is the subgroup of C generated by these and N.  On labels the
+    induced map is w * a_g * w^-1, where a_g is the label permutation of
+    c_g on P.  Generators with the same action on the generators of P
+    induce the same map, so each action is checked and closed once.  The result is closed without a second membership
     test: each induced map has just passed C.contains, and N <= C was
     checked when N was built.
     """
@@ -406,13 +402,6 @@ def image_of_normalizer(
         g_inv = g.inverse()
         key = tuple([conjugate_with(g, g_inv, x) for x in P.generators])
         actions.setdefault(key, (g, g_inv))
-    try:
-        w = Permutation([P.position(witness[x]) for x in cls.realization.subgroup.elements()])
-    except (KeyError, ValueError):
-        raise InternalCheckError(
-            f"normalizer image, {cls.name}: witness image is not the member "
-            f"subgroup of order {P.order}"
-        ) from None
     w_inv = w.inverse()
     induced = []
     for g, g_inv in actions.values():

@@ -9,10 +9,13 @@ action is free exactly when every nonidentity d in D has a G-class of
 size [G : D].
 
 Triple orbits work on labels (PermGroup.position): pi: L -> P is the
-tuple of the labels of pi(l) in P over the elements of L in label
-order.  Iso(L, P) = Aut(P) . pi0 for one pi0 found by a first-hit
-search once per object and element set of L, however many classes
-share L.  Aut(P) on the labels of P is the registry's shared Aut(L)
+label map that autos returns, the tuple of the labels of pi(l) in P
+over the elements of L in label order, and an orbit's representative
+is such a tuple.  As a permutation w of the labels, pi is a witness in
+the sense of ddelta.ClassMember, and pi . i_u . pi^-1 is
+w^-1 * c_u * w.  Iso(L, P) = Aut(P) . pi0 for one pi0 found by a
+first-hit search once per object and element set of L, however many
+classes share L.  Aut(P) on the labels of P is the registry's shared Aut(L)
 for L = P, searched once per element set.  The right action is that of
 C = C_Aut(L)(c_u), which the class builds as a centralizer in Aut(L)
 (ddelta.PairClass.aut).
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .autos import _search_maps
+from .autos import _label_map, _search_maps
 from .ddelta import (
     NormalizerPair,
     PairClass,
@@ -42,7 +45,7 @@ from .permgroup import (
     schreier_walk,
     sylow_subgroup,
 )
-from .permutation import conjugate, conjugation
+from .permutation import Permutation, conjugate, conjugation
 
 
 def frobenius_structure(G: PermGroup, p: int) -> PermGroup:
@@ -115,9 +118,7 @@ class FusionObject:
         if key not in self._first_isomorphisms:
             P, sequence = self.subgroup, list(L.generators)
             found = _search_maps(L, P, sequence, [None] * len(sequence), limit=1)
-            self._first_isomorphisms[key] = (
-                tuple([P.position(found[0][x]) for x in L.elements()]) if found else None
-            )
+            self._first_isomorphisms[key] = _label_map(L, P, found[0]) if found else None
         return self._first_isomorphisms[key]
 
 
@@ -152,8 +153,9 @@ def build_fusion(G: PermGroup, p: int) -> FusionData:
 class TripleOrbit:
     """A double-coset orbit of admissible isomorphisms onto an object.
 
-    The representative pi: L -> P is the tuple of images of the elements
-    of the class realization's L in canonical order; the stabilizer
+    The representative pi: L -> P is a label map, the tuple of the labels
+    in P of the images of the elements of the class realization's L in
+    label order, and the least tuple of its orbit; the stabilizer
     is the preimage in the class's C of the orbit's stabilizer in Out, so
     it contains N.
     """
@@ -246,7 +248,7 @@ def triple_orbits(F: FusionData, cls: PairClass):
             orbits.append(
                 TripleOrbit(
                     object=obj,
-                    rep=tuple(obj.subgroup.elements()[j] for j in start),
+                    rep=start,
                     stabilizer=PermGroup(C.degree, cls.inner.generators + schreier),
                     orbit_size=sum(len(blocks[name]) for name in names),
                 )
@@ -264,29 +266,32 @@ def psi_pair(F: FusionData, cls: PairClass, orbit: TripleOrbit) -> NormalizerPai
     as an internal error.
     """
     obj = orbit.object
-    l_elements = cls.realization.subgroup.elements()
-    pi, pi_inv = dict(zip(l_elements, orbit.rep)), dict(zip(orbit.rep, l_elements))
-    gens = obj.subgroup.generators
-    target = [pi[conjugate(cls.realization.element, pi_inv[x])] for x in gens]
+    P = obj.subgroup
+    w = Permutation(orbit.rep)
+    induced = (w.inverse() * cls.realization.action * w).images  # pi . i_u . pi^-1
+    gens = P.generators
+    target = [P.elements()[induced[P.position(x)]] for x in gens]
     for s in obj.normalizer.elements():
         if s.order() % F.p and list(map(conjugation(s), gens)) == target:
             _, fixing_s = class_and_centralizer(obj.normalizer.generators, s)
-            return NormalizerPair(F.group, F.p, obj.subgroup, s, fixing_s)
+            return NormalizerPair(P, s, ambient=F.group, p=F.p, centralizer_gens=fixing_s)
     raise InternalCheckError(
         f"{_where(cls)}: no p'-element of the normalizer induces the "
         f"required action"
     )
 
 
-def _pairs_conjugate(G: PermGroup, sub_a, s_a, sub_b, s_b) -> bool:
-    if sub_a.order != sub_b.order or s_a.order() != s_b.order():
+def _pairs_conjugate(G: PermGroup, a: NormalizerPair, b: NormalizerPair) -> bool:
+    """Whether some g in G conjugates (P_a, s_a) onto (P_b, s_b), by a scan
+    of G."""
+    if a.subgroup.order != b.subgroup.order or a.element.order() != b.element.order():
         return False
-    bset = sub_b.element_set()
+    bset = b.subgroup.element_set()
     for g in G.elements():
         c_g = conjugation(g)
-        if c_g(s_a) != s_b:
+        if c_g(a.element) != b.element:
             continue
-        if all(c_g(x) in bset for x in sub_a.generators):
+        if all(c_g(x) in bset for x in a.subgroup.generators):
             return True
     return False
 
@@ -322,24 +327,21 @@ def verify_class(F: FusionData, cls: PairClass, registry: PairClassRegistry) -> 
     assigned = {}
     stab_orders = []
     for i, orbit in enumerate(orbits):
-        pairs = [(g, orbit.rep[L.position(g)]) for g in L.generators]
+        P = orbit.object.subgroup
+        pairs = [(g, P.elements()[orbit.rep[L.position(g)]]) for g in L.generators]
         try:
-            pi = homomorphism(L, orbit.object.subgroup, pairs)
+            pi = homomorphism(L, P, pairs)
         except InternalCheckError as exc:
             raise InternalCheckError(f"{where}, triple orbit {i}: {exc}") from exc
+        if len(set(pi.values())) != P.order:
+            raise InternalCheckError(
+                f"{where}, triple orbit {i}: generator images do not define a "
+                f"bijection onto P"
+            )
+        w = Permutation(_label_map(L, P, pi))
         pair = psi_pair(F, cls, orbit)
         match = next(
-            (
-                j
-                for j, member in enumerate(members)
-                if _pairs_conjugate(
-                    F.group,
-                    pair.subgroup,
-                    pair.element,
-                    member.pair.subgroup,
-                    member.pair.element,
-                )
-            ),
+            (j for j, m in enumerate(members) if _pairs_conjugate(F.group, pair, m.pair)),
             None,
         )
         if match is None:
@@ -353,7 +355,7 @@ def verify_class(F: FusionData, cls: PairClass, registry: PairClassRegistry) -> 
             )
         assigned[match] = i
 
-        image = image_of_normalizer(cls, pair, pi)
+        image = image_of_normalizer(cls, pair, w)
         if image.element_set() != orbit.stabilizer.element_set():
             raise InternalCheckError(
                 f"{where}: stabilizer mismatch on triple orbit {i} "

@@ -108,6 +108,8 @@ def parse_group_file(text: str) -> GroupSpecFile:
         elif key == "name":
             if not payload:
                 raise GroupFileError("name expects a token", line=line_no)
+            if "\t" in payload:  # it would split a field of every TSV report
+                raise GroupFileError("name must not contain a tab", line=line_no)
             values[key] = payload
         elif key == "matrix":
             values[key] = tuple(_parse_int(tok, line_no, key) for tok in payload.split())

@@ -83,7 +83,7 @@ def mult_table_pairs(
     assignments = registry.classify_group(G, p)
     rows = {}
     for cls, member in assignments:
-        image = image_of_normalizer(cls, member.pair, member.phi)
+        image = image_of_normalizer(cls, member.pair, member.witness)
         for irr, dim in enumerate(cls.out_dims(image)):
             key = (cls.class_id, irr)
             rows[key] = rows.get(key, 0) + dim

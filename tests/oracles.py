@@ -46,7 +46,10 @@ it before it read the matrix from its permutation of the vectors.
 ``twisted_centralizer`` is C = C_Aut(L)(c_u) by the stabilizer-chain
 backtrack on L that closes every partial map under conjugation by u, as
 the package searched for C before it took the centralizer of c_u in a
-shared Aut(L).
+shared Aut(L).  ``basic_orbit`` is the basic orbit under element maps,
+as autos took it before its strong generators were permutations of
+labels.  Every witness here is a permutation of labels, as a class
+member holds it (``label_witness``).
 """
 
 from __future__ import annotations
@@ -441,19 +444,32 @@ def faithful_quotient(pair):
     return autos.MarkedPair(regular(P), sigma)
 
 
+def basic_orbit(x, maps):
+    """The orbit of x under the automorphisms given as element maps, as
+    the package took basic orbits before its strong generators were
+    permutations of labels."""
+    return orbit(x, lambda y: [m[y] for m in maps])
+
+
+def label_witness(source, target, m):
+    """The element map m: source -> target as the permutation sending the
+    label of x in source to the label of m(x) in target."""
+    return Permutation(target.position(m[x]) for x in source.elements())
+
+
 def decode_witness(cls, pair, iso=None):
     """The witness phi: L -> P of a member on the translation route: iso,
     a pair isomorphism from the class's translations onto the member's
     faithful quotient, or the identity for the founding member, followed
     by decoding each translation t to the element of P at label t(0),
-    closed from the generators of L."""
+    closed from the generators of L; as a permutation of labels."""
     source = cls.realization.subgroup
     labels = pair.subgroup.elements()
     pairs = [
         (tau, labels[(tau if iso is None else iso[tau]).images[0]])
         for tau in source.generators
     ]
-    return homomorphism(source, pair.subgroup, pairs)
+    return label_witness(source, pair.subgroup, homomorphism(source, pair.subgroup, pairs))
 
 
 def carrier(mp):
@@ -494,7 +510,8 @@ def carrier_witness(cls, quotient, iso, pair):
     """The witness phi: L -> P from a carrier isomorphism onto a member's
     quotient: conjugate the image of u onto sigma by the first carrier
     element that does so, restrict to the translations and decode each
-    translation t to the element of P at label t(0)."""
+    translation t to the element of P at label t(0); as a permutation of
+    labels."""
     sigma = quotient.element
     image = iso[cls.realization.element]
     adjust = next(
@@ -508,7 +525,7 @@ def carrier_witness(cls, quotient, iso, pair):
         (tau, labels[package_conjugate(adjust, iso[tau]).images[0]])
         for tau in source.generators
     ]
-    return homomorphism(source, pair.subgroup, pairs)
+    return label_witness(source, pair.subgroup, homomorphism(source, pair.subgroup, pairs))
 
 
 class LinearScanRegistry(ddelta.PairClassRegistry):
@@ -569,7 +586,7 @@ def carrier_automorphism_maps(mp):
     for i in reversed(range(len(sequence))):
         x = sequence[i]
         fixed = [{y} for y in sequence[:i]]
-        basic = autos._basic_orbit(x, maps)
+        basic = basic_orbit(x, maps)
         for cand in lists[i]:
             if cand in basic:
                 continue
@@ -578,7 +595,7 @@ def carrier_automorphism_maps(mp):
             )
             if hit:
                 maps.append(hit[0])
-                basic = autos._basic_orbit(x, maps)
+                basic = basic_orbit(x, maps)
                 if order * len(basic) > bound:
                     raise SizeBoundError(f"Aut(L, u) has more than {bound} elements")
         order *= len(basic)
@@ -598,19 +615,19 @@ def twisted_centralizer(mp):
     maps = []
     for i in reversed(range(len(sequence))):
         fixed = [{y} for y in sequence[:i]]
-        basic = autos._basic_orbit(sequence[i], maps)
+        basic = basic_orbit(sequence[i], maps)
         for cand in lists[i]:
             if cand in basic:
                 continue
             hit = _search_maps(L, L, sequence, fixed + [{cand}] + free[i + 1:], 1, commuting)
             if hit:
                 maps.append(hit[0])
-                basic = autos._basic_orbit(sequence[i], maps)
+                basic = basic_orbit(sequence[i], maps)
     C = PermGroup(L.order, [L.label_perm(m.__getitem__) for m in maps])
     expected = 1
     for i, x in enumerate(sequence):
         level = [m for m in maps if all(m[y] == y for y in sequence[:i])]
-        expected *= len(autos._basic_orbit(x, level))
+        expected *= len(basic_orbit(x, level))
     assert C.order == expected
     return C.element_set()
 
@@ -663,7 +680,7 @@ def carrier_out(cls):
     expected = 1
     for i, x in enumerate(sequence):
         stabilizer = [m for m in maps if all(m[y] == y for y in sequence[:i])]
-        expected *= len(autos._basic_orbit(x, stabilizer))
+        expected *= len(basic_orbit(x, stabilizer))
     assert aut.order == expected
     inn = aut.subgroup(
         Permutation(index[package_conjugate(g, x)] for x in labels)
@@ -687,10 +704,13 @@ def carrier_image_of_normalizer(out, cls, ambient, subgroup, element, witness):
     """The image of N_G(P, s) in the carrier route's Out, as a subgroup:
     each generator g of N_G(P) /\\ C_G(s) gives the pair automorphism
     acting as phi^-1 . c_g . phi on the translations and fixing u.  The
-    witness on the class's L is read on the translations at its labels."""
+    witness, a permutation of labels, is read on the translations at the
+    labels of the class's L."""
     n_ps = centralizer(normalizer(ambient, subgroup), element)
-    labels = cls.realization.subgroup.elements()
-    phi = {t: witness[labels[i]] for i, t in enumerate(out.pair.subgroup.elements())}
+    labels = subgroup.elements()
+    phi = {
+        t: labels[witness.images[i]] for i, t in enumerate(out.pair.subgroup.elements())
+    }
     phi_inv = {v: k for k, v in phi.items()}
     realization = out.carrier
     u = out.pair.element

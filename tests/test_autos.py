@@ -1,6 +1,7 @@
 import pytest
 
 import oracles
+from test_pair_isomorphism import assert_intertwines
 from blockfunctor.autos import (
     MarkedPair,
     find_group_isomorphism,
@@ -63,11 +64,11 @@ def marked(G, sub_gens, s):
     return MarkedPair(G.subgroup(sub_gens), s)
 
 
-def assert_intertwines(m, a, b):
-    """m maps L onto L' and m(u x u^-1) = u' m(x) u'^-1 on all of L."""
-    assert set(m) == a.subgroup.element_set()
-    assert set(m.values()) == b.subgroup.element_set()
-    assert all(m[conjugate(a.element, x)] == conjugate(b.element, y) for x, y in m.items())
+def assert_isomorphism(A, B, labels):
+    """The label map sends A onto B and respects products."""
+    assert len(labels) == A.order and sorted(labels) == list(range(B.order))
+    image = dict(zip(A.elements(), (B.elements()[j] for j in labels)))
+    assert all(image[x * y] == image[x] * image[y] for x in image for y in image)
 
 
 def test_find_pair_isomorphism_conjugate_markings():
@@ -92,8 +93,7 @@ def test_find_pair_isomorphism_fuses_inverse_classes_in_a4():
     f = find_pair_isomorphism(a, b)
     assert f is not None
     # the witness maps the marked subgroup onto itself
-    vset = a.subgroup.element_set()
-    assert all(f[x] in vset for x in a.subgroup.elements())
+    assert {b.subgroup.elements()[j] for j in f} == a.subgroup.element_set()
     assert_intertwines(f, a, b)
 
 
@@ -146,12 +146,13 @@ def test_pair_automorphism_count_for_a4_marking():
     cls = pair_class(mp)
     assert cls.aut.order == 3
     assert cls.inner.element_set() == cls.aut.element_set()
-    # the search finds strong generators of Aut(V4) = S3 as maps on L,
-    # two of them, with no regard to u; C is the centralizer of c_u there
+    # the search finds strong generators of Aut(V4) = S3 as permutations
+    # of the labels of L, two of them, with no regard to u; C is the
+    # centralizer of c_u there
     maps = pair_automorphism_maps(mp.subgroup)
     assert len(maps) == 2
     for m in maps:
-        assert set(m) == set(m.values()) == mp.subgroup.element_set()
+        assert_isomorphism(mp.subgroup, mp.subgroup, m.images)
     assert cls.shared.automorphism_group(mp.subgroup, cls.name).order == 6
     labels = mp.subgroup.elements()
     for c in cls.aut.elements():
@@ -164,4 +165,5 @@ def test_find_group_isomorphism():
     assert find_group_isomorphism(c4, v4()) is None
     shifted = PermGroup(4, [perm(4, "(2,3,4)"), perm(4, "(2,3)")])
     f = find_group_isomorphism(s3(), shifted)
-    assert f is not None and len(set(f.values())) == len(f) == shifted.order
+    assert f is not None
+    assert_isomorphism(s3(), shifted, f)

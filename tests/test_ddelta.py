@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from conftest import DATA_DIR
-from blockfunctor import chartab, ddelta
+from blockfunctor import autos, chartab, ddelta
 from blockfunctor.autos import MarkedPair, find_pair_isomorphism
 from blockfunctor.battery import a4, c3, f20, f21, g56, g72, s3, s4
 from blockfunctor.ddelta import (
@@ -197,6 +197,13 @@ def test_out_group_examples():
     assert klein_moved.inner.element_set() == klein_moved.aut.element_set()
 
 
+def witness_map(cls, member):
+    """The member's witness read as the element map phi: L -> P."""
+    labels = member.pair.subgroup.elements()
+    L = cls.realization.subgroup
+    return {x: labels[j] for x, j in zip(L.elements(), member.witness.images)}
+
+
 def test_witness_intertwining_for_all_members():
     registry = PairClassRegistry()
     for builder, p in FIXTURES:
@@ -204,17 +211,52 @@ def test_witness_intertwining_for_all_members():
     for cls in registry.classes:
         u = cls.realization.element
         for member in cls.members:
-            phi = member.phi
+            phi = witness_map(cls, member)
             s = member.pair.element
-            for tau in cls.realization.subgroup.generators:
+            assert set(phi.values()) == member.pair.subgroup.element_set()
+            for tau in cls.realization.subgroup.elements():
                 assert phi[conjugate(u, tau)] == conjugate(s, phi[tau])
+
+
+@pytest.mark.parametrize(
+    "name", ("s3", "c3", "a4", "s4", "f20", "f20b", "f21", "g72", "g56", "f75")
+)
+def test_witnesses_are_the_label_form_of_the_oracle_witness(name):
+    # a founding member's witness is the identity; any other member's is
+    # the first pair isomorphism that the leaf-only search finds over the
+    # same candidate lists, written on labels
+    loaded = load_group(parse_group_file((DATA_DIR / f"{name}.grp").read_text()))
+    registry = PairClassRegistry()
+    registry.classify_group(loaded.group, loaded.p)
+    checked = 0
+    for cls in registry.classes:
+        L, u = cls.realization.subgroup, cls.realization.element
+        assert cls.members[0].pair is cls.realization
+        for member in cls.members:
+            P, s = member.pair.subgroup, member.pair.element
+            if member is cls.members[0]:
+                expected = {x: x for x in L.elements()}
+            else:
+                sequence = list(L.generators)
+                lists = autos._candidate_lists(L, P, sequence, [None] * len(sequence))
+                found = oracles.leaf_only_search(
+                    L.identity.images, P.identity.images, L.order, P.order,
+                    [g.images for g in sequence],
+                    [[y.images for y in pool] for pool in lists],
+                    limit=1, commuting=(u.images, s.images),
+                )
+                expected = {Permutation(x): Permutation(y) for x, y in found[0].items()}
+                checked += 1
+            assert member.witness == oracles.label_witness(L, P, expected)
+    # every class of C3 at 3 has one member
+    assert checked > 0 or name == "c3"
 
 
 def test_image_of_normalizer_examples():
     registry = PairClassRegistry()
     assignments = registry.classify_group(s3(), 3)
     for cls, member in assignments:
-        image = image_of_normalizer(cls, member.pair, member.phi)
+        image = image_of_normalizer(cls, member.pair, member.witness)
         if (cls.subgroup_order, cls.element_order) == (3, 1):
             assert cls.out_order == 2
             assert image.element_set() == cls.aut.element_set()  # all of Out
@@ -228,7 +270,7 @@ def test_image_of_normalizer_examples():
         if cls.subgroup_order == 4 and cls.element_order == 1
     )
     cls, member = klein_fixed
-    image = image_of_normalizer(cls, member.pair, member.phi)
+    image = image_of_normalizer(cls, member.pair, member.witness)
     assert cls.inner.order == 1
     assert image.order == 3
     assert cls.out_order == 6
@@ -248,28 +290,40 @@ def test_fixed_dims_are_witness_independent():
         for g in normalizer(s3(), pair.subgroup).elements()
         if g * pair.element == pair.element * g
     ]
-    base = image_of_normalizer(cls, pair, member.phi)
+    base = image_of_normalizer(cls, pair, member.witness)
     base_dims = cls.out_dims(base)
     source = cls.realization.subgroup
+    phi = witness_map(cls, member)
     seen_alternative = False
     for n in n_ps:
-        pairs = [
-            (tau, conjugate(n, member.phi[tau])) for tau in source.generators
-        ]
-        alt_phi = homomorphism(source, pair.subgroup, pairs)
-        if alt_phi == member.phi:
+        pairs = [(tau, conjugate(n, phi[tau])) for tau in source.generators]
+        alt_w = oracles.label_witness(
+            source, pair.subgroup, homomorphism(source, pair.subgroup, pairs)
+        )
+        if alt_w == member.witness:
             continue
         seen_alternative = True
-        alt = image_of_normalizer(cls, pair, alt_phi)
+        alt = image_of_normalizer(cls, pair, alt_w)
         assert cls.out_dims(alt) == base_dims
     assert seen_alternative
 
 
 def test_normalizer_pair_validation():
-    with pytest.raises(DomainError):
+    G = s3()
+    with pytest.raises(DomainError, match="marked element order is divisible by p"):
         NormalizerPair(
-            s3(), 3, s3().subgroup([perm(3, "(1,2,3)")]), perm(3, "(1,2,3)"), ()
+            G.subgroup([perm(3, "(1,2,3)")]), perm(3, "(1,2,3)"),
+            ambient=G, p=3, centralizer_gens=(),
         )
+    # the normalization check is MarkedPair's
+    with pytest.raises(DomainError, match="marked element does not normalize the subgroup"):
+        NormalizerPair(
+            G.subgroup([perm(3, "(1,2)")]), perm(3, "(1,2,3)"),
+            ambient=G, p=2, centralizer_gens=(),
+        )
+    pair = pair_orbit_reps(G, 3)[-1]
+    assert isinstance(pair, MarkedPair)
+    assert pair.action_order == 2
 
 
 def a4_class(subgroup_order, element_order):
@@ -280,12 +334,6 @@ def a4_class(subgroup_order, element_order):
         cls for cls in registry.classes
         if (cls.subgroup_order, cls.element_order) == (subgroup_order, element_order)
     )
-
-
-def as_maps(cls, perms):
-    """Label permutations of C as element maps on L."""
-    labels = cls.realization.subgroup.elements()
-    return [{x: labels[g.images[i]] for i, x in enumerate(labels)} for g in perms]
 
 
 def test_out_errors_name_the_pair_class(monkeypatch):
@@ -341,7 +389,7 @@ def test_non_strong_generators_are_refused_by_name(monkeypatch):
     gens = next(
         (a, b) for a in moving for b in moving if cls.aut.subgroup([a, b]).order == 6
     )
-    monkeypatch.setattr(ddelta, "pair_automorphism_maps", lambda L: as_maps(cls, gens))
+    monkeypatch.setattr(ddelta, "pair_automorphism_maps", lambda L: list(gens))
     with pytest.raises(InternalCheckError, match=re.escape(
         "Out(L, u), pair class (|L|=4, ord u=1): C_Aut(L)(c_u) closed from its "
         "generators has order 6, not the basic orbit product 3"
@@ -367,44 +415,65 @@ def member_of(G, p, shape, index=0):
     return cls, cls.members[index]
 
 
-def corrupted(cls, member, images):
-    """A witness sending the generators of L to the given images."""
-    L = cls.realization.subgroup
-    return homomorphism(L, member.pair.subgroup, list(zip(L.generators, images)))
-
-
 def swapped(cls, member):
     """The member's witness composed with the automorphism of the
-    elementary abelian L that swaps its first two generators."""
-    images = [member.phi[g] for g in cls.realization.subgroup.generators]
+    elementary abelian L that swaps its first two generators, on labels."""
+    L, P = cls.realization.subgroup, member.pair.subgroup
+    phi = witness_map(cls, member)
+    images = [phi[g] for g in L.generators]
     images[0], images[1] = images[1], images[0]
-    return corrupted(cls, member, images)
+    return oracles.label_witness(L, P, homomorphism(L, P, list(zip(L.generators, images))))
+
+
+def first_failure(cls, member, w):
+    """The first element of L, in label order, on which the witness w
+    breaks phi(u x u^-1) = s phi(x) s^-1."""
+    L, labels = cls.realization.subgroup, member.pair.subgroup.elements()
+    phi = {x: labels[j] for x, j in zip(L.elements(), w.images)}
+    u, s = cls.realization.element, member.pair.element
+    return next(x for x in L.elements() if phi[conjugate(u, x)] != conjugate(s, phi[x]))
 
 
 def test_witness_checks_name_the_pair_class():
-    # (V4, u of order 3): swapping two generators does not commute with c_u
+    # (V4, u of order 3): swapping two generators does not commute with
+    # c_u, and the relation first fails on the first generator
     cls, member = member_of(a4(), 2, (4, 3))
+    w = swapped(cls, member)
+    assert first_failure(cls, member, w) == perm(4, "(1,2)(3,4)")
     with pytest.raises(InternalCheckError, match=re.escape(
         "classification, pair class (|L|=4, ord u=3): witness fails the "
         "intertwining relation on (1,2)(3,4)"
     )):
-        ddelta._verify_witness(cls, ddelta.ClassMember(member.pair, swapped(cls, member)))
-    identity = member.pair.element.identity(4)
-    trivial = corrupted(cls, member, [identity, identity])
+        ddelta._verify_witness(cls, ddelta.ClassMember(member.pair, w))
+    # (C2^3, u of order 7): exchanging the images of two labels that are
+    # neither the identity, nor a generator, nor the image of one under
+    # c_u keeps the relation on every generator; it is checked on every
+    # label, so it fails on the first label it breaks
+    cls, member = member_of(g56(), 2, (8, 7))
+    L, c_u = cls.realization.subgroup, cls.realization.action
+    generators = [L.position(g) for g in L.generators]
+    covered = {0, *generators, *(c_u.images[i] for i in generators)}
+    k1, k2 = [k for k in range(L.order) if k not in covered][:2]
+    images = list(member.witness.images)
+    images[k1], images[k2] = images[k2], images[k1]
+    w = Permutation(images)
+    assert first_failure(cls, member, w) == perm(8, "(1,4)(2,3)(5,8)(6,7)")
+    assert first_failure(cls, member, w) not in L.generators
     with pytest.raises(InternalCheckError, match=re.escape(
-        "classification, pair class (|L|=4, ord u=3): witness is not a "
-        "bijection onto the subgroup of order 4"
+        "classification, pair class (|L|=8, ord u=7): witness fails the "
+        "intertwining relation on (1,4)(2,3)(5,8)(6,7)"
     )):
-        ddelta._verify_witness(cls, ddelta.ClassMember(member.pair, trivial))
-    # the member P = <(3,4)> of S4, mapped onto <(1,2)> instead
-    cls, member = member_of(s4(), 2, (2, 1))
-    assert member.pair.subgroup.generators == (perm(4, "(3,4)"),)
-    elsewhere = corrupted(cls, member, [perm(4, "(1,2)")])
-    with pytest.raises(InternalCheckError, match=re.escape(
-        "classification, pair class (|L|=2, ord u=1): witness image is not "
-        "the member subgroup of order 2"
-    )):
-        ddelta._verify_witness(cls, ddelta.ClassMember(member.pair, elsewhere))
+        ddelta._verify_witness(cls, ddelta.ClassMember(member.pair, w))
+    cls, member = member_of(a4(), 2, (4, 3))
+    # a witness that does not permute |P| = 4 labels
+    for degree in (3, 5):
+        with pytest.raises(InternalCheckError, match=re.escape(
+            "classification, pair class (|L|=4, ord u=3): witness is not a "
+            "bijection onto the subgroup of order 4"
+        )):
+            ddelta._verify_witness(
+                cls, ddelta.ClassMember(member.pair, Permutation.identity(degree))
+            )
 
 
 def test_normalizer_image_checks_name_the_pair_class():
@@ -420,15 +489,7 @@ def test_normalizer_image_checks_name_the_pair_class():
         "normalizer image, pair class (|L|=2, ord u=1): the action of "
         "(1,2,3) leaves the witness image"
     )):
-        image_of_normalizer(cls, pair, member.phi)
-    # the same member, with a witness onto <(3,4)> instead of P
-    with pytest.raises(InternalCheckError, match=re.escape(
-        "normalizer image, pair class (|L|=2, ord u=1): witness image is not "
-        "the member subgroup of order 2"
-    )):
-        image_of_normalizer(
-            cls, member.pair, corrupted(cls, member, [perm(4, "(3,4)")])
-        )
+        image_of_normalizer(cls, pair, member.witness)
     # (C2^3, u of order 7): C = <c_u>, and a generator swap does not
     # normalize it, so s induces a map outside C
     cls, member = member_of(g56(), 2, (8, 7))

@@ -211,15 +211,15 @@ def test_psi_returns_p_prime_inducing_element():
         for cls in _classes_with_members(registry, G):
             u = cls.realization.element
             l_elements = cls.realization.subgroup.elements()
-            l_index = {x: i for i, x in enumerate(l_elements)}
             for orbit in triple_orbits(F, cls):
                 pair = psi_pair(F, cls, orbit)
                 assert pair.element.order() % p != 0
-                inverse = {
-                    img: l_elements[i] for i, img in enumerate(orbit.rep)
-                }
+                # the representative is a label map L -> P
+                p_elements = orbit.object.subgroup.elements()
+                pi = {x: p_elements[j] for x, j in zip(l_elements, orbit.rep)}
+                inverse = {y: x for x, y in pi.items()}
                 for x in pair.subgroup.generators:
-                    expected = orbit.rep[l_index[conjugate(u, inverse[x])]]
+                    expected = pi[conjugate(u, inverse[x])]
                     assert conjugate(pair.element, x) == expected
 
 
@@ -246,7 +246,11 @@ def test_psi_image_is_orbit_invariant():
                 continue  # stay at the same object
             # L is abelian, so Aut(L, u) acts on L through C
             row = rng.choice(cls.aut.elements()).images
-            twisted = tuple(conjugate(g, orbit.rep[row[i]]) for i in range(len(row)))
+            P = obj.subgroup
+            twisted = tuple(
+                P.position(conjugate(g, P.elements()[orbit.rep[row[i]]]))
+                for i in range(len(row))
+            )
             moved_orbit = type(orbit)(
                 object=obj,
                 rep=twisted,
@@ -254,13 +258,7 @@ def test_psi_image_is_orbit_invariant():
                 orbit_size=orbit.orbit_size,
             )
             moved = psi_pair(F, cls, moved_orbit)
-            assert _pairs_conjugate(
-                G,
-                moved.subgroup,
-                moved.element,
-                base.subgroup,
-                base.element,
-            )
+            assert _pairs_conjugate(G, moved, base)
 
 
 def test_non_cyclic_complement_is_found_and_verified():
@@ -315,6 +313,25 @@ def a4_class_with_fusion(shape):
     return F, cls, registry
 
 
+def inverted_c9_by_c3():
+    """(C9 x C3) : C2, the inversion acting freely on the normal Sylow
+    3-subgroup D = C9 x C3, which is abelian but not elementary."""
+    a = Permutation([(i + 1) % 9 for i in range(9)] + [9, 10, 11])
+    b = Permutation(list(range(9)) + [10, 11, 9])
+    t = Permutation([-i % 9 for i in range(9)] + [9, 11, 10])
+    return PermGroup(12, [a, b, t])
+
+
+def test_verify_class_passes_with_a_non_elementary_sylow():
+    G = inverted_c9_by_c3()
+    F = build_fusion(G, 3)
+    registry = PairClassRegistry()
+    registry.classify_group(G, 3)
+    results = [verify_class(F, cls, registry) for cls in _classes_with_members(registry, G)]
+    assert len(results) == 8
+    assert all(r.triple_orbits == r.pair_orbits for r in results)
+
+
 def corrupt_orbits(monkeypatch, corrupt):
     """Hand verify_class the triple orbits as corrupt(orbits) returns them."""
     monkeypatch.setattr(fusion, "triple_orbits", lambda F, cls: corrupt(triple_orbits(F, cls)))
@@ -350,20 +367,45 @@ def test_verify_class_checks_name_the_class_and_orbit(monkeypatch):
     )):
         verify_class(F, cls, registry)
 
-    # a representative sending a generator of L outside P, to an element
-    # of order 3, so pi does not close to a homomorphism
+    # a representative sending the first generator of L to the identity
+    # closes to a homomorphism with a kernel, which is no bijection onto P
     F, cls, registry = a4_class_with_fusion((4, 1))
     L = cls.realization.subgroup
     first = L.position(L.generators[0])
 
-    def outside(orbits):
+    def to_identity(orbits):
         rep = list(orbits[0].rep)
-        rep[first] = perm(4, "(2,3,4)")
+        rep[first] = 0
         return [dataclasses.replace(orbits[0], rep=tuple(rep))]
 
-    corrupt_orbits(monkeypatch, outside)
+    corrupt_orbits(monkeypatch, to_identity)
     with pytest.raises(InternalCheckError, match=re.escape(
         "fusion route, class 2 (|L|=4, ord u=1), |P|=4, triple orbit 0: "
+        "generator images do not define a bijection onto P"
+    )):
+        verify_class(F, cls, registry)
+
+    # (C9 x C3, 1): both generators of L have order 9 and the same cube up
+    # to sign, so sending the first to an element of order 3 breaks that
+    # relation, and pi does not close to a homomorphism
+    G = inverted_c9_by_c3()
+    F = build_fusion(G, 3)
+    registry = PairClassRegistry()
+    registry.classify_group(G, 3)
+    cls = next(c for c in registry.classes if (c.subgroup_order, c.element_order) == (27, 1))
+    L = cls.realization.subgroup
+    assert [g.order() for g in L.generators] == [9, 9]
+    first = L.position(L.generators[0])
+
+    def order_three(orbits):
+        P = orbits[0].object.subgroup
+        rep = list(orbits[0].rep)
+        rep[first] = next(j for j, x in enumerate(P.elements()) if x.order() == 3)
+        return [dataclasses.replace(orbits[0], rep=tuple(rep))]
+
+    corrupt_orbits(monkeypatch, order_three)
+    with pytest.raises(InternalCheckError, match=re.escape(
+        "fusion route, class 7 (|L|=27, ord u=1), |P|=27, triple orbit 0: "
         "generator images do not define a homomorphism"
     )):
         verify_class(F, cls, registry)

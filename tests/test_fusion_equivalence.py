@@ -63,7 +63,9 @@ def test_triple_orbits_match_the_section_scan(name, monkeypatch):
             # image in the carrier route's Out is the oracle's stabilizer
             image = {out.project_c(c) for c in o.stabilizer.elements()}
             assert o.stabilizer.order == cls.inner.order * len(image)
-            got.append((id(o.object), o.rep, o.orbit_size, image))
+            # the representative is a label map; the oracle's is on elements
+            rep = tuple(o.object.subgroup.elements()[j] for j in o.rep)
+            got.append((id(o.object), rep, o.orbit_size, image))
         assert got == [
             (id(obj), rep, size, stabilizer)
             for obj, _, orbits in expected

@@ -154,6 +154,8 @@ PARSE_ERRORS = [
     ("degree 0\n", "line 1: degree must be positive"),
     ("prime 1\n", "line 1: prime must be at least 2"),
     ("frobenius\nrank 0\n", "line 2: rank must be positive"),
+    # a name is one field of a TSV report
+    ("degree 3\nprime 3\nname S\t3\ngen (1,2,3)\n", "line 3: name must not contain a tab"),
 ]
 
 

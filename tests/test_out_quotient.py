@@ -63,9 +63,9 @@ def test_out_matches_the_carrier_route(name, p, monkeypatch):
         expected = [0] * len(cls.out_rows)
         for member in registry.members_for(G, cls):
             pair = member.pair
-            image = image_of_normalizer(cls, pair, member.phi)
+            image = image_of_normalizer(cls, pair, member.witness)
             carrier_image = oracles.carrier_image_of_normalizer(
-                out, cls, G, pair.subgroup, pair.element, member.phi
+                out, cls, G, pair.subgroup, pair.element, member.witness
             )
             projected = {out.project_c(c) for c in image.elements()}
             assert projected == carrier_image.element_set()

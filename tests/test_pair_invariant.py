@@ -50,23 +50,14 @@ def reversed_points(G):
 
 
 def table(registry):
-    """Class ids with their keys and members: pair, and the witness as the
-    labels in P of the images of the elements of L in label order."""
+    """Class ids with their keys and members: pair, and the witness, the
+    permutation sending the label of l in L to the label of its image in
+    P."""
     return [
         (
             cls.class_id,
             cls.key,
-            [
-                (
-                    m.pair.subgroup.element_set(),
-                    m.pair.element,
-                    tuple(
-                        m.pair.subgroup.position(m.phi[x])
-                        for x in cls.realization.subgroup.elements()
-                    ),
-                )
-                for m in cls.members
-            ],
+            [(m.pair.subgroup.element_set(), m.pair.element, m.witness) for m in cls.members],
         )
         for cls in registry.classes
     ]

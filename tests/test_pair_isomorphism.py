@@ -66,9 +66,14 @@ def quotients(G, p):
 
 
 def assert_intertwines(m, a, b):
-    assert set(m) == a.subgroup.element_set()
-    assert set(m.values()) == b.subgroup.element_set()
-    assert all(m[conjugate(a.element, x)] == conjugate(b.element, y) for x, y in m.items())
+    """The label map m sends L onto L', and m(u x u^-1) = u' m(x) u'^-1 on
+    all of L."""
+    L, M = a.subgroup, b.subgroup
+    assert len(m) == L.order and sorted(m) == list(range(M.order))
+    image = dict(zip(L.elements(), (M.elements()[j] for j in m)))
+    assert all(
+        image[conjugate(a.element, x)] == conjugate(b.element, y) for x, y in image.items()
+    )
 
 
 def check_same_key_pairs(left, right):

@@ -52,7 +52,7 @@ RAISED_GOLDEN = DATA_DIR / "raised.golden"
 RAISED_BOUND = "25000"  # over |GL(4,2)| = 20160 and |GL(3,3)| = 11232
 RAISED_CASES = [
     ("mult", f"{name}.grp", "--formula", "both") for name in ("f80", "f240", "f351")
-]
+] + [("verify-psi", f"{name}.grp") for name in ("f80", "f240", "f351")]
 
 
 def _argv(case):
