@@ -1,24 +1,29 @@
 """Automorphism groups and isomorphism search by generator-image backtracking.
 
-Candidate images are pruned by element order and conjugacy class size.
-The search then prunes by prefix: once g1..gi have images, the map is
-closed on <g1..gi> (resuming from the closure on <g1..g(i-1)>) and a
-conflict drops the whole subtree; a generator that already lies in the
-prefix group has its image fixed, so only that one candidate is tried.
-Pruning is exact, so the maps are found in the same depth-first order
-as by closing every full candidate tuple.  Accepted maps are verified
-bijections on the whole group.  Searches are complete and deterministic.
-The search works on element maps, and a map leaves this module in one
-form only, as a label map (_label_map): the labels in the target group
-(PermGroup.position) of the images of the source's elements, in label
-order.
+The search runs on labels (permgroup): the generators, their candidate
+images and every partial map are labels, and products are read from the
+tables of the two groups.  Candidate images are pruned by element order
+and conjugacy class size.  The search then prunes by prefix: once
+g1..gi have images, the map is closed on <g1..gi> (resuming from the
+closure on <g1..g(i-1)>) and a conflict drops the whole subtree; a
+generator that already lies in the prefix group has its image fixed, so
+only that one candidate is tried.  Pruning is exact, so the maps are
+found in the same depth-first order as by closing every full candidate
+tuple.  Accepted maps are verified bijections on the whole group.
+Searches are complete and deterministic.  A map is a label map: the
+labels in the target group of the images of the source's elements, in
+label order.  The candidates are tried in ascending label order, which
+is the order of their image tuples, since elements() is sorted by them;
+so the first hits, and every witness and strong generator taken from
+them, are the maps an element search in image order finds.
 
 A pair (L, u) is a group L with an element u normalizing it, and the
 pair isomorphism search runs on L alone.  Only the action c_u of u on L
 matters, so u may lie outside L and may centralize L without being 1.
 The closure of a partial map is also closed under x -> u x u^-1 with
-image u' m(x) u'^-1, so a map that breaks the intertwining relation
-conflicts as soon as its prefix does.  An isomorphism of pairs is an
+image u' m(x) u'^-1, on labels the cached actions c_u and c_u' of the
+two pairs (MarkedPair.action), so a map that breaks the intertwining
+relation conflicts as soon as its prefix does.  An isomorphism of pairs is an
 isomorphism L -> L' found this way.  Aut(L) is computed without that
 twist, as a strong generating set by a stabilizer-chain backtrack along
 the generators l1..lk of L: each generator found answers one first-hit
@@ -74,13 +79,17 @@ class MarkedPair:
 
 
 def _candidate_lists(A, B, sequence, restrictions):
-    """Per-generator candidate images in B, filtered by invariants."""
-    by_invariant = B.elements_by_invariant()
+    """Per-generator candidate image labels in B, ascending, filtered by
+    the invariants of the labels of the generators in A."""
+    pools = {}
+    for y, key in enumerate(B.invariants):
+        pools.setdefault(key, []).append(y)
+    invariants = A.invariants
     lists = []
-    for i, g in enumerate(sequence):
-        pool = by_invariant.get(A.invariant(g), ())
-        if restrictions[i] is not None:
-            pool = [y for y in pool if y in restrictions[i]]
+    for g, allowed in zip(sequence, restrictions):
+        pool = pools.get(invariants[g], ())
+        if allowed is not None:
+            pool = [y for y in pool if y in allowed]
         if not pool:
             return None
         lists.append(pool)
@@ -88,18 +97,20 @@ def _candidate_lists(A, B, sequence, restrictions):
 
 
 def _search_maps(A, B, sequence, restrictions, limit=None, commuting=None):
-    """The isomorphisms A -> B respecting the restrictions, in depth-first
-    order of the candidate images; the search stops after ``limit`` maps.
+    """The isomorphisms A -> B respecting the restrictions, as label maps
+    (close_map), in depth-first order of the candidate images; the search
+    stops after ``limit`` maps.  The sequence holds labels of A and each
+    restriction is None or a set of labels of B.
 
-    With ``commuting`` = (c, d), c normalizing A and d normalizing B, every
-    partial map is closed under x -> c x c^-1 with image d m(x) d^-1 as
-    well, so a conflict with m(c x c^-1) = d m(x) d^-1 drops the subtree
-    and every full map found intertwines the two conjugations on A.
+    With ``commuting`` = (c, d), label permutations of A and B that are
+    automorphisms, every partial map is closed under x -> c[x] with image
+    d[m(x)] as well, so a conflict with m(c[x]) = d[m(x)] drops the
+    subtree and every full map found intertwines c with d.
     """
     if A.order != B.order:
         return []
     if A.order == 1:
-        return [{A.identity: B.identity}]
+        return [[0]]
     lists = _candidate_lists(A, B, sequence, restrictions)
     if lists is None:
         return []
@@ -109,12 +120,12 @@ def _search_maps(A, B, sequence, restrictions, limit=None, commuting=None):
 
     def recurse(i, m):
         if i == len(sequence):
-            if len(m) == A.order and len(set(m.values())) == B.order:
+            if -1 not in m and len(set(m)) == B.order:
                 found.append(m)
             return len(found) == limit
         g = sequence[i]
-        fixed = m.get(g)
-        if fixed is not None:
+        fixed = m[g]
+        if fixed >= 0:
             return fixed in allowed[i] and recurse(i + 1, m)
         for cand in lists[i]:
             pairs.append((g, cand))
@@ -125,7 +136,9 @@ def _search_maps(A, B, sequence, restrictions, limit=None, commuting=None):
                 return True
         return False
 
-    recurse(0, {A.identity: B.identity})
+    start = [-1] * A.order
+    start[0] = 0
+    recurse(0, start)
     # recurse refers to itself through its closure; unbinding it frees the
     # search state now instead of at the next full garbage collection
     del recurse
@@ -133,42 +146,40 @@ def _search_maps(A, B, sequence, restrictions, limit=None, commuting=None):
 
 
 def _profile(group: PermGroup):
-    return sorted((c.rep.order(), c.size) for c in group.conjugacy_data())
+    return sorted(group.invariants[c.labels[0]] for c in group.conjugacy_data())
 
 
-def _label_map(A: PermGroup, B: PermGroup, m) -> tuple:
-    """The labels in B of the images under the element map m of the
-    elements of A, in label order: the form in which every map the
-    search found leaves this module."""
-    position = B.position
-    return tuple([position(m[x]) for x in A.elements()])
+def _generator_labels(group: PermGroup) -> list:
+    """The labels of the generators of a group, the sequence that every
+    search on it runs along."""
+    return [group.position(g) for g in group.generators]
 
 
 def find_group_isomorphism(A: PermGroup, B: PermGroup):
-    """An isomorphism A -> B as the label map of the element map that the
-    search closed and checked to be a bijection, or None.  The search
-    runs along the generators of A."""
+    """An isomorphism A -> B as the label map that the search closed and
+    checked to be a bijection, or None.  The search runs along the
+    generators of A."""
     if A.order != B.order or _profile(A) != _profile(B):
         return None
-    sequence = list(A.generators)
+    sequence = _generator_labels(A)
     maps = _search_maps(A, B, sequence, [None] * len(sequence), limit=1)
-    return _label_map(A, B, maps[0]) if maps else None
+    return tuple(maps[0]) if maps else None
 
 
 def find_pair_isomorphism(a: MarkedPair, b: MarkedPair):
     """An isomorphism f: L -> L' with f(u x u^-1) = u' f(x) u'^-1, as the
-    label map of the element map on L that the search closed and checked
-    to be a bijection, or None when there is none."""
+    label map on L that the search closed and checked to be a bijection,
+    or None when there is none."""
     L, M = a.subgroup, b.subgroup
     if L.order != M.order or a.action_order != b.action_order:
         return None
     if _profile(L) != _profile(M):
         return None
     # c_u and c_u' have one order, so both or neither are trivial
-    twist = None if a.action_order == 1 else (a.element, b.element)
-    sequence = list(L.generators)
+    twist = None if a.action_order == 1 else (a.action.images, b.action.images)
+    sequence = _generator_labels(L)
     maps = _search_maps(L, M, sequence, [None] * len(sequence), 1, twist)
-    return _label_map(L, M, maps[0]) if maps else None
+    return tuple(maps[0]) if maps else None
 
 
 def pair_automorphism_maps(L: PermGroup):
@@ -188,7 +199,7 @@ def pair_automorphism_maps(L: PermGroup):
     configured bound, before any group is built.
     """
     bound = max_order()
-    sequence = list(L.generators)
+    sequence = _generator_labels(L)
     lists = _candidate_lists(L, L, sequence, [None] * len(sequence))
     free = [set(pool) for pool in lists]
     gens = []
@@ -198,16 +209,16 @@ def pair_automorphism_maps(L: PermGroup):
 
     order = 1
     for i in reversed(range(len(sequence))):
-        x = L.position(sequence[i])
+        x = sequence[i]
         fixed = [{y} for y in sequence[:i]]
         basic = orbit(x, step)
         for cand in lists[i]:
-            if L.position(cand) in basic:
+            if cand in basic:
                 continue
             hit = _search_maps(L, L, sequence, fixed + [{cand}] + free[i + 1:], 1)
             if not hit:
                 continue
-            gens.append(Permutation(_label_map(L, L, hit[0])))
+            gens.append(Permutation(hit[0]))
             basic = orbit(x, step)
             if order * len(basic) > bound:
                 raise SizeBoundError(

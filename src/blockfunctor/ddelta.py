@@ -33,17 +33,24 @@ conjugation in Aut(L), closed from the Schreier generators of one walk
 over the Aut(L)-class of c_u and checked by orbit-stabilizer; Aut(L)
 comes from one search on L (autos.pair_automorphism_maps).  Many
 classes share one L and many share one C, so the classes of a registry
-share Aut(L) once per element set of L and the character table of C
-once per element set of C (SharedGroups); a table depends only on the
+share Aut(L) once per product table of L on its labels and the character
+table of C once per element set of C (SharedGroups); Aut(L) on labels
+depends only on the product table, and a character table only on the
 element set.  The table of C is built only when a multiplicity or a
 report first reads it, so commands that need only subgroups of Out,
 such as verify-psi, build no table.
+
+The pair orbits read the classes of N_G(P) and their element orders
+from N_G(P) itself, one Permutation.order per class, and walk the class
+and centralizer of each p'-class on the labels of N_G(P).  The image of
+N_G(P, s) in Out closes each induced automorphism a_g of P on the table
+of P from the images of the generators of P.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Optional
 
 from .autos import (
@@ -56,6 +63,8 @@ from .errors import DomainError, InternalCheckError, SizeBoundError
 from .permgroup import (
     PermGroup,
     class_and_centralizer,
+    element_class_and_centralizer,
+    homomorphism,
     normalizer,
     orbit,
     p_subgroup_classes,
@@ -65,19 +74,19 @@ from .permutation import Permutation, conjugate_with, conjugation
 
 def pair_class_key(marked: MarkedPair) -> tuple:
     """The isomorphism invariant of a pair (L, u) described in the module
-    docstring."""
-    elements = marked.subgroup.elements()
-    identity = marked.subgroup.identity
+    docstring, with the orders and the powers of each label read from the
+    tables of L."""
+    L = marked.subgroup
+    rows, orders = L.table, L.orders
     profile = []
-    for x, j in zip(elements, marked.action.images):
-        image = elements[j]
-        order = x.order()
-        k, power = 0, identity
+    for x, image in enumerate(marked.action.images):
+        order = orders[x]
+        k, power = 0, 0  # power is the label of x^k
         while k < order and power != image:
-            power = power * x
+            power = rows[power][x]
             k += 1
         profile.append((order, k if k < order else -1))
-    return (marked.subgroup.order, marked.action_order, tuple(sorted(profile)))
+    return (L.order, marked.action_order, tuple(sorted(profile)))
 
 
 @dataclass(frozen=True)
@@ -103,56 +112,59 @@ def pair_orbit_reps(G: PermGroup, p: int):
 
     The p-subgroup classes are visited in canonical order; for each class
     representative P the s-components run over the N_G(P)-classes of
-    p'-elements of N_G(P), ordered by (element order, images).
+    p'-elements of N_G(P), each given by its minimal element and ordered
+    by (element order, images).  The classes and their orders come from
+    N_G(P) (PermGroup.conjugacy_data and orders), so one element order is
+    computed per class.
     """
     reps = []
     for P in p_subgroup_classes(G, p):
         N = normalizer(G, P)
-        eligible = [s for s in N.elements() if s.order() % p]
-        eligible_set = set(eligible)
-        seen = set()
+        orders = N.orders
         class_reps = []
-        for s in eligible:  # ascending, so the first of each class is minimal
-            if s in seen:
+        for cls in N.conjugacy_data():
+            order = orders[cls.labels[0]]
+            if order % p == 0:
                 continue
-            conj_class, fixing_s = class_and_centralizer(N.generators, s)
-            if not conj_class <= eligible_set:
+            conj_class, fixing_s = class_and_centralizer(N, cls.rep)
+            if not all(orders[y] % p for y in conj_class):
                 raise InternalCheckError(
                     f"pair orbits, p={p}, |P|={P.order}: conjugation in "
                     f"N_G(P) left the p'-elements"
                 )
-            seen |= conj_class
-            class_reps.append((s, fixing_s))
-        class_reps.sort(key=lambda rep: (rep[0].order(), rep[0].images))
+            class_reps.append((order, cls.rep, fixing_s))
+        class_reps.sort(key=lambda rep: (rep[0], rep[1].images))
         reps.extend(
             NormalizerPair(P, s, ambient=G, p=p, centralizer_gens=fixing_s)
-            for s, fixing_s in class_reps
+            for _, s, fixing_s in class_reps
         )
     return reps
 
 
 class SharedGroups:
-    """Aut(L) once per element set of L and the character table of C
-    once per element set of C, for the classes of one registry.
+    """Aut(L) once per table of L and the character table of C once per
+    element set of C, for the classes of one registry.
 
     It holds no class, so the classes that share it form no reference
     cycle with it and are freed as soon as the registry is.
     """
 
     def __init__(self):
-        self._automorphisms = {}  # element set of L -> Aut(L) on its labels
+        self._automorphisms = {}  # table of L -> Aut(L) on its labels
         self._tables = {}  # element set of C -> its character table
 
     def automorphism_group(self, L: PermGroup, name: str) -> PermGroup:
-        """Aut(L) on the labels of L, closed once per element set of L from
-        the strong generators that pair_automorphism_maps returns on those
-        labels.  ``name`` is the class that reads it first, for the error
-        message.
+        """Aut(L) on the labels of L, closed once per table of L from the
+        strong generators that pair_automorphism_maps returns on those
+        labels.  The automorphisms of L on its labels are the label
+        permutations that preserve its table, so groups with one table
+        share one Aut(L), whatever their elements.  ``name`` is the class
+        that reads it first, for the error message.
 
         The generators are strong along the base l1..lk exactly when the
         closed order is the product of their basic orbit lengths.
         """
-        aut = self._automorphisms.get(L.element_set())
+        aut = self._automorphisms.get(L.table)
         if aut is not None:
             return aut
         gens = pair_automorphism_maps(L)
@@ -168,7 +180,7 @@ class SharedGroups:
                 f"generators has order {aut.order}, not the basic orbit "
                 f"product {expected}"
             )
-        self._automorphisms[L.element_set()] = aut
+        self._automorphisms[L.table] = aut
         return aut
 
     def character_table_of(self, C: PermGroup) -> CharacterTable:
@@ -234,7 +246,12 @@ class PairClass:
 
         The walk must start inside Aut(L), and |C| times the length of
         the class must be |Aut(L)|; a Schreier generator left out breaks
-        the second check.
+        the second check.  It runs on the elements of Aut(L), not on its
+        labels: a label walk needs every element of Aut(L) conjugated by
+        every generator (PermGroup.conjugation), while the element walk
+        conjugates only the class of c_u, which can be far smaller (GL(3,3)
+        of order 11232 for L = C3^3), and nothing else needs the classes
+        of Aut(L).
         """
         L = self.realization.subgroup
         aut_l = self.shared.automorphism_group(L, self.name)
@@ -243,7 +260,7 @@ class PairClass:
             raise InternalCheckError(
                 f"Out(L, u), {self.name}: c_u is not in Aut(L) of order {aut_l.order}"
             )
-        conj_class, fixing = class_and_centralizer(aut_l.generators, c_u)
+        conj_class, fixing = element_class_and_centralizer(aut_l.generators, c_u)
         # a central c_u, such as u = 1, has the generators of Aut(L) for its
         # Schreier generators, which would only close Aut(L) again
         aut = aut_l if len(conj_class) == 1 else PermGroup(L.order, fixing)
@@ -262,7 +279,8 @@ class PairClass:
         aut = self.aut
         L = self.realization.subgroup
         u = self.realization.element
-        _, fixing_u = class_and_centralizer(L.generators, u)
+        # u may lie outside L, so this walk is on elements
+        _, fixing_u = element_class_and_centralizer(L.generators, u)
         inner = [L.label_perm(conjugation(g)) for g in (u,) + fixing_u]
         if not all(aut.contains(c) for c in inner):
             raise InternalCheckError(
@@ -391,27 +409,29 @@ def image_of_normalizer(cls: PairClass, pair: NormalizerPair, w: Permutation) ->
     such g induces phi^-1 . c_g . phi on L, which must lie in C; the
     result is the subgroup of C generated by these and N.  On labels the
     induced map is w * a_g * w^-1, where a_g is the label permutation of
-    c_g on P.  Generators with the same action on the generators of P
-    induce the same map, so each action is checked and closed once.  The result is closed without a second membership
-    test: each induced map has just passed C.contains, and N <= C was
-    checked when N was built.
+    c_g on P, closed on the table of P from the images of the generators
+    of P.  Generators with the same images of the generators of P induce
+    the same map, so each action is checked and closed once.  The result
+    is closed without a second membership test: each induced map has just
+    passed C.contains, and N <= C was checked when N was built.
     """
     P = pair.subgroup
-    actions = {}  # the conjugates of the generators of P -> (g, g^-1)
+    actions = {}  # the conjugates of the generators of P -> g
     for g in pair.centralizer_gens:
         g_inv = g.inverse()
-        key = tuple([conjugate_with(g, g_inv, x) for x in P.generators])
-        actions.setdefault(key, (g, g_inv))
+        actions.setdefault(tuple([conjugate_with(g, g_inv, x) for x in P.generators]), g)
+    generators = [P.position(x) for x in P.generators]
     w_inv = w.inverse()
     induced = []
-    for g, g_inv in actions.values():
+    for images, g in actions.items():
         try:
-            a_g = P.label_perm(partial(conjugate_with, g, g_inv))
+            labels = [P.position(y) for y in images]
         except KeyError:
             raise InternalCheckError(
                 f"normalizer image, {cls.name}: the action of "
                 f"{g.cycle_string()} leaves the witness image"
             ) from None
+        a_g = Permutation(homomorphism(P, P, zip(generators, labels)))
         perm = w * a_g * w_inv
         if not cls.aut.contains(perm):
             raise InternalCheckError(

@@ -16,7 +16,7 @@ the sense of ddelta.ClassMember, and pi . i_u . pi^-1 is
 w^-1 * c_u * w.  Iso(L, P) = Aut(P) . pi0 for one pi0 found by a
 first-hit search once per object and element set of L, however many
 classes share L.  Aut(P) on the labels of P is the registry's shared Aut(L)
-for L = P, searched once per element set.  The right action is that of
+for L = P, searched once per product table.  The right action is that of
 C = C_Aut(L)(c_u), which the class builds as a centralizer in Aut(L)
 (ddelta.PairClass.aut).
 The route reads no pair orbits or witnesses.
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .autos import _label_map, _search_maps
+from .autos import _generator_labels, _search_maps
 from .ddelta import (
     NormalizerPair,
     PairClass,
@@ -89,7 +89,7 @@ def frobenius_structure(G: PermGroup, p: int) -> PermGroup:
     for cls in G.conjugacy_data()[1:]:  # the identity's class comes first
         if cls.size != index and cls.rep in dset:
             d = cls.rep
-            _, fixing_d = class_and_centralizer(G.generators, d)
+            _, fixing_d = class_and_centralizer(G, d)
             g = next(g for g in fixing_d if g not in dset)
             e = g ** p_part(g.order(), p)
             raise DomainError(
@@ -116,9 +116,9 @@ class FusionObject:
         not depend on which pi0 is found."""
         key = L.element_set()
         if key not in self._first_isomorphisms:
-            P, sequence = self.subgroup, list(L.generators)
+            P, sequence = self.subgroup, _generator_labels(L)
             found = _search_maps(L, P, sequence, [None] * len(sequence), limit=1)
-            self._first_isomorphisms[key] = _label_map(L, P, found[0]) if found else None
+            self._first_isomorphisms[key] = tuple(found[0]) if found else None
         return self._first_isomorphisms[key]
 
 
@@ -214,6 +214,7 @@ def triple_orbits(F: FusionData, cls: PairClass):
     if cls.subgroup_order == 1:
         raise DomainError("triple orbits are defined for nontrivial subgroups only")
     C = cls.aut
+    steps = [(psi, psi.inverse(), psi.images) for psi in C.generators]
 
     left_the_set = f"{_where(cls)}: orbit action left the admissible set"
     orbits = []
@@ -234,8 +235,8 @@ def triple_orbits(F: FusionData, cls: PairClass):
             blocks[name] = block
             name_of.update(dict.fromkeys(block, name))
 
-        def right_action(psi, _, name):
-            moved = name_of.get(tuple([name[i] for i in psi.images]))
+        def right_action(psi, name):
+            moved = name_of.get(tuple([name[i] for i in psi]))
             if moved is None:
                 raise InternalCheckError(left_the_set)
             return moved
@@ -243,7 +244,7 @@ def triple_orbits(F: FusionData, cls: PairClass):
         remaining = set(blocks)
         while remaining:
             start = min(remaining)
-            names, schreier = schreier_walk(start, C.generators, right_action, C.identity)
+            names, schreier = schreier_walk(start, steps, right_action, C.identity)
             remaining -= names
             orbits.append(
                 TripleOrbit(
@@ -256,24 +257,26 @@ def triple_orbits(F: FusionData, cls: PairClass):
     return orbits
 
 
-def psi_pair(F: FusionData, cls: PairClass, orbit: TripleOrbit) -> NormalizerPair:
+def psi_pair(
+    F: FusionData, cls: PairClass, orbit: TripleOrbit, w: Permutation
+) -> NormalizerPair:
     """The pair (P, s) with s a p'-normalizer element inducing pi.i_u.pi^-1,
     carrying the generators of C_{N_G(P)}(s) from the walk over the
-    N_G(P)-class of s.
+    N_G(P)-class of s.  w is the orbit's representative pi as the
+    permutation of labels that verify_class has checked.
 
-    The search runs over the whole normalizer in canonical order; absence
-    of such an element contradicts the verified bijection and is raised
-    as an internal error.
+    The search runs over the whole normalizer in canonical order, with
+    the element orders of its classes; absence of such an element
+    contradicts the verified bijection and is raised as an internal error.
     """
     obj = orbit.object
-    P = obj.subgroup
-    w = Permutation(orbit.rep)
+    P, N = obj.subgroup, obj.normalizer
     induced = (w.inverse() * cls.realization.action * w).images  # pi . i_u . pi^-1
     gens = P.generators
     target = [P.elements()[induced[P.position(x)]] for x in gens]
-    for s in obj.normalizer.elements():
-        if s.order() % F.p and list(map(conjugation(s), gens)) == target:
-            _, fixing_s = class_and_centralizer(obj.normalizer.generators, s)
+    for s, order in zip(N.elements(), N.orders):
+        if order % F.p and list(map(conjugation(s), gens)) == target:
+            _, fixing_s = class_and_centralizer(N, s)
             return NormalizerPair(P, s, ambient=F.group, p=F.p, centralizer_gens=fixing_s)
     raise InternalCheckError(
         f"{_where(cls)}: no p'-element of the normalizer induces the "
@@ -328,18 +331,17 @@ def verify_class(F: FusionData, cls: PairClass, registry: PairClassRegistry) -> 
     stab_orders = []
     for i, orbit in enumerate(orbits):
         P = orbit.object.subgroup
-        pairs = [(g, P.elements()[orbit.rep[L.position(g)]]) for g in L.generators]
         try:
-            pi = homomorphism(L, P, pairs)
+            pi = homomorphism(L, P, [(g, orbit.rep[g]) for g in _generator_labels(L)])
         except InternalCheckError as exc:
             raise InternalCheckError(f"{where}, triple orbit {i}: {exc}") from exc
-        if len(set(pi.values())) != P.order:
+        if len(set(pi)) != P.order:
             raise InternalCheckError(
                 f"{where}, triple orbit {i}: generator images do not define a "
                 f"bijection onto P"
             )
-        w = Permutation(_label_map(L, P, pi))
-        pair = psi_pair(F, cls, orbit)
+        w = Permutation(pi)
+        pair = psi_pair(F, cls, orbit, w)
         match = next(
             (j for j, m in enumerate(members) if _pairs_conjugate(F.group, pair, m.pair)),
             None,

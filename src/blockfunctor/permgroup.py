@@ -8,28 +8,38 @@ Conjugacy classes and p-subgroup classes are computed by exhaustive,
 deterministic enumeration and cached; groups are immutable after
 construction.  Normalizers and centralizers are never found by scanning
 the group: schreier_walk walks one orbit (the conjugates of a subgroup's
-element set, or of an element) and returns Schreier generators of its
+label set, or of a label) and returns Schreier generators of its
 stabilizer.
 
 The label of an element is its position in elements(), which is sorted
-by image tuples, so the identity is always label 0.  A map f on the
-elements acts on the labels as the permutation label_perm(f); this is
-how automorphisms of a group become permutations.
+by image tuples, so the identity is always label 0 and an order on labels
+is the order on image tuples.  A map f on the elements acts on the labels
+as the permutation label_perm(f); this is how automorphisms of a group
+become permutations.  Three tables on labels are built on first read:
 
-A subgroup is a PermGroup of its own, and a homomorphism is the dict of
-its element images (homomorphism and close_map).  Normalizers are
+- table, the products: table[i][j] is the label of x_i x_j.  Only the
+  groups that the isomorphism search and homomorphism run on read it.
+- conjugation, (g, g^-1, c_g) for each generator g, with c_g the label
+  permutation of x -> g x g^-1.  Every conjugation walk inside a group
+  moves labels or label sets by c_g and multiplies elements only for its
+  transversal and its Schreier generators: the classes, the class and
+  centralizer of a member, normalizers and the classes of p-subgroups.
+- orders, the order of each label, one Permutation.order per class.
+
+A subgroup is a PermGroup of its own, and a homomorphism is the list of
+the labels of its images (homomorphism and close_map).  Normalizers are
 memoized on the ambient group, keyed by the element set of the subgroup,
 so N_G(P) is computed once per (G, P) however many groups carry the
 elements of P: the Sylow chain, the pair orbits and the fusion objects
-share it.
+share it.  The normalizer of a normal subgroup is G itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from operator import attrgetter
+from functools import cached_property, partial
+from operator import attrgetter, getitem, itemgetter
 
 from .config import max_order
 from .errors import DomainError, InternalCheckError, SizeBoundError
@@ -115,8 +125,12 @@ _images = attrgetter("images")  # the sort key of elements()
 
 @dataclass(frozen=True)
 class ConjClass:
+    """A conjugacy class: its minimal element, its elements and their
+    labels, both in label order."""
+
     rep: Permutation
     elements: tuple
+    labels: tuple
 
     @property
     def size(self) -> int:
@@ -142,10 +156,9 @@ class PermGroup:
         self._element_set = frozenset(self._elements)
         self.order = len(self._elements)
         self._classes = None
-        self._class_index = None
+        self._class_of = None  # label -> index of its class
         self._p_subgroup_cache = {}
-        self._normalizer_cache = {}
-        self._by_invariant = None
+        self._normalizer_cache = {}  # element set -> normalizer, None for G
 
     # -- membership and element access ------------------------------------
 
@@ -188,54 +201,91 @@ class PermGroup:
         return all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1:])
 
     def exponent(self) -> int:
-        return math.lcm(*(c.rep.order() for c in self.conjugacy_data()))
+        return math.lcm(*set(self.orders))
+
+    # -- tables on labels ----------------------------------------------------
+
+    @cached_property
+    def table(self) -> tuple:
+        """The products on labels: table[i][j] is the label of x_i x_j.
+
+        The row of the identity is the identity, and row j of x_j = g x_k,
+        for a generator g, is L_g . row k, with L_g[t] the label of g x_t;
+        so one product per element and generator fills the table.
+        """
+        n = self.order
+        if n == 1:
+            return ((0,),)
+        positions = self._positions
+        lefts = [
+            tuple([positions[g * x] for x in self._elements]) for g in self.generators
+        ]
+        rows = [None] * n
+        rows[0] = tuple(range(n))
+        todo = [0]
+        while todo:
+            k = todo.pop()
+            for left in lefts:
+                j = left[k]
+                if rows[j] is None:
+                    rows[j] = itemgetter(*rows[k])(left)
+                    todo.append(j)
+        return tuple(rows)
+
+    @cached_property
+    def conjugation(self) -> tuple:
+        """(g, g^-1, c_g) for each generator g, with c_g the label
+        permutation of x -> g x g^-1 as a tuple: c_g[i] is the label of
+        g x_i g^-1."""
+        positions = self._positions
+        out = []
+        for g in self.generators:
+            g_inv = g.inverse()
+            c_g = tuple([positions[conjugate_with(g, g_inv, x)] for x in self._elements])
+            out.append((g, g_inv, c_g))
+        return tuple(out)
+
+    @cached_property
+    def orders(self) -> tuple:
+        """The order of each label, from one Permutation.order call per
+        conjugacy class."""
+        per_class = [c.rep.order() for c in self.conjugacy_data()]
+        return tuple([per_class[i] for i in self._class_of])
+
+    @cached_property
+    def invariants(self) -> tuple:
+        """(element order, class size) of each label; conjugates share it,
+        and so do elements matched by an isomorphism."""
+        sizes = [c.size for c in self.conjugacy_data()]
+        return tuple(zip(self.orders, [sizes[i] for i in self._class_of]))
 
     # -- conjugacy classes -------------------------------------------------
 
     def conjugacy_data(self) -> tuple:
-        """Conjugacy classes ordered by their minimal element; identity first."""
+        """Conjugacy classes ordered by their minimal element; identity
+        first.  Each is the orbit of its minimal label under the c_g."""
         if self._classes is None:
+            moves = [c_g for _, _, c_g in self.conjugation]
+            class_of = [-1] * self.order
             classes = []
-            seen = set()
-            steps = [(g, g.inverse()) for g in self.generators]
-            for x in self._elements:
-                if x in seen:
+            for x in range(self.order):
+                if class_of[x] >= 0:
                     continue
-                members = orbit(
-                    x, lambda y: [conjugate_with(g, g_inv, y) for g, g_inv in steps]
-                )
-                classes.append(ConjClass(x, tuple(sorted(members, key=_images))))
-                seen |= members
+                labels = sorted(orbit(x, lambda y: [c_g[y] for c_g in moves]))
+                for y in labels:
+                    class_of[y] = len(classes)
+                members = tuple([self._elements[y] for y in labels])
+                classes.append(ConjClass(members[0], members, tuple(labels)))
             self._classes = tuple(classes)
-            self._class_index = {
-                elt: i for i, cls in enumerate(classes) for elt in cls.elements
-            }
+            self._class_of = class_of
         return self._classes
 
     def class_index_of(self, x: Permutation) -> int:
         self.conjugacy_data()
         try:
-            return self._class_index[x]
+            return self._class_of[self._positions[x]]
         except KeyError:
             raise DomainError("element does not belong to the group") from None
-
-    def invariant(self, x: Permutation) -> tuple:
-        """(element order, class size) of a member; conjugates share it."""
-        return (x.order(), self.conjugacy_data()[self.class_index_of(x)].size)
-
-    def elements_by_invariant(self) -> dict:
-        """The elements grouped by their invariant, each group in canonical
-        order; one order is computed per conjugacy class."""
-        if self._by_invariant is None:
-            classes = self.conjugacy_data()
-            invariants = [(c.rep.order(), c.size) for c in classes]
-            by_invariant = {}
-            for x in self._elements:
-                by_invariant.setdefault(
-                    invariants[self._class_index[x]], []
-                ).append(x)
-            self._by_invariant = {k: tuple(v) for k, v in by_invariant.items()}
-        return self._by_invariant
 
     # -- subgroups ----------------------------------------------------------
 
@@ -264,11 +314,11 @@ def _by_order(perms):
     return sorted(perms, key=lambda x: (-x.order(), x.images))
 
 
-def schreier_walk(seed, gens, act, one):
-    """The orbit of seed under <gens>, and the Schreier generators of its
-    stabilizer.
+def schreier_walk(seed, steps, act, one):
+    """The orbit of seed under <g : (g, g^-1, move) in steps>, and the
+    Schreier generators of its stabilizer.
 
-    act(g, g_inv, y) is the image of y under g, for a left action:
+    act(move, y) is the image of y under the step's g, for a left action:
     act(g, act(t, y)) = act(g * t, y).  The walk keeps a transversal t_y
     taking seed to y for every y in the orbit.  An edge y -> z = act(g, y)
     off the walk's tree gives the Schreier generator t_z^-1 g t_y, which
@@ -276,15 +326,14 @@ def schreier_walk(seed, gens, act, one):
     come back deduplicated, without the identity ``one``, in the order
     the walk finds them.
     """
-    steps = [(g, g.inverse()) for g in gens]
     transversal = {seed: (one, one)}  # y -> (t_y, t_y^-1)
     todo = [seed]
     schreier = {}
     while todo:
         y = todo.pop()
         t_y, t_y_inv = transversal[y]
-        for g, g_inv in steps:
-            z = act(g, g_inv, y)
+        for g, g_inv, move in steps:
+            z = act(move, y)
             known = transversal.get(z)
             if known is None:
                 transversal[z] = (g * t_y, t_y_inv * g_inv)
@@ -296,10 +345,27 @@ def schreier_walk(seed, gens, act, one):
     return set(transversal), tuple(schreier)
 
 
-def class_and_centralizer(gens, s: Permutation):
-    """The class of s under conjugation by <gens>, and the Schreier
-    generators of the centralizer of s in <gens> (schreier_walk)."""
-    return schreier_walk(s, gens, conjugate_with, Permutation.identity(s.degree))
+def class_and_centralizer(G: PermGroup, x: Permutation):
+    """The class of the member x of G, as a set of labels, and the
+    Schreier generators of C_G(x), from the walk on the labels of G."""
+    return schreier_walk(G.position(x), G.conjugation, getitem, G.identity)
+
+
+def element_class_and_centralizer(gens, s: Permutation):
+    """The class of s under conjugation by <gens>, as elements, and the
+    Schreier generators of its centralizer in <gens>, for an s that need
+    not lie in <gens>."""
+    steps = []
+    for g in gens:
+        g_inv = g.inverse()
+        steps.append((g, g_inv, partial(conjugate_with, g, g_inv)))
+    one = Permutation.identity(s.degree)
+    return schreier_walk(s, steps, lambda conjugate, y: conjugate(y), one)
+
+
+def _conjugate_set(c_g, labels):
+    """The image of a set of labels under the label permutation c_g."""
+    return frozenset([c_g[x] for x in labels])
 
 
 def _check_subgroup_of(G: PermGroup, P: PermGroup):
@@ -309,37 +375,22 @@ def _check_subgroup_of(G: PermGroup, P: PermGroup):
 
 
 def normalizer(G: PermGroup, P: PermGroup) -> PermGroup:
-    """The normalizer N_G(P), the stabilizer of the element set of P under
+    """The normalizer N_G(P), the stabilizer of the label set of P under
     conjugation, closed from the Schreier generators of the walk over its
-    conjugates, taken by descending order.  Memoized on G by the element
-    set of P."""
+    conjugates, taken by descending order.  A normal P, one that is its
+    only conjugate, has the normalizer G itself, with nothing to close.
+    Memoized on G by the element set of P; a normal P is stored as None,
+    since G holding itself would keep it alive in a reference cycle."""
     pset = P.element_set()
-    N = G._normalizer_cache.get(pset)
-    if N is None:
+    try:
+        N = G._normalizer_cache[pset]
+    except KeyError:
         _check_subgroup_of(G, P)
-        _, schreier = schreier_walk(
-            pset,
-            G.generators,
-            lambda g, g_inv, y: frozenset([conjugate_with(g, g_inv, x) for x in y]),
-            G.identity,
-        )
-        N = G._normalizer_cache[pset] = PermGroup(G.degree, _by_order(schreier))
-    return N
-
-
-def _canonical_conjugate(G, element_set):
-    """Lexicographically minimal G-conjugate of a subgroup element set."""
-    steps = [(g, g.inverse()) for g in G.generators]
-    conjugates = orbit(
-        element_set,
-        lambda s: [frozenset([conjugate_with(g, g_inv, x) for x in s])
-                   for g, g_inv in steps],
-    )
-    return min(conjugates, key=_set_key)
-
-
-def _set_key(element_set):
-    return tuple(sorted(x.images for x in element_set))
+        seed = frozenset([G.position(x) for x in P.elements()])
+        conjugates, schreier = schreier_walk(seed, G.conjugation, _conjugate_set, G.identity)
+        N = None if len(conjugates) == 1 else PermGroup(G.degree, _by_order(schreier))
+        G._normalizer_cache[pset] = N
+    return G if N is None else N
 
 
 def _all_subgroups_of(degree, elements):
@@ -372,10 +423,12 @@ def p_subgroup_classes(G: PermGroup, p: int):
     """One canonical representative per conjugacy class of p-subgroups.
 
     By Sylow's theorem these are the G-classes of the subgroups of one
-    Sylow subgroup S, each given by its minimal conjugate.  S is grown from
-    the trivial group: P below the Sylow order lies properly in a Sylow Q,
-    and N_Q(P) / P is a nontrivial p-group, so some x in N_G(P) - P has x^p
-    in P, and <P, x> has order p|P|.
+    Sylow subgroup S, each given by its minimal conjugate: one walk over
+    the conjugate label sets of each class, whatever number of its
+    subgroups lie in S.  S is grown from the trivial group: P below the
+    Sylow order lies properly in a Sylow Q, and N_Q(P) / P is a
+    nontrivial p-group, so some x in N_G(P) - P has x^p in P, and <P, x>
+    has order p|P|.
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
@@ -397,11 +450,22 @@ def p_subgroup_classes(G: PermGroup, p: int):
         if P.order != p * len(pset):
             raise InternalCheckError("layered extension gave a wrong order")
 
-    canonical = {
-        _canonical_conjugate(G, s) for s in _all_subgroups_of(G.degree, P.elements())
-    }
-    reps = sorted(canonical, key=lambda s: (len(s), _set_key(s)))
-    result = [G.subgroup_from_elements(s) for s in reps]
+    # one walk per G-class: the conjugates of a subgroup's label set, of
+    # which the least by sorted labels, the least by sorted images, is
+    # the class representative
+    moves = [c_g for _, _, c_g in G.conjugation]
+    seen = set()
+    reps = []
+    for s in _all_subgroups_of(G.degree, P.elements()):
+        labels = frozenset(map(G.position, s))
+        if labels in seen:
+            continue
+        conjugates = orbit(labels, lambda y: [_conjugate_set(c_g, y) for c_g in moves])
+        seen |= conjugates
+        reps.append(min(tuple(sorted(y)) for y in conjugates))
+    reps.sort(key=lambda s: (len(s), s))
+    elements = G.elements()
+    result = [G.subgroup_from_elements([elements[i] for i in s]) for s in reps]
     G._p_subgroup_cache[p] = result
     return result
 
@@ -412,51 +476,54 @@ def sylow_subgroup(G: PermGroup, p: int) -> PermGroup:
 
 
 def close_map(A: PermGroup, B: PermGroup, pairs, start=None, twist=None):
-    """Extend (generator, image) pairs to a map on <generators>, or None
-    when two products of the generators get different images.
+    """Extend (generator, image) pairs of labels in A and B to a map on
+    <generators>, as a list whose entry at a label of A is the label of
+    its image in B, or -1 where the map is not defined; None when two
+    products of the generators get different images.  Products are read
+    from the tables of A and B.
 
     ``start``, when given, is the map already closed on the group that
     every pair but the last generates; the closure resumes from it, so
-    only the last pair is applied to its elements.
+    only the last pair is applied to its labels.
 
-    ``twist`` = (c, d), with c normalizing A and d normalizing B, also
-    closes the map under x -> c x c^-1 with image d m(x) d^-1.  The map
-    then lives on the smallest c-invariant subgroup holding the
-    generators, and it intertwines conjugation by c with conjugation by
-    d there; a conflict returns None as above.
+    ``twist`` = (c, d), label permutations of A and B that are
+    automorphisms, also closes the map under x -> c[x] with image
+    d[m(x)].  The map then lives on the smallest c-invariant subgroup
+    holding the generators, and it intertwines c with d there; a conflict
+    returns None as above.
     """
+    rows_a, rows_b = A.table, B.table
     if start is None:
-        m = {A.identity: B.identity}
-        frontier = [A.identity]
+        m = [-1] * A.order
+        m[0] = 0
+        frontier = [0]
         moves = pairs
         twisting = twist
     else:
         # start is closed under the twist already
-        m = dict(start)
-        frontier = list(start)
+        m = list(start)
+        frontier = [x for x, y in enumerate(start) if y >= 0]
         moves = pairs[-1:]
         twisting = None
-    if twist is not None:
-        c, d = twist
-        c_inv, d_inv = c.inverse(), d.inverse()
     while frontier:
         nxt = []
         for x in frontier:
             mx = m[x]
+            row_x, row_mx = rows_a[x], rows_b[mx]
             for g, h in moves:
-                y = x * g
-                my = mx * h
-                known = m.get(y)
-                if known is None:
+                y = row_x[g]
+                my = row_mx[h]
+                known = m[y]
+                if known < 0:
                     m[y] = my
                     nxt.append(y)
                 elif known != my:
                     return None
             if twisting is not None:
-                y = c * x * c_inv
-                my = d * mx * d_inv
-                known = m.get(y)
-                if known is None:
+                y = twisting[0][x]
+                my = twisting[1][mx]
+                known = m[y]
+                if known < 0:
                     m[y] = my
                     nxt.append(y)
                 elif known != my:
@@ -467,9 +534,10 @@ def close_map(A: PermGroup, B: PermGroup, pairs, start=None, twist=None):
     return m
 
 
-def homomorphism(A: PermGroup, B: PermGroup, pairs) -> dict:
-    """The element map of the homomorphism A -> B with the given
-    (generator, image) pairs, checked on every element of A.
+def homomorphism(A: PermGroup, B: PermGroup, pairs) -> list:
+    """The homomorphism A -> B with the given (generator, image) pairs of
+    labels, as the list of the labels of the images of the labels of A,
+    checked on every element of A.
 
     Raises InternalCheckError when the images do not define a
     homomorphism or the generators do not generate A.
@@ -477,7 +545,7 @@ def homomorphism(A: PermGroup, B: PermGroup, pairs) -> dict:
     m = close_map(A, B, tuple(pairs))
     if m is None:
         raise InternalCheckError("generator images do not define a homomorphism")
-    if len(m) != A.order:
+    if -1 in m:
         raise InternalCheckError("generator images do not cover the source group")
     return m
 
@@ -512,7 +580,11 @@ def quotient_group(G: PermGroup, N: PermGroup):
     quotient = PermGroup(max(degree, 1), [img for _, img in pairs])
     if quotient.order * N.order != G.order:
         raise InternalCheckError("coset action has the wrong kernel")
-    return quotient, homomorphism(G, quotient, pairs)
+    labels = homomorphism(
+        G, quotient, [(G.position(g), quotient.position(img)) for g, img in pairs]
+    )
+    images = quotient.elements()
+    return quotient, {x: images[j] for x, j in zip(G.elements(), labels)}
 
 
 def direct_product(G: PermGroup, H: PermGroup) -> PermGroup:

@@ -49,7 +49,10 @@ the package searched for C before it took the centralizer of c_u in a
 shared Aut(L).  ``basic_orbit`` is the basic orbit under element maps,
 as autos took it before its strong generators were permutations of
 labels.  Every witness here is a permutation of labels, as a class
-member holds it (``label_witness``).
+member holds it (``label_witness``).  The package searches and closes
+maps on labels; ``element_search``, ``element_candidates`` and
+``element_homomorphism`` hand the carrier oracles the same searches and
+closures on elements.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from blockfunctor import autos, ddelta
-from blockfunctor.autos import _search_maps
+from blockfunctor.autos import _candidate_lists, _search_maps
 from blockfunctor.chartab import CharacterTable, character_table
 from blockfunctor.config import max_order
 from blockfunctor.errors import DomainError, InternalCheckError, SizeBoundError
@@ -451,6 +454,47 @@ def basic_orbit(x, maps):
     return orbit(x, lambda y: [m[y] for m in maps])
 
 
+def element_search(A, B, sequence, restrictions, limit=None, commuting=None):
+    """The package's label search with the generators, the restrictions
+    and the twist (c, d) given as elements, and the maps it finds as
+    element maps; the twist is taken on labels as conjugation by c and
+    by d."""
+    if commuting is not None:
+        c, d = commuting
+        commuting = (A.label_perm(conjugation(c)).images, B.label_perm(conjugation(d)).images)
+    found = _search_maps(
+        A,
+        B,
+        [A.position(g) for g in sequence],
+        [None if r is None else {B.position(y) for y in r} for r in restrictions],
+        limit,
+        commuting,
+    )
+    images = B.elements()
+    return [dict(zip(A.elements(), [images[j] for j in m])) for m in found]
+
+
+def element_candidates(A, B, sequence, restrictions):
+    """The package's candidate lists for element generators and
+    restrictions, as lists of elements of B."""
+    lists = _candidate_lists(
+        A,
+        B,
+        [A.position(g) for g in sequence],
+        [None if r is None else {B.position(y) for y in r} for r in restrictions],
+    )
+    images = B.elements()
+    return None if lists is None else [[images[j] for j in pool] for pool in lists]
+
+
+def element_homomorphism(A, B, pairs):
+    """The package's homomorphism for (generator, image) element pairs,
+    as an element map."""
+    labels = homomorphism(A, B, [(A.position(g), B.position(h)) for g, h in pairs])
+    images = B.elements()
+    return dict(zip(A.elements(), [images[j] for j in labels]))
+
+
 def label_witness(source, target, m):
     """The element map m: source -> target as the permutation sending the
     label of x in source to the label of m(x) in target."""
@@ -469,7 +513,7 @@ def decode_witness(cls, pair, iso=None):
         (tau, labels[(tau if iso is None else iso[tau]).images[0]])
         for tau in source.generators
     ]
-    return label_witness(source, pair.subgroup, homomorphism(source, pair.subgroup, pairs))
+    return label_witness(source, pair.subgroup, element_homomorphism(source, pair.subgroup, pairs))
 
 
 def carrier(mp):
@@ -502,7 +546,7 @@ def carrier_pair_isomorphism(a, b):
         t_class = B.conjugacy_data()[B.class_index_of(b.element)]
         restrictions.append(set(t_class.elements))
     restrictions.extend([b.subgroup.element_set()] * len(a.subgroup.generators))
-    maps = _search_maps(A, B, sequence, restrictions, limit=1)
+    maps = element_search(A, B, sequence, restrictions, limit=1)
     return maps[0] if maps else None
 
 
@@ -525,7 +569,7 @@ def carrier_witness(cls, quotient, iso, pair):
         (tau, labels[package_conjugate(adjust, iso[tau]).images[0]])
         for tau in source.generators
     ]
-    return label_witness(source, pair.subgroup, homomorphism(source, pair.subgroup, pairs))
+    return label_witness(source, pair.subgroup, element_homomorphism(source, pair.subgroup, pairs))
 
 
 class LinearScanRegistry(ddelta.PairClassRegistry):
@@ -563,7 +607,7 @@ def all_isomorphisms(cls, obj):
     over the sorted elements of L."""
     L_group = cls.realization.subgroup
     sequence = list(greedy_generating_set(L_group.degree, L_group.elements()))
-    maps = _search_maps(L_group, obj.subgroup, sequence, [None] * len(sequence))
+    maps = element_search(L_group, obj.subgroup, sequence, [None] * len(sequence))
     return [tuple(m[x] for x in L_group.elements()) for m in maps]
 
 
@@ -580,7 +624,7 @@ def carrier_automorphism_maps(mp):
         s_class = G.conjugacy_data()[G.class_index_of(mp.element)]
         restrictions.append(set(s_class.elements))
     restrictions.extend([None] * len(mp.subgroup.generators))
-    lists = autos._candidate_lists(G, G, sequence, restrictions)
+    lists = element_candidates(G, G, sequence, restrictions)
     maps = []
     order = 1
     for i in reversed(range(len(sequence))):
@@ -590,7 +634,7 @@ def carrier_automorphism_maps(mp):
         for cand in lists[i]:
             if cand in basic:
                 continue
-            hit = _search_maps(
+            hit = element_search(
                 G, G, sequence, fixed + [{cand}] + restrictions[i + 1:], limit=1
             )
             if hit:
@@ -610,7 +654,7 @@ def twisted_centralizer(mp):
     L, u = mp.subgroup, mp.element
     commuting = None if u.is_identity() else (u, u)
     sequence = list(L.generators)
-    lists = autos._candidate_lists(L, L, sequence, [None] * len(sequence))
+    lists = element_candidates(L, L, sequence, [None] * len(sequence))
     free = [set(pool) for pool in lists]
     maps = []
     for i in reversed(range(len(sequence))):
@@ -619,7 +663,7 @@ def twisted_centralizer(mp):
         for cand in lists[i]:
             if cand in basic:
                 continue
-            hit = _search_maps(L, L, sequence, fixed + [{cand}] + free[i + 1:], 1, commuting)
+            hit = element_search(L, L, sequence, fixed + [{cand}] + free[i + 1:], 1, commuting)
             if hit:
                 maps.append(hit[0])
                 basic = basic_orbit(sequence[i], maps)
@@ -722,7 +766,7 @@ def carrier_image_of_normalizer(out, cls, ambient, subgroup, element, witness):
                 pairs.append((gen, u))
             else:
                 pairs.append((gen, phi_inv[package_conjugate(g, phi[gen])]))
-        perm = out.perm_from_map(homomorphism(realization, realization, pairs))
+        perm = out.perm_from_map(element_homomorphism(realization, realization, pairs))
         if not out.aut.contains(perm):
             raise InternalCheckError("induced map is not a pair automorphism")
         images.append(out.projection[perm])

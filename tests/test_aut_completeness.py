@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import DATA_DIR
-from blockfunctor import autos
 from blockfunctor.autos import MarkedPair, pair_automorphism_maps
 from blockfunctor.config import max_order
 from blockfunctor.ddelta import PairClass, PairClassRegistry
@@ -37,9 +36,9 @@ FIXTURES = ("s3", "c3", "a4", "s4", "f20", "f20b", "f21", "g72", "g56")
 
 def candidate_lists(mp):
     """The candidate lists pair_automorphism_maps draws its images from
-    on a marking (G, 1)."""
+    on a marking (G, 1), as elements."""
     G = mp.subgroup
-    return autos._candidate_lists(G, G, list(G.generators), [None] * len(G.generators))
+    return oracles.element_candidates(G, G, G.generators, [None] * len(G.generators))
 
 
 def enumerated_automorphisms(G, gens, lists):

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from conftest import DATA_DIR
-from blockfunctor import autos, chartab, ddelta
+from blockfunctor import chartab, ddelta
 from blockfunctor.autos import MarkedPair, find_pair_isomorphism
 from blockfunctor.battery import a4, c3, f20, f21, g56, g72, s3, s4
 from blockfunctor.ddelta import (
@@ -17,7 +17,7 @@ from blockfunctor.ddelta import (
 from blockfunctor.errors import DomainError, InternalCheckError, SizeBoundError
 from blockfunctor.grpfile import load_group, parse_group_file
 from blockfunctor.multiplicity import invariants_kl
-from blockfunctor.permgroup import homomorphism, normalizer
+from blockfunctor.permgroup import PermGroup, normalizer, p_subgroup_classes
 from blockfunctor.permutation import Permutation, conjugate
 
 
@@ -53,6 +53,23 @@ def test_pair_orbit_count_against_exhaustive_oracle(builder, p):
     G = builder()
     expected = oracles.orbit_count(G.degree, [g.images for g in G.generators], p)
     assert len(pair_orbit_reps(G, p)) == expected
+
+
+@pytest.mark.parametrize("builder,p", FIXTURES)
+def test_pair_orbit_reps_computes_one_element_order_per_class(builder, p, monkeypatch):
+    # with the p-subgroup classes and their normalizers built, the pair
+    # orbits take one Permutation.order per class of each N_G(P), and one
+    # for the check that each pair's s is a p'-element
+    fixture = builder()
+    G = PermGroup(fixture.degree, fixture.generators)  # nothing cached yet
+    normalizers = {id(N): N for N in (normalizer(G, P) for P in p_subgroup_classes(G, p))}
+    calls = []
+    order = Permutation.order
+    monkeypatch.setattr(Permutation, "order", lambda x: calls.append(x) or order(x))
+    pairs = pair_orbit_reps(G, p)
+    monkeypatch.undo()
+    classes = sum(len(N.conjugacy_data()) for N in normalizers.values())
+    assert len(calls) == classes + len(pairs)
 
 
 def test_pairs_for_prime_not_dividing_order():
@@ -238,7 +255,7 @@ def test_witnesses_are_the_label_form_of_the_oracle_witness(name):
                 expected = {x: x for x in L.elements()}
             else:
                 sequence = list(L.generators)
-                lists = autos._candidate_lists(L, P, sequence, [None] * len(sequence))
+                lists = oracles.element_candidates(L, P, sequence, [None] * len(sequence))
                 found = oracles.leaf_only_search(
                     L.identity.images, P.identity.images, L.order, P.order,
                     [g.images for g in sequence],
@@ -298,7 +315,7 @@ def test_fixed_dims_are_witness_independent():
     for n in n_ps:
         pairs = [(tau, conjugate(n, phi[tau])) for tau in source.generators]
         alt_w = oracles.label_witness(
-            source, pair.subgroup, homomorphism(source, pair.subgroup, pairs)
+            source, pair.subgroup, oracles.element_homomorphism(source, pair.subgroup, pairs)
         )
         if alt_w == member.witness:
             continue
@@ -367,9 +384,9 @@ def test_missing_schreier_generators_are_refused_by_name(monkeypatch):
     # order 3; a walk that returns no Schreier generators closes C to the
     # trivial group, which breaks orbit-stabilizer
     cls = a4_class(4, 3)
-    walk = ddelta.class_and_centralizer
+    walk = ddelta.element_class_and_centralizer
     monkeypatch.setattr(
-        ddelta, "class_and_centralizer", lambda gens, s: (walk(gens, s)[0], ())
+        ddelta, "element_class_and_centralizer", lambda gens, s: (walk(gens, s)[0], ())
     )
     with pytest.raises(InternalCheckError, match=re.escape(
         "Out(L, u), pair class (|L|=4, ord u=3): C_Aut(L)(c_u) closed from its "
@@ -422,7 +439,9 @@ def swapped(cls, member):
     phi = witness_map(cls, member)
     images = [phi[g] for g in L.generators]
     images[0], images[1] = images[1], images[0]
-    return oracles.label_witness(L, P, homomorphism(L, P, list(zip(L.generators, images))))
+    return oracles.label_witness(
+        L, P, oracles.element_homomorphism(L, P, list(zip(L.generators, images)))
+    )
 
 
 def first_failure(cls, member, w):

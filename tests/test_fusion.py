@@ -212,7 +212,7 @@ def test_psi_returns_p_prime_inducing_element():
             u = cls.realization.element
             l_elements = cls.realization.subgroup.elements()
             for orbit in triple_orbits(F, cls):
-                pair = psi_pair(F, cls, orbit)
+                pair = psi_pair(F, cls, orbit, Permutation(orbit.rep))
                 assert pair.element.order() % p != 0
                 # the representative is a label map L -> P
                 p_elements = orbit.object.subgroup.elements()
@@ -235,7 +235,7 @@ def test_psi_image_is_orbit_invariant():
         if c.subgroup_order == 4 and c.element_order == 3
     )
     for orbit in triple_orbits(F, cls):
-        base = psi_pair(F, cls, orbit)
+        base = psi_pair(F, cls, orbit, Permutation(orbit.rep))
         obj = orbit.object
         for _ in range(4):
             g = rng.choice(G.elements())
@@ -257,7 +257,7 @@ def test_psi_image_is_orbit_invariant():
                 stabilizer=orbit.stabilizer,
                 orbit_size=orbit.orbit_size,
             )
-            moved = psi_pair(F, cls, moved_orbit)
+            moved = psi_pair(F, cls, moved_orbit, Permutation(twisted))
             assert _pairs_conjugate(G, moved, base)
 
 

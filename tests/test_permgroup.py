@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 from collections import Counter
 from functools import partial
 
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import DATA_DIR
-from blockfunctor.battery import a4, c3, f20, f21, g72, s3, s4
+from blockfunctor import permgroup
+from blockfunctor.battery import a4, c3, f20, f21, g56, g72, s3, s4
 from blockfunctor.config import DEFAULT_MAX_ORDER
 from blockfunctor.errors import DomainError, InternalCheckError, SizeBoundError
 from blockfunctor.grpfile import load_group, parse_group_file
@@ -149,6 +152,27 @@ def test_normalizer_examples():
     assert normalizer(a4(), a4().subgroup([])).order == 12
 
 
+def test_the_normalizer_of_a_normal_subgroup_is_the_group():
+    # P = 1 in A6, and the normal Sylow D = C2^3 in G56: the walk over the
+    # conjugates of P stops at P, and N_G(P) is G itself, not a copy
+    G = a6()
+    assert normalizer(G, PermGroup(G.degree, ())) is G
+    G = PermGroup(8, g56().generators)  # a fresh copy of the cached fixture
+    D = sylow_subgroup(G, 2)
+    assert D.order == 8
+    assert normalizer(G, D) is G
+    assert normalizer(G, D) is G  # from the memo
+    assert normalizer(G, G.subgroup(D.generators[:1])) is not G
+    # the memo does not hold G, so G is freed without the cycle collector
+    ref = weakref.ref(G)
+    gc.disable()
+    try:
+        del G, D
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_normalizer_requires_containment():
     with pytest.raises(DomainError):
         normalizer(a4(), s4().subgroup([perm(4, "(1,2)")]))
@@ -255,6 +279,31 @@ def test_p_subgroup_classes_of_a_sylow_subgroup_of_order_64():
     orders = Counter(P.order for P in p_subgroup_classes(G, 2))
     assert sum(orders.values()) == 567
     assert orders == {1: 1, 2: 23, 4: 122, 8: 226, 16: 163, 32: 31, 64: 1}
+
+
+@pytest.mark.parametrize("builder,p", [(s4, 2), (a6, 2), (a6, 3), (psl27, 2)])
+def test_p_subgroup_classes_walk_once_per_class(builder, p, monkeypatch):
+    # one walk lists the subgroups of the Sylow subgroup, and one walk
+    # over conjugate label sets names each G-class, however many of its
+    # subgroups lie in the Sylow subgroup
+    fixture = builder()
+    G = PermGroup(fixture.degree, fixture.generators)  # nothing cached yet
+    walks = []
+    walk = permgroup.orbit
+
+    def counting(seed, step):
+        if isinstance(seed, frozenset):
+            walks.append(seed)
+        return walk(seed, step)
+
+    monkeypatch.setattr(permgroup, "orbit", counting)
+    classes = p_subgroup_classes(G, p)
+    monkeypatch.undo()
+    S = classes[-1]
+    exponent = round(math.log(S.order, p))
+    subgroups = oracles.all_p_subgroups(G.degree, [x.images for x in S.elements()], p, exponent)
+    assert len(classes) < len(subgroups)
+    assert len(walks) == 1 + len(classes)
 
 
 def test_sylow_subgroup_order():
@@ -397,7 +446,7 @@ def test_group_hom_detects_non_homomorphism():
     G = s3()
     bad = [(perm(3, "(1,2,3)"), perm(3, "(1,2)")), (perm(3, "(1,2)"), perm(3, "(1,2)"))]
     with pytest.raises(InternalCheckError):
-        homomorphism(G, G, bad)
+        homomorphism(G, G, [(G.position(g), G.position(h)) for g, h in bad])
 
 
 def test_size_bound(monkeypatch):
@@ -421,10 +470,10 @@ def test_size_bound_refuses_at_one_past_the_cap(monkeypatch):
 
 
 @st.composite
-def generator_lists(draw):
+def generator_lists(draw, max_degree=6):
     """Random generators plus the identity, a duplicate and a product of
     two of them, shuffled."""
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, max_degree))
     base = [Permutation(draw(st.permutations(range(n)))) for _ in range(draw(st.integers(1, 3)))]
     extras = [
         Permutation.identity(n),
@@ -479,6 +528,44 @@ def test_labels_of_random_groups(case):
     except SizeBoundError:
         assume(False)
     assert_label_invariants(G)
+
+
+def assert_tables_on_labels(G):
+    """The product table, the conjugation steps, the orders, the
+    invariants and the classes on labels, against the element oracles on
+    image tuples: products and conjugates computed point by point, orders
+    by repeated products and classes by conjugating by every element."""
+    raw = [x.images for x in G.elements()]
+    index = {x: i for i, x in enumerate(raw)}
+    assert G.table == tuple(tuple(index[oracles.compose(a, b)] for b in raw) for a in raw)
+    assert G.orders == tuple(oracles.perm_order(a) for a in raw)
+    assert [g for g, _, _ in G.conjugation] == list(G.generators)
+    for g, g_inv, c_g in G.conjugation:
+        assert g_inv.images == oracles.inverse(g.images)
+        assert c_g == tuple(index[oracles.conj(g.images, x)] for x in raw)
+    expected = sorted({tuple(sorted({oracles.conj(g, x) for g in raw})) for x in raw})
+    classes = G.conjugacy_data()
+    assert [tuple(y.images for y in c.elements) for c in classes] == expected
+    assert [c.labels for c in classes] == [tuple(index[y] for y in e) for e in expected]
+    assert [c.rep.images for c in classes] == [e[0] for e in expected]
+    size_of = {y: len(e) for e in expected for y in e}
+    assert G.invariants == tuple(
+        (oracles.perm_order(a), size_of[a]) for a in raw
+    )
+    for i, e in enumerate(expected):
+        assert {G.class_index_of(Permutation(y)) for y in e} == {i}
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_tables_on_labels_of_the_fixtures(name):
+    assert_tables_on_labels(BUILDERS[name]())
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(generator_lists(max_degree=5))
+def test_tables_on_labels_of_random_groups(case):
+    n, gens = case
+    assert_tables_on_labels(PermGroup(n, gens))
 
 
 @pytest.mark.parametrize("name", BUILDERS)

@@ -21,6 +21,7 @@ from blockfunctor.grpfile import load_group, parse_group_file
 from blockfunctor.permgroup import (
     PermGroup,
     class_and_centralizer,
+    element_class_and_centralizer,
     frobenius_group,
     normalizer,
 )
@@ -59,13 +60,28 @@ def assert_generates_the_centralizer(G, pair):
 def test_class_and_centralizer_examples():
     s3 = PermGroup(3, [Permutation.parse(3, "(1,2,3)"), Permutation.parse(3, "(1,2)")])
     transposition = Permutation.parse(3, "(1,2)")
-    conj_class, gens = class_and_centralizer(s3.generators, transposition)
-    assert len(conj_class) == 3
+    transpositions = {x for x in s3.elements() if x.order() == 2}
+    # on the labels of S3
+    conj_class, gens = class_and_centralizer(s3, transposition)
+    assert conj_class == {s3.position(x) for x in transpositions}
     assert PermGroup(3, gens).element_set() == {s3.identity, transposition}
-    # the identity is its own class, and every generator centralizes it
-    conj_class, gens = class_and_centralizer(s3.generators, s3.identity)
+    # the identity is its own class, label 0, and every generator
+    # centralizes it
+    conj_class, gens = class_and_centralizer(s3, s3.identity)
+    assert conj_class == {0}
+    assert set(gens) == set(s3.generators)
+    # on elements, with the same Schreier generators
+    conj_class, gens = element_class_and_centralizer(s3.generators, transposition)
+    assert conj_class == transpositions
+    assert gens == class_and_centralizer(s3, transposition)[1]
+    conj_class, gens = element_class_and_centralizer(s3.generators, s3.identity)
     assert conj_class == {s3.identity}
     assert set(gens) == set(s3.generators)
+    # an element outside the group: (1,2) under conjugation by A3
+    a3 = PermGroup(3, [Permutation.parse(3, "(1,2,3)")])
+    conj_class, gens = element_class_and_centralizer(a3.generators, transposition)
+    assert conj_class == transpositions
+    assert PermGroup(3, gens).order == 1
 
 
 @pytest.mark.parametrize("name,G,p", CASES, ids=[case[0] for case in CASES])
@@ -91,6 +107,7 @@ def test_psi_pair_generators_match_the_element_scan(name):
         if cls.subgroup_order == 1 or not registry.members_for(G, cls):
             continue
         for orbit in triple_orbits(F, cls):
-            assert_generates_the_centralizer(G, psi_pair(F, cls, orbit))
+            pair = psi_pair(F, cls, orbit, Permutation(orbit.rep))
+            assert_generates_the_centralizer(G, pair)
             checked += 1
     assert checked

@@ -11,6 +11,11 @@ under conjugation by (u, u'), so the relation m(u x u^-1) = u' m(x) u'^-1
 prunes the search; the oracle closes only complete tuples and checks
 that relation on every element of L.  The searches for Aut(L) run
 without that twist.
+
+The package searches on labels: each recorded call is read back into
+image tuples through the elements of A and B, and a twist, the actions
+of u and u' on labels, through the marked pairs of the registry that
+carry them, so that the oracle conjugates by u and u' itself.
 """
 
 import itertools
@@ -48,25 +53,41 @@ def searches(monkeypatch):
     return calls
 
 
-def images(m):
-    return {x.images: y.images for x, y in m.items()}
+def marked_elements(*registries):
+    """(subgroup, action on its labels) -> the marked element, for every
+    realization and member of the registries: how a recorded twist on
+    labels is read back into elements."""
+    out = {}
+    for registry in registries:
+        for cls in registry.classes:
+            for marked in [cls.realization] + [m.pair for m in cls.members]:
+                out[id(marked.subgroup), marked.action.images] = marked.element
+    return out
 
 
-def assert_same_as_leaf_only(calls):
+def assert_same_as_leaf_only(calls, elements_of_twist=None):
     assert calls
     for A, B, sequence, restrictions, limit, commuting, found in calls:
+        a_images = [x.images for x in A.elements()]
+        b_images = [y.images for y in B.elements()]
         lists = autos._candidate_lists(A, B, sequence, restrictions)
+        if commuting is not None:
+            c, d = commuting
+            commuting = (
+                elements_of_twist[id(A), c].images,
+                elements_of_twist[id(B), d].images,
+            )
         expected = oracles.leaf_only_search(
             A.identity.images,
             B.identity.images,
             A.order,
             B.order,
-            [g.images for g in sequence],
-            None if lists is None else [[y.images for y in pool] for pool in lists],
+            [a_images[g] for g in sequence],
+            None if lists is None else [[b_images[y] for y in pool] for pool in lists],
             limit,
-            None if commuting is None else tuple(c.images for c in commuting),
+            commuting,
         )
-        assert [images(m) for m in found] == expected
+        assert [dict(zip(a_images, [b_images[j] for j in m])) for m in found] == expected
 
 
 @pytest.mark.parametrize("name", FIXTURES + ("f75",))
@@ -88,7 +109,7 @@ def test_every_pair_class_search_matches_leaf_only(name, searches):
     }
     if name != "s4":
         mult_table_fusion(build_fusion(loaded.group, loaded.p), registry, name)
-    assert_same_as_leaf_only(searches)
+    assert_same_as_leaf_only(searches, marked_elements(registry))
 
 
 def test_compare_searches_match_leaf_only(searches):
@@ -97,22 +118,24 @@ def test_compare_searches_match_leaf_only(searches):
         loaded = load(name)
         by_prime.setdefault(loaded.p, []).append(loaded)
     verdicts = 0
+    registries = []
     for p, groups in sorted(by_prime.items()):
         registry = PairClassRegistry()
+        registries.append(registry)
         tables = [mult_table_pairs(g.group, p, registry, g.name) for g in groups]
         for left, right in itertools.permutations(tables, 2):
             compare(left, right)
             verdicts += 1
     assert verdicts == 14
-    assert_same_as_leaf_only(searches)
+    assert_same_as_leaf_only(searches, marked_elements(*registries))
 
 
 def test_an_image_fixed_by_the_prefix_must_still_be_a_candidate(searches):
     # g2 = g1^2 lies in <g1>, so its image is fixed; the restriction
     # admits it only when g1 goes to g1^2
     C3 = load("c3").group
-    g1 = C3.generators[0]
-    g2 = g1 * g1
+    g1 = C3.position(C3.generators[0])
+    g2 = C3.table[g1][g1]
     found = autos._search_maps(C3, C3, [g1, g2], [None, {g1}])
     assert [m[g1] for m in found] == [g2]
     assert_same_as_leaf_only(searches)
