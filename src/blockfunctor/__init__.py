@@ -7,7 +7,7 @@ from .autos import (
     find_group_isomorphism,
     find_pair_isomorphism,
 )
-from .chartab import CharacterTable, character_table, fixed_point_dim
+from .chartab import CharacterTable, character_table, class_counts, fixed_point_dim
 from .ddelta import (
     ClassMember,
     NormalizerPair,
@@ -82,6 +82,7 @@ __all__ = [
     "UsageError",
     "build_fusion",
     "character_table",
+    "class_counts",
     "compare",
     "conjugate",
     "cross_check_formulas",

@@ -362,21 +362,28 @@ def _verify_table(table: CharacterTable):
                 raise InternalCheckError("row orthogonality fails mod q")
 
 
-def fixed_point_dim(table: CharacterTable, row: int, H: PermGroup) -> int:
-    """Dimension of the H-fixed points on the row-th irreducible module.
+def class_counts(G: PermGroup, H: PermGroup) -> tuple:
+    """How many elements of H lie in each class of G, in class order.  An
+    element of H outside G raises DomainError when its class is looked
+    up."""
+    counts = [0] * len(G.conjugacy_data())
+    for h in H.elements():
+        counts[G.class_index_of(h)] += 1
+    return tuple(counts)
+
+
+def fixed_point_dim(table: CharacterTable, row: int, counts: tuple) -> int:
+    """Dimension of the H-fixed points on the row-th irreducible module,
+    for the subgroup H of the table's group with the given class_counts.
 
     Computed as the residue of (1/|H|) * sum of character values over H,
-    lifted to the unique integer in [0, degree].  An element of H outside
-    the table's group raises DomainError when its class is looked up.
+    lifted to the unique integer in [0, degree].
     """
     if not 0 <= row < table.n_classes:
         raise DomainError(f"character index {row} out of range")
-    G = table.group
     q = table.modulus
-    total = 0
-    for h in H.elements():
-        total = (total + table.values[row][G.class_index_of(h)]) % q
-    value = total * pow(H.order % q, -1, q) % q
+    total = sum(c * v for c, v in zip(counts, table.values[row])) % q
+    value = total * pow(sum(counts) % q, -1, q) % q
     if value > table.degrees[row]:
         raise InternalCheckError(
             f"fixed-point dimension lift {value} exceeds the degree "

@@ -36,15 +36,27 @@ classes share one L and many share one C, so the classes of a registry
 share Aut(L) once per product table of L on its labels and the character
 table of C once per element set of C (SharedGroups); Aut(L) on labels
 depends only on the product table, and a character table only on the
-element set.  The table of C is built only when a multiplicity or a
-report first reads it, so commands that need only subgroups of Out,
-such as verify-psi, build no table.
+element set.  The table of C is built only when a row of a
+multiplicity table or a report first reads it, so commands that need
+only subgroups of Out or permutation characters, such as verify-psi
+and a compare with a stable verdict, build no table.
+
+N is read from labels too: C_L(u) is the set of labels that c_u fixes,
+and each c_x is read from the table of L.  A subgroup H of C that
+contains N enters a multiplicity table as its class count in C
+(PairClass.class_count), from which the class reads its permutation
+character without a table, and out_dims the fixed-point dimensions with
+one.
 
 The pair orbits read the classes of N_G(P) and their element orders
-from N_G(P) itself, one Permutation.order per class, and walk the class
-and centralizer of each p'-class on the labels of N_G(P).  The image of
-N_G(P, s) in Out closes each induced automorphism a_g of P on the table
-of P from the images of the generators of P.
+from N_G(P) itself, one Permutation.order per class, and walk no class.
+The generators of N_G(P, s) = C_{N_G(P)}(s) come from a walk over the
+N_G(P)-class of s on the labels of N_G(P), made only when the image of
+N_G(P, s) in Out first reads them (NormalizerPair.centralizer_gens):
+never for P = 1, whose image is N, so commands that build no image,
+such as pairs, walk no class.  The image closes each induced
+automorphism a_g of P on the table of P from the images of the
+generators of P.
 """
 
 from __future__ import annotations
@@ -58,7 +70,7 @@ from .autos import (
     find_pair_isomorphism,
     pair_automorphism_maps,
 )
-from .chartab import CharacterTable, character_table, fixed_point_dim
+from .chartab import CharacterTable, character_table, class_counts, fixed_point_dim
 from .errors import DomainError, InternalCheckError, SizeBoundError
 from .permgroup import (
     PermGroup,
@@ -69,7 +81,7 @@ from .permgroup import (
     orbit,
     p_subgroup_classes,
 )
-from .permutation import Permutation, conjugate_with, conjugation
+from .permutation import Permutation, conjugate_with
 
 
 def pair_class_key(marked: MarkedPair) -> tuple:
@@ -92,19 +104,34 @@ def pair_class_key(marked: MarkedPair) -> tuple:
 @dataclass(frozen=True)
 class NormalizerPair(MarkedPair):
     """The marked pair (P, s) of a p-subgroup P of ``ambient`` and a
-    p'-element s of its normalizer, with generators of C_{N_G(P)}(s): the
-    Schreier generators of the walk over the N_G(P)-class of s
-    (permgroup.class_and_centralizer).  MarkedPair checks that s
-    normalizes P."""
+    p'-element s of its normalizer.  MarkedPair checks that s normalizes
+    P."""
 
     ambient: PermGroup
     p: int
-    centralizer_gens: tuple
 
     def __post_init__(self):
         if self.element.order() % self.p == 0:
             raise DomainError("marked element order is divisible by p")
         super().__post_init__()
+
+    @cached_property
+    def centralizer_gens(self) -> tuple:
+        """Generators of N_G(P, s) = C_{N_G(P)}(s): the Schreier generators
+        of the walk over the N_G(P)-class of s (class_and_centralizer),
+        made on first read.  The walk must find the class of s in
+        N_G(P).conjugacy_data()."""
+        N = normalizer(self.ambient, self.subgroup)
+        conj_class, fixing_s = class_and_centralizer(N, self.element)
+        expected = N.conjugacy_data()[N.class_index_of(self.element)].labels
+        if conj_class != set(expected):
+            raise InternalCheckError(
+                f"normalizer pair, p={self.p}, |P|={self.subgroup.order}, "
+                f"s={self.element.cycle_string()}: the walk over the N_G(P)-class "
+                f"of s found {len(conj_class)} conjugates, not its class of "
+                f"{len(expected)}"
+            )
+        return fixing_s
 
 
 def pair_orbit_reps(G: PermGroup, p: int):
@@ -115,29 +142,17 @@ def pair_orbit_reps(G: PermGroup, p: int):
     p'-elements of N_G(P), each given by its minimal element and ordered
     by (element order, images).  The classes and their orders come from
     N_G(P) (PermGroup.conjugacy_data and orders), so one element order is
-    computed per class.
+    computed per class, and no class is walked.
     """
     reps = []
     for P in p_subgroup_classes(G, p):
         N = normalizer(G, P)
         orders = N.orders
-        class_reps = []
-        for cls in N.conjugacy_data():
-            order = orders[cls.labels[0]]
-            if order % p == 0:
-                continue
-            conj_class, fixing_s = class_and_centralizer(N, cls.rep)
-            if not all(orders[y] % p for y in conj_class):
-                raise InternalCheckError(
-                    f"pair orbits, p={p}, |P|={P.order}: conjugation in "
-                    f"N_G(P) left the p'-elements"
-                )
-            class_reps.append((order, cls.rep, fixing_s))
-        class_reps.sort(key=lambda rep: (rep[0], rep[1].images))
-        reps.extend(
-            NormalizerPair(P, s, ambient=G, p=p, centralizer_gens=fixing_s)
-            for _, s, fixing_s in class_reps
-        )
+        class_reps = [
+            (orders[cls.labels[0]], cls.rep.images, cls.rep)
+            for cls in N.conjugacy_data() if orders[cls.labels[0]] % p
+        ]
+        reps.extend(NormalizerPair(P, s, ambient=G, p=p) for *_, s in sorted(class_reps))
     return reps
 
 
@@ -275,13 +290,19 @@ class PairClass:
     @cached_property
     def inner(self) -> PermGroup:
         """N = <c_u, c_x : x in C_L(u)> on the labels of L, the kernel of
-        C -> Out, checked to lie in C on first read."""
+        C -> Out, checked to lie in C on first read.  C_L(u) is the set of
+        labels that c_u fixes, and c_x sends the label of y to that of
+        x y x^-1, read from the table of L."""
         aut = self.aut
         L = self.realization.subgroup
-        u = self.realization.element
-        # u may lie outside L, so this walk is on elements
-        _, fixing_u = element_class_and_centralizer(L.generators, u)
-        inner = [L.label_perm(conjugation(g)) for g in (u,) + fixing_u]
+        c_u = self.realization.action
+        rows = L.table
+        maps = {}
+        for x, image in enumerate(c_u.images):
+            if image == x:
+                x_inv = rows[x].index(0)
+                maps[tuple([rows[y][x_inv] for y in rows[x]])] = None
+        inner = [c_u] + [Permutation(c_x) for c_x in maps]
         if not all(aut.contains(c) for c in inner):
             raise InternalCheckError(
                 f"Out(L, u), {self.name}: an inner automorphism fixing u is "
@@ -309,16 +330,36 @@ class PairClass:
             if all(table.values[r][j] == d for j in kernel)
         )
 
-    def out_dims(self, H: PermGroup) -> list:
-        """The fixed-point dimension of each irreducible of Out on the
-        image of H, for H <= C containing N: the average of the inflated
-        character over H."""
+    def class_count(self, H: PermGroup) -> tuple:
+        """How many elements of H lie in each class of C, for H <= C
+        containing N; permutation_character and out_dims read it."""
         if not self.inner.element_set() <= H.element_set():
             raise InternalCheckError(
                 f"Out(L, u), {self.name}: a preimage in C of order {H.order} "
                 f"does not contain N of order {self.inner.order}"
             )
-        return [fixed_point_dim(self.aut_table, r, H) for r in self.out_rows]
+        return class_counts(self.aut, H)
+
+    def permutation_character(self, counts) -> tuple:
+        """pi = sum over H of 1_H induced to C, on the classes of C, from
+        the class count of each H: 1_H induced takes the value
+        |C| |c^C & H| / (|H| |c^C|) at c.  Its inner product with an
+        irreducible of Out is the sum over H of out_dims, by Frobenius
+        reciprocity, so pi determines those sums and needs no table."""
+        C = self.aut
+        sizes = [cls.size for cls in C.conjugacy_data()]
+        pi = [0] * len(sizes)
+        for count in counts:
+            order = sum(count)
+            for j, n in enumerate(count):
+                pi[j] += C.order * n // (order * sizes[j])
+        return tuple(pi)
+
+    def out_dims(self, counts: tuple) -> list:
+        """The fixed-point dimension of each irreducible of Out on the
+        image of H, from the class count of H: the average of the inflated
+        character over H."""
+        return [fixed_point_dim(self.aut_table, r, counts) for r in self.out_rows]
 
     def __repr__(self):
         return (
@@ -417,7 +458,8 @@ def image_of_normalizer(cls: PairClass, pair: NormalizerPair, w: Permutation) ->
     """
     P = pair.subgroup
     actions = {}  # the conjugates of the generators of P -> g
-    for g in pair.centralizer_gens:
+    # P = 1 has no generators and its image is N, so it reads no generators of N_G(P, s)
+    for g in pair.centralizer_gens if P.generators else ():
         g_inv = g.inverse()
         actions.setdefault(tuple([conjugate_with(g, g_inv, x) for x in P.generators]), g)
     generators = [P.position(x) for x in P.generators]

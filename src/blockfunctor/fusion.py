@@ -260,10 +260,9 @@ def triple_orbits(F: FusionData, cls: PairClass):
 def psi_pair(
     F: FusionData, cls: PairClass, orbit: TripleOrbit, w: Permutation
 ) -> NormalizerPair:
-    """The pair (P, s) with s a p'-normalizer element inducing pi.i_u.pi^-1,
-    carrying the generators of C_{N_G(P)}(s) from the walk over the
-    N_G(P)-class of s.  w is the orbit's representative pi as the
-    permutation of labels that verify_class has checked.
+    """The pair (P, s) with s a p'-normalizer element inducing pi.i_u.pi^-1.
+    w is the orbit's representative pi as the permutation of labels that
+    verify_class has checked.
 
     The search runs over the whole normalizer in canonical order, with
     the element orders of its classes; absence of such an element
@@ -276,27 +275,26 @@ def psi_pair(
     target = [P.elements()[induced[P.position(x)]] for x in gens]
     for s, order in zip(N.elements(), N.orders):
         if order % F.p and list(map(conjugation(s), gens)) == target:
-            _, fixing_s = class_and_centralizer(N, s)
-            return NormalizerPair(P, s, ambient=F.group, p=F.p, centralizer_gens=fixing_s)
+            return NormalizerPair(P, s, ambient=F.group, p=F.p)
     raise InternalCheckError(
         f"{_where(cls)}: no p'-element of the normalizer induces the "
         f"required action"
     )
 
 
-def _pairs_conjugate(G: PermGroup, a: NormalizerPair, b: NormalizerPair) -> bool:
-    """Whether some g in G conjugates (P_a, s_a) onto (P_b, s_b), by a scan
-    of G."""
-    if a.subgroup.order != b.subgroup.order or a.element.order() != b.element.order():
-        return False
-    bset = b.subgroup.element_set()
-    for g in G.elements():
-        c_g = conjugation(g)
-        if c_g(a.element) != b.element:
-            continue
-        if all(c_g(x) in bset for x in a.subgroup.generators):
-            return True
-    return False
+def _pair_labels(G: PermGroup, pair: NormalizerPair) -> tuple:
+    """(the label set of P, the label of s) in G, for a pair (P, s) of G."""
+    return frozenset(map(G.position, pair.subgroup.elements())), G.position(pair.element)
+
+
+def _pair_orbit(G: PermGroup, pair: NormalizerPair) -> set:
+    """The G-conjugates of a pair (P, s) as _pair_labels, by one walk under
+    the label permutations c_g of the generators of G."""
+    moves = [c_g for _, _, c_g in G.conjugation]
+    return orbit(
+        _pair_labels(G, pair),
+        lambda y: [(frozenset([c_g[x] for x in y[0]]), c_g[y[1]]) for c_g in moves],
+    )
 
 
 @dataclass(frozen=True)
@@ -313,13 +311,15 @@ def verify_class(F: FusionData, cls: PairClass, registry: PairClassRegistry) -> 
 
     The induced map from triple orbits to pair orbits must be defined and
     injective; there are as many orbits as class members of this group,
-    so it is then onto them.  For every matched orbit the image of
+    so it is then onto them.  A psi pair is matched with the member that
+    lies in its G-orbit, walked once on labels (_pair_orbit).  For every matched orbit the image of
     N_G(P, s) in Out (computed with the orbit's pi, closed from its
     representative) must equal the triple stabilizer as a literal
     subgroup; both are carried by their preimages in C.
     Any failure raises InternalCheckError naming the class and the orbit.
     """
     members = registry.members_for(F.group, cls)
+    member_labels = [_pair_labels(F.group, m.pair) for m in members]
     orbits = triple_orbits(F, cls)
     L = cls.realization.subgroup
     where = _where(cls)
@@ -342,10 +342,8 @@ def verify_class(F: FusionData, cls: PairClass, registry: PairClassRegistry) -> 
             )
         w = Permutation(pi)
         pair = psi_pair(F, cls, orbit, w)
-        match = next(
-            (j for j, m in enumerate(members) if _pairs_conjugate(F.group, pair, m.pair)),
-            None,
-        )
+        conjugates = _pair_orbit(F.group, pair)
+        match = next((j for j, y in enumerate(member_labels) if y in conjugates), None)
         if match is None:
             raise InternalCheckError(
                 f"{where}: psi image of triple orbit {i} hits no pair orbit"

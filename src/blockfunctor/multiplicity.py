@@ -7,11 +7,25 @@ and the fusion route sums them over triple-orbit stabilizers; they must
 agree on every class with nontrivial subgroup.  Rows are stored sparsely:
 a class appears with all its irreducible indices or not at all, and
 absent rows read as zero.
+
+A table keeps, per class, how many elements of each summed subgroup H
+lie in each class of C (PairClass.class_count).  From these alone it
+reads the permutation character pi = sum over H of 1_H induced to C, a
+character of C / N whose multiplicity on each irreducible of Out is the
+row of that irreducible (Frobenius reciprocity; Isaacs, Character Theory
+of Finite Groups, ch. 5).  The irreducibles are linearly independent, so
+two tables agree on the rows of a class exactly when their pi agree
+there, and pi needs the classes of C but no character table.  The
+trivial-class check reads pi; the two routes must have equal pi on every
+nontrivial class before their rows are compared; and compare decides
+stability from pi, building the table of C only for a class whose pi
+differ, to list its rows.  The rows are built when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .ddelta import PairClassRegistry, image_of_normalizer
 from .errors import DomainError, InternalCheckError
@@ -38,7 +52,12 @@ def invariants_kl(G: PermGroup, p: int):
 
 @dataclass
 class MultiplicityTable:
-    """Multiplicities of simple summands, with block-style invariants."""
+    """Multiplicities of simple summands, with block-style invariants.
+
+    The table holds the class count in C of each subgroup H it sums over;
+    the permutation characters and the rows are read from them on first
+    use, and only the rows build character tables.
+    """
 
     group_name: str
     group: PermGroup
@@ -46,17 +65,38 @@ class MultiplicityTable:
     k: int
     l: int
     defect_order: int
-    rows: dict  # (class_id, irr_index) -> multiplicity
+    counts: dict  # class_id -> the class count in C of each H, in order
     registry: PairClassRegistry
     sylow: PermGroup
     includes_trivial: bool
 
     def class_ids(self):
-        return sorted({cid for cid, _ in self.rows})
+        return sorted(self.counts)
+
+    @cached_property
+    def pi(self) -> dict:
+        """class_id -> the permutation character pi of the class."""
+        classes = self.registry.classes
+        return {cid: classes[cid].permutation_character(c) for cid, c in self.counts.items()}
+
+    def class_rows(self, cid) -> dict:
+        """(cid, irr_index) -> multiplicity for one class; empty when the
+        class is absent."""
+        cls = self.registry.classes[cid]
+        rows = {}
+        for counts in self.counts.get(cid, ()):
+            for irr, dim in enumerate(cls.out_dims(counts)):
+                rows[(cid, irr)] = rows.get((cid, irr), 0) + dim
+        return rows
+
+    @cached_property
+    def rows(self) -> dict:
+        """(class_id, irr_index) -> multiplicity."""
+        return {key: m for cid in self.counts for key, m in self.class_rows(cid).items()}
 
 
-def _table(name, G, p, rows, registry, includes_trivial) -> MultiplicityTable:
-    """The table of the given rows, with the invariants of G at p."""
+def _table(name, G, p, counts, registry, includes_trivial) -> MultiplicityTable:
+    """The table of the given class counts, with the invariants of G at p."""
     k, l, _ = invariants_kl(G, p)
     return MultiplicityTable(
         group_name=name,
@@ -65,7 +105,7 @@ def _table(name, G, p, rows, registry, includes_trivial) -> MultiplicityTable:
         k=k,
         l=l,
         defect_order=p_part(G.order, p),
-        rows=rows,
+        counts=counts,
         registry=registry,
         sylow=sylow_subgroup(G, p),
         includes_trivial=includes_trivial,
@@ -80,16 +120,14 @@ def mult_table_pairs(
     m(class, chi) is the sum over the class members (P, s) of the fixed
     point dimension of chi on the image of N_G(P, s) in Out.
     """
-    assignments = registry.classify_group(G, p)
-    rows = {}
-    for cls, member in assignments:
+    counts = {}
+    for cls, member in registry.classify_group(G, p):
         image = image_of_normalizer(cls, member.pair, member.witness)
-        for irr, dim in enumerate(cls.out_dims(image)):
-            key = (cls.class_id, irr)
-            rows[key] = rows.get(key, 0) + dim
-    table = _table(name, G, p, rows, registry, includes_trivial=True)
+        counts.setdefault(cls.class_id, []).append(cls.class_count(image))
+    table = _table(name, G, p, counts, registry, includes_trivial=True)
     trivial = registry.trivial_class()
-    if trivial is None or table.rows.get((trivial.class_id, 0)) != table.l:
+    # C is trivial at the trivial class, so its one multiplicity is pi(1)
+    if trivial is None or table.pi.get(trivial.class_id) != (table.l,):
         raise InternalCheckError(
             "multiplicity at the trivial class does not equal the "
             "p-regular class count"
@@ -105,47 +143,58 @@ def mult_table_fusion(
     m(class, chi) is the sum over the triple orbits of the fixed point
     dimension of chi on the orbit stabilizer.
     """
-    rows = {}
+    counts = {}
     for cls in registry.classes:
         if cls.subgroup_order == 1:
             continue
         if all(obj.subgroup.order != cls.subgroup_order for obj in F.objects):
             continue
         for orbit in triple_orbits(F, cls):
-            for irr, dim in enumerate(cls.out_dims(orbit.stabilizer)):
-                key = (cls.class_id, irr)
-                rows[key] = rows.get(key, 0) + dim
-    return _table(name, F.group, F.p, rows, registry, includes_trivial=False)
+            counts.setdefault(cls.class_id, []).append(cls.class_count(orbit.stabilizer))
+    return _table(name, F.group, F.p, counts, registry, includes_trivial=False)
 
 
-def nontrivial_rows(table: MultiplicityTable) -> dict:
-    """Rows of classes with nontrivial subgroup; absent rows read as zero."""
-    out = {}
-    for (cid, irr), value in table.rows.items():
-        if table.registry.classes[cid].subgroup_order > 1:
-            out[(cid, irr)] = value
-    return out
-
-
-def _row_diff(left: MultiplicityTable, right: MultiplicityTable) -> list:
-    """(class_id, irr_index, left, right) for every nontrivial row on which
-    two tables of one registry disagree, in key order."""
+def _nontrivial_ids(left: MultiplicityTable, right: MultiplicityTable) -> list:
+    """The classes with nontrivial subgroup in either of two tables of one
+    registry, in id order."""
     if left.registry is not right.registry:
         raise DomainError("tables were built against different registries")
-    lrows = nontrivial_rows(left)
-    rrows = nontrivial_rows(right)
+    classes = left.registry.classes
+    return sorted(c for c in left.counts.keys() | right.counts.keys()
+                  if classes[c].subgroup_order > 1)
+
+
+def _pi_diff(left: MultiplicityTable, right: MultiplicityTable) -> list:
+    """The nontrivial classes on which the permutation characters of two
+    tables differ; an absent class has none."""
+    return [c for c in _nontrivial_ids(left, right) if left.pi.get(c) != right.pi.get(c)]
+
+
+def _row_diff(left: MultiplicityTable, right: MultiplicityTable, cids) -> list:
+    """(class_id, irr_index, left, right) for every row of the given classes
+    on which two tables disagree, in key order; absent rows read as zero."""
     diff = []
-    for key in sorted(set(lrows) | set(rrows)):
-        a = lrows.get(key, 0)
-        b = rrows.get(key, 0)
-        if a != b:
-            diff.append((key[0], key[1], a, b))
+    for cid in cids:
+        lrows, rrows = left.class_rows(cid), right.class_rows(cid)
+        for key in sorted(lrows.keys() | rrows.keys()):
+            a, b = lrows.get(key, 0), rrows.get(key, 0)
+            if a != b:
+                diff.append((cid, key[1], a, b))
     return diff
 
 
 def cross_check_formulas(pairs_table: MultiplicityTable, fusion_table: MultiplicityTable):
-    """Exact row-by-row equality of the two routes on nontrivial classes."""
-    diff = _row_diff(pairs_table, fusion_table)
+    """Equality of the two routes on nontrivial classes: first of the
+    permutation characters, which builds no character table, then
+    exactly, row by row."""
+    mismatch = _pi_diff(pairs_table, fusion_table)
+    if mismatch:
+        cid = mismatch[0]
+        raise InternalCheckError(
+            f"permutation character mismatch at class {cid}: pair route "
+            f"{pairs_table.pi.get(cid)} vs fusion route {fusion_table.pi.get(cid)}"
+        )
+    diff = _row_diff(pairs_table, fusion_table, _nontrivial_ids(pairs_table, fusion_table))
     if diff:
         cid, irr, a, b = diff[0]
         raise InternalCheckError(
@@ -180,11 +229,18 @@ class EquivalenceVerdict:
 def compare(left: MultiplicityTable, right: MultiplicityTable) -> EquivalenceVerdict:
     """Compare two tables built against the same registry.
 
-    Stability means equality on all rows with nontrivial subgroup; the
-    functorial upgrade additionally needs equal p-regular class counts.
-    A stable verdict with diverging k - l is a hard internal error.
+    Stability means equality on all rows with nontrivial subgroup, which
+    holds exactly when the permutation characters agree on every such
+    class: the irreducibles of Out are linearly independent.  Only a class
+    whose characters differ builds its table, to list the rows that
+    differ.  The functorial upgrade additionally needs equal p-regular
+    class counts.  A stable verdict with diverging k - l is a hard
+    internal error.
     """
-    diff = _row_diff(left, right)
+    differing = _pi_diff(left, right)
+    diff = _row_diff(left, right, differing)
+    if len({row[0] for row in diff}) != len(differing):
+        raise InternalCheckError("permutation characters differ on a class whose rows agree")
     stable = not diff
     functorial = stable and left.l == right.l
     defect_isomorphic = (

@@ -38,6 +38,13 @@ before a group was its element set.  ``greedy_generating_set`` is the
 greedy generating sequence that subgroup_from_elements takes, found as
 before Dimino closure, re-closing the kept elements after each one it
 added.
+``element_walk_inner`` is N = <c_u, c_x : x in C_L(u)> as PairClass.inner
+built it before it read C_L(u) and each c_x from the table of L: C_L(u)
+from the Schreier generators of an element walk over the class of u
+under L, and each c_x conjugated on the elements of L.
+``pairs_conjugate_scan`` is the matching of a psi pair with a pair orbit
+as verify_class made it before one label walk of the pair's G-orbit: a
+scan of G for an element that conjugates one pair onto the other.
 ``find_complement`` and ``complement_fixed_point`` are the complement
 search and the free-action scan that the fusion route ran before it read
 class sizes.  ``matrix_frobenius`` is the frobenius file form by matrix
@@ -68,6 +75,7 @@ from blockfunctor.config import max_order
 from blockfunctor.errors import DomainError, InternalCheckError, SizeBoundError
 from blockfunctor.permgroup import (
     PermGroup,
+    element_class_and_centralizer,
     homomorphism,
     normalizer,
     orbit,
@@ -427,6 +435,26 @@ def centralizer(G, s):
     if not G.contains(s):
         raise DomainError("element is not a member of the group")
     return G.subgroup_from_elements([g for g in G.elements() if g * s == s * g])
+
+
+def element_walk_inner(cls):
+    """N of a pair class, from an element walk over the class of u."""
+    L, u = cls.realization.subgroup, cls.realization.element
+    _, fixing_u = element_class_and_centralizer(L.generators, u)
+    return PermGroup(L.order, [L.label_perm(conjugation(g)) for g in (u,) + fixing_u])
+
+
+def pairs_conjugate_scan(G, a, b):
+    """Whether some g in G conjugates the pair (P_a, s_a) onto (P_b, s_b),
+    by a scan of G."""
+    if a.subgroup.order != b.subgroup.order or a.element.order() != b.element.order():
+        return False
+    bset = b.subgroup.element_set()
+    for g in G.elements():
+        c_g = conjugation(g)
+        if c_g(a.element) == b.element and all(c_g(x) in bset for x in a.subgroup.generators):
+            return True
+    return False
 
 
 def regular(P):

@@ -23,7 +23,7 @@ from blockfunctor.battery import (
     s4,
     table_by_class_key,
 )
-from blockfunctor.chartab import character_table, fixed_point_dim
+from blockfunctor.chartab import character_table, class_counts, fixed_point_dim
 from blockfunctor.cli import main as cli_main
 from blockfunctor.ddelta import PairClassRegistry
 from blockfunctor.errors import DomainError
@@ -202,7 +202,7 @@ def test_criterion_6_character_table_suite():
             ]
             for H in subgroups:
                 total = sum(
-                    table.degrees[row] * fixed_point_dim(table, row, H)
+                    table.degrees[row] * fixed_point_dim(table, row, class_counts(table.group, H))
                     for row in range(k)
                 )
                 assert total == G.order // H.order

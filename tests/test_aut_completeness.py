@@ -141,3 +141,24 @@ def test_centralizer_matches_the_twisted_search_on_random_groups(case):
     registry.classify_group(G, p)
     for cls in registry.classes:
         assert cls.aut.element_set() == oracles.twisted_centralizer(cls.realization)
+
+
+def assert_inner_matches_the_element_walk(G, p):
+    """N from the labels that c_u fixes and the table of L, against N
+    from an element walk over the class of u under L, on every class."""
+    registry = PairClassRegistry()
+    registry.classify_group(G, p)
+    for cls in registry.classes:
+        assert cls.inner.element_set() == oracles.element_walk_inner(cls).element_set()
+
+
+@pytest.mark.parametrize("name", FIXTURES + ("f75",))
+def test_inner_matches_the_element_walk(name):
+    loaded = load_group(parse_group_file((DATA_DIR / f"{name}.grp").read_text()))
+    assert_inner_matches_the_element_walk(loaded.group, loaded.p)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(small_groups_at_a_prime())
+def test_inner_matches_the_element_walk_on_random_groups(case):
+    assert_inner_matches_the_element_walk(*case)

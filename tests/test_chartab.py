@@ -12,6 +12,7 @@ from blockfunctor.chartab import (
     _charpoly,
     character_prime,
     character_table,
+    class_counts,
     fixed_point_dim,
 )
 from blockfunctor.ddelta import PairClassRegistry
@@ -98,8 +99,8 @@ def test_fixed_point_dim_examples():
     table = character_table(G)
     trivial = G.subgroup([])
     for row in range(3):
-        assert fixed_point_dim(table, row, trivial) == table.degrees[row]
-    A3 = G.subgroup([perm(3, "(1,2,3)")])
+        assert fixed_point_dim(table, row, class_counts(G, trivial)) == table.degrees[row]
+    A3 = class_counts(G, G.subgroup([perm(3, "(1,2,3)")]))
     assert fixed_point_dim(table, 1, A3) == 1  # sign restricted to A3
     assert fixed_point_dim(table, 2, A3) == 0  # two-dimensional character
 
@@ -108,16 +109,16 @@ def test_fixed_point_dim_refuses_a_subgroup_outside_the_table_group():
     table = character_table(a4())
     odd = s4().subgroup([perm(4, "(1,2)")])
     with pytest.raises(DomainError, match="^element does not belong to the group$"):
-        fixed_point_dim(table, 0, odd)
+        fixed_point_dim(table, 0, class_counts(table.group, odd))
     with pytest.raises(DomainError, match="^element does not belong to the group$"):
-        fixed_point_dim(table, 0, s3())
+        fixed_point_dim(table, 0, class_counts(table.group, s3()))
 
 
 def test_fixed_point_dim_on_whole_group_detects_trivial_character():
     for builder in [s3, a4, s4, f20, f21]:
         G = builder()
         table = character_table(G)
-        full = G
+        full = class_counts(G, G)
         dims = [fixed_point_dim(table, row, full) for row in range(table.n_classes)]
         assert dims.count(1) == 1
         assert set(dims) <= {0, 1}
@@ -136,9 +137,9 @@ def test_fixed_point_dim_monotone_under_enlargement():
         bigger = G.subgroup(gens)
         full = G
         for row in range(table.n_classes):
-            d_small = fixed_point_dim(table, row, smaller)
-            d_big = fixed_point_dim(table, row, bigger)
-            d_full = fixed_point_dim(table, row, full)
+            d_small = fixed_point_dim(table, row, class_counts(table.group, smaller))
+            d_big = fixed_point_dim(table, row, class_counts(table.group, bigger))
+            d_full = fixed_point_dim(table, row, class_counts(table.group, full))
             assert d_full <= d_big <= d_small <= table.degrees[row]
 
 
@@ -154,7 +155,7 @@ def test_permutation_module_dimension_identity():
         ]
         for H in subgroups:
             total = sum(
-                table.degrees[row] * fixed_point_dim(table, row, H)
+                table.degrees[row] * fixed_point_dim(table, row, class_counts(table.group, H))
                 for row in range(table.n_classes)
             )
             assert total == G.order // H.order
@@ -173,7 +174,7 @@ def test_determinism_of_fresh_builds():
 def test_rejects_foreign_subgroup():
     table = character_table(s3())
     with pytest.raises(DomainError):
-        fixed_point_dim(table, 0, s4().subgroup([perm(4, "(1,2,3,4)")]))
+        class_counts(table.group, s4().subgroup([perm(4, "(1,2,3,4)")]))
 
 
 @st.composite

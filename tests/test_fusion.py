@@ -7,10 +7,11 @@ import pytest
 import oracles
 from blockfunctor import fusion
 from blockfunctor.battery import a4, c3, f20, f21, g56, g72, s3, s4
-from blockfunctor.ddelta import PairClassRegistry
+from blockfunctor.ddelta import PairClassRegistry, pair_orbit_reps
 from blockfunctor.errors import DomainError, InternalCheckError
 from blockfunctor.fusion import (
-    _pairs_conjugate,
+    _pair_labels,
+    _pair_orbit,
     build_fusion,
     frobenius_structure,
     psi_pair,
@@ -223,6 +224,21 @@ def test_psi_returns_p_prime_inducing_element():
                     assert conjugate(pair.element, x) == expected
 
 
+@pytest.mark.parametrize("builder,p", FROBENIUS + [(s4, 2)])
+def test_pair_orbit_is_every_conjugate_of_the_pair(builder, p):
+    # the label walk of a pair's G-orbit, against conjugation by every g
+    G = builder()
+    for pair in pair_orbit_reps(G, p):
+        conjugates = {
+            (
+                frozenset(G.position(conjugate(g, x)) for x in pair.subgroup.elements()),
+                G.position(conjugate(g, pair.element)),
+            )
+            for g in G.elements()
+        }
+        assert _pair_orbit(G, pair) == conjugates
+
+
 def test_psi_image_is_orbit_invariant():
     # conjugating the triple and twisting by a pair automorphism does not
     # move the psi image out of its pair orbit
@@ -258,7 +274,8 @@ def test_psi_image_is_orbit_invariant():
                 orbit_size=orbit.orbit_size,
             )
             moved = psi_pair(F, cls, moved_orbit, Permutation(twisted))
-            assert _pairs_conjugate(G, moved, base)
+            assert _pair_labels(G, moved) in _pair_orbit(G, base)
+            assert oracles.pairs_conjugate_scan(G, moved, base)
 
 
 def test_non_cyclic_complement_is_found_and_verified():

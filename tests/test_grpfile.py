@@ -95,7 +95,9 @@ def test_identity_generator():
 
 FIXTURE_ORDERS = {
     "a4.grp": 12,
+    "c11sq_c2.grp": 242,
     "c3.grp": 3,
+    "c5cubed_c4.grp": 500,
     "c6.grp": 6,
     "f20.grp": 20,
     "f20b.grp": 20,

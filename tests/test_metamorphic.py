@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from conftest import DATA_DIR
 from blockfunctor.cli import main
+from blockfunctor.ddelta import PairClass
 from blockfunctor.grpfile import load_group, parse_group_file
 from blockfunctor.permutation import Permutation, conjugate
 
@@ -128,6 +129,21 @@ def test_relabeling_either_side_keeps_the_compare_verdict(
         write_relabeled(tmp_path, right, right_seed),
     ]))
     assert got == fixture_verdict(left, right)
+
+
+@pytest.mark.parametrize("name", ("f80", "f240", "f351"))
+def test_relabeled_self_compare_is_stable_without_a_table(name, tmp_path, monkeypatch):
+    # under a bound over |GL(4,2)| = 20160, a stable verdict reads the
+    # permutation characters only and builds no character table of any C
+    monkeypatch.setenv("BLOCKFUNCTOR_MAX_ORDER", "25000")
+
+    def refuse(self):
+        raise AssertionError(f"{self.name}: character table built")
+
+    monkeypatch.setattr(PairClass, "aut_table", property(refuse))
+    doc = report(["compare", str(DATA_DIR / f"{name}.grp"), write_relabeled(tmp_path, name, 5)])
+    assert doc["verdict"] == {"stable": True, "functorial": True, "defect_isomorphic": True}
+    assert doc["diff"] == []
 
 
 @lru_cache(maxsize=None)

@@ -228,10 +228,16 @@ def test_one_character_table_per_class_with_members(builders, p, monkeypatch):
     monkeypatch.setattr(ddelta, "character_table", counting)
     registry = PairClassRegistry()
     groups = [builder() for builder in builders]
+    tables = []
     for G in groups:
-        mult_table_pairs(G, p, registry)
+        tables.append(mult_table_pairs(G, p, registry))
         if len(groups) == 1:
-            mult_table_fusion(build_fusion(G, p), registry)
+            tables.append(mult_table_fusion(build_fusion(G, p), registry))
+    # the permutation characters and the trivial-class check build no
+    # table; the rows build them
+    assert all(table.pi for table in tables) and not built
+    for table in tables:
+        assert table.rows
     with_members = [
         cls for cls in registry.classes
         if any(registry.members_for(G, cls) for G in groups)
@@ -260,7 +266,7 @@ def test_c13_c12_shares_aut_l_and_the_table_of_c(monkeypatch):
     monkeypatch.setattr(ddelta, "pair_automorphism_maps", counting_search)
     monkeypatch.setattr(ddelta, "character_table", counting_table)
     registry = PairClassRegistry()
-    mult_table_pairs(frobenius_group(13, 1, [[2]]), 13, registry)
+    mult_table_pairs(frobenius_group(13, 1, [[2]]), 13, registry).rows
     shapes = sorted((cls.subgroup_order, cls.element_order) for cls in registry.classes)
     assert shapes == [(1, 1)] + sorted((13, d) for d in (1, 2, 3, 3, 4, 4, 6, 6, 12, 12, 12, 12))
     distinct_l = {cls.realization.subgroup.element_set() for cls in registry.classes}
@@ -279,6 +285,6 @@ def test_c13_c12_shares_aut_l_and_the_table_of_c(monkeypatch):
 
     monkeypatch.setattr(fusion, "_search_maps", counting_first_hits)
     G = registry.classes[0].members[0].pair.ambient
-    mult_table_fusion(build_fusion(G, 13), registry)
+    mult_table_fusion(build_fusion(G, 13), registry).rows
     assert len(first_hits) == 1
     assert sorted(map(len, searched)) == [1, 13] and sorted(map(len, built)) == [1, 12]
