@@ -9,12 +9,17 @@ linear, and the table lists Hom(G, F_q^*) directly, extended one
 generator at a time, with the same q and the same row order.  Every
 reported quantity (degrees, fixed point dimensions) is a bounded
 rational integer, so residue arithmetic plus bounded lifting is exact.
+
+The class matrices are read on labels: the images of each product are
+gathered with operator.itemgetter and its class is looked up by its image
+tuple in the group's label and class tables, with no Permutation built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .config import PRIME_SEARCH_CAP, max_order
 from .errors import DomainError, InternalCheckError, SizeBoundError
@@ -149,15 +154,20 @@ class CharacterTable:
         return len(self.class_reps)
 
 
-def _class_matrix(classes, class_of, i, q):
-    """Matrix of multiplication by the i-th class sum acting on class sums."""
+def _class_matrix(G: PermGroup, classes, i, q):
+    """Matrix of multiplication by the i-th class sum acting on class sums:
+    entry (j, col) counts the x in class i with x^-1 z in class j, for z
+    the rep of class col.  G's classes must be read already; a group with
+    two or more classes has degree two or more, so itemgetter returns the
+    image tuple of x^-1 z."""
     k = len(classes)
+    positions, class_of = G._positions, G._class_of
     mat = [[0] * k for _ in range(k)]
-    inverses = [x.inverse() for x in classes[i].elements]
+    times = [itemgetter(*x.inverse().images) for x in classes[i].elements]
     for col in range(k):
-        z = classes[col].rep
-        for x_inv in inverses:
-            mat[class_of[x_inv * z]][col] += 1
+        z = classes[col].rep.images
+        for times_x_inv in times:
+            mat[class_of[positions[times_x_inv(z)]]][col] += 1
     return [[v % q for v in row] for row in mat]
 
 
@@ -212,15 +222,14 @@ def _class_matrix_rows(G: PermGroup, classes, q):
     """(degree, values) of every irreducible, from the central characters
     that the class-multiplication matrices separate."""
     k = len(classes)
-    class_of = {x: i for i, cls in enumerate(classes) for x in cls.elements}
-    inv_class = [class_of[cls.rep.inverse()] for cls in classes]
+    inv_class = [G.class_index_of(cls.rep.inverse()) for cls in classes]
     sizes = [cls.size for cls in classes]
 
     spaces = [[tuple(int(i == j) for j in range(k)) for i in range(k)]]
     for i in range(1, k):
         if all(len(b) == 1 for b in spaces):
             break
-        mat = _class_matrix(classes, class_of, i, q)
+        mat = _class_matrix(G, classes, i, q)
         new_spaces = []
         for basis in spaces:
             if len(basis) == 1:
@@ -274,9 +283,9 @@ def _linear_rows(G: PermGroup, classes, q):
     elements = [G.identity]
     chars = [[1]]
     for g in G.generators:
-        index = {x: i for i, x in enumerate(elements)}
+        index = {x.images: i for i, x in enumerate(elements)}
         power, r = g, 1
-        while power not in index:
+        while power.images not in index:
             power, r = power * g, r + 1
         layers = [elements]
         for _ in range(1, r):
@@ -285,7 +294,7 @@ def _linear_rows(G: PermGroup, classes, q):
         unity = [z for z in roots if pow(z, r, q) == 1]
         extended = []
         for chi in chars:
-            target = chi[index[power]]
+            target = chi[index[power.images]]
             first = next(z for z in roots if pow(z, r, q) == target)
             for root in unity:
                 zeta = first * root % q
@@ -295,8 +304,8 @@ def _linear_rows(G: PermGroup, classes, q):
                     z = z * zeta % q
                 extended.append(values)
         chars = extended
-    position = {x: i for i, x in enumerate(elements)}
-    columns = [position[cls.rep] for cls in classes]
+    position = {x.images: i for i, x in enumerate(elements)}
+    columns = [position[cls.rep.images] for cls in classes]
     return [(1, tuple(chi[c] for c in columns)) for chi in chars]
 
 

@@ -13,17 +13,21 @@ stabilizer.
 
 The label of an element is its position in elements(), which is sorted
 by image tuples, so the identity is always label 0 and an order on labels
-is the order on image tuples.  A map f on the elements acts on the labels
-as the permutation label_perm(f); this is how automorphisms of a group
-become permutations.  Three tables on labels are built on first read:
+is the order on image tuples.  A label is found by the element's image
+tuple, which Python hashes and compares in C, so the tables below gather
+the images of each product or conjugate with operator.itemgetter and build
+no Permutation for it.  A map f on the elements acts on the labels as the
+permutation label_perm(f); this is how automorphisms of a group become
+permutations.  Three tables on labels are built on first read:
 
 - table, the products: table[i][j] is the label of x_i x_j.  Only the
   groups that the isomorphism search and homomorphism run on read it.
 - conjugation, (g, g^-1, c_g) for each generator g, with c_g the label
   permutation of x -> g x g^-1.  Every conjugation walk inside a group
   moves labels or label sets by c_g and multiplies elements only for its
-  transversal and its Schreier generators: the classes, the class and
-  centralizer of a member, normalizers and the classes of p-subgroups.
+  transversal and its Schreier generators: the classes (a plain loop over
+  labels), the class and centralizer of a member, normalizers and the
+  classes of p-subgroups.
 - orders, the order of each label, one Permutation.order per class.
 
 A subgroup is a PermGroup of its own, and a homomorphism is the list of
@@ -59,8 +63,9 @@ def is_prime(n: int) -> bool:
 
 def _closure(degree, candidates, cap, start=None):
     """The group generated by the candidates, by Dimino's coset
-    enumeration, as (elements, kept): kept lists, in order, the
-    candidates outside the group closed before them.
+    enumeration, as (elements, members, kept): members is the set of the
+    elements, and kept lists, in order, the candidates outside the group
+    closed before them.
 
     A kept g extends the group H closed so far by right cosets H r.  The
     coset reps start at g, and a product r s, with r a rep and s a kept
@@ -96,7 +101,7 @@ def _closure(degree, candidates, cap, start=None):
             elements += coset
             members.update(coset)
             todo += [r * s for s in gens]
-    return elements, kept
+    return elements, members, kept
 
 
 def orbit(seed, step) -> set:
@@ -150,10 +155,10 @@ class PermGroup:
                     f"generator degree {g.degree} does not match group degree {degree}"
                 )
         self.degree = degree
-        elements, kept = _closure(degree, generators, max_order())
+        elements, members, kept = _closure(degree, generators, max_order())
         self.generators = tuple(kept)  # the given generators that enlarge it
         self._elements = tuple(sorted(elements, key=_images))
-        self._element_set = frozenset(self._elements)
+        self._element_set = frozenset(members)  # copies the stored hashes
         self.order = len(self._elements)
         self._classes = None
         self._class_of = None  # label -> index of its class
@@ -184,17 +189,18 @@ class PermGroup:
 
     @cached_property
     def _positions(self) -> dict:
-        return {x: i for i, x in enumerate(self._elements)}
+        """The label of each member, keyed by its image tuple."""
+        return {x.images: i for i, x in enumerate(self._elements)}
 
     def position(self, x: Permutation) -> int:
         """The label of a member: its position in elements()."""
-        return self._positions[x]
+        return self._positions[x.images]
 
     def label_perm(self, f) -> Permutation:
         """The permutation of the labels made by a map f on the elements:
         label i goes to the label of f(elements()[i])."""
         positions = self._positions
-        return Permutation([positions[f(x)] for x in self._elements])
+        return Permutation([positions[f(x).images] for x in self._elements])
 
     def is_abelian(self) -> bool:
         gens = self.generators
@@ -217,9 +223,10 @@ class PermGroup:
         if n == 1:
             return ((0,),)
         positions = self._positions
-        lefts = [
-            tuple([positions[g * x] for x in self._elements]) for g in self.generators
-        ]
+        lefts = []
+        for g in self.generators:
+            times_g = itemgetter(*g.images)  # x -> the images of g x
+            lefts.append(tuple([positions[times_g(x.images)] for x in self._elements]))
         rows = [None] * n
         rows[0] = tuple(range(n))
         todo = [0]
@@ -236,12 +243,18 @@ class PermGroup:
     def conjugation(self) -> tuple:
         """(g, g^-1, c_g) for each generator g, with c_g the label
         permutation of x -> g x g^-1 as a tuple: c_g[i] is the label of
-        g x_i g^-1."""
+        g x_i g^-1, found by the image tuple of the conjugate.  A generator
+        moves a point, so itemgetter gets two or more indices and returns
+        a tuple."""
         positions = self._positions
         out = []
         for g in self.generators:
             g_inv = g.inverse()
-            c_g = tuple([positions[conjugate_with(g, g_inv, x)] for x in self._elements])
+            times_g, inv_images = itemgetter(*g.images), g_inv.images
+            c_g = tuple([
+                positions[itemgetter(*times_g(x.images))(inv_images)]
+                for x in self._elements
+            ])
             out.append((g, g_inv, c_g))
         return tuple(out)
 
@@ -263,7 +276,8 @@ class PermGroup:
 
     def conjugacy_data(self) -> tuple:
         """Conjugacy classes ordered by their minimal element; identity
-        first.  Each is the orbit of its minimal label under the c_g."""
+        first.  Each is the orbit of its minimal label under the c_g,
+        walked on labels: class_of marks the labels reached."""
         if self._classes is None:
             moves = [c_g for _, _, c_g in self.conjugation]
             class_of = [-1] * self.order
@@ -271,9 +285,16 @@ class PermGroup:
             for x in range(self.order):
                 if class_of[x] >= 0:
                     continue
-                labels = sorted(orbit(x, lambda y: [c_g[y] for c_g in moves]))
-                for y in labels:
-                    class_of[y] = len(classes)
+                index = len(classes)
+                class_of[x] = index
+                labels = [x]
+                for y in labels:  # the list grows as the walk reaches labels
+                    for c_g in moves:
+                        z = c_g[y]
+                        if class_of[z] < 0:
+                            class_of[z] = index
+                            labels.append(z)
+                labels.sort()
                 members = tuple([self._elements[y] for y in labels])
                 classes.append(ConjClass(members[0], members, tuple(labels)))
             self._classes = tuple(classes)
@@ -283,7 +304,7 @@ class PermGroup:
     def class_index_of(self, x: Permutation) -> int:
         self.conjugacy_data()
         try:
-            return self._class_of[self._positions[x]]
+            return self._class_of[self._positions[x.images]]
         except KeyError:
             raise DomainError("element does not belong to the group") from None
 
@@ -411,7 +432,7 @@ def _all_subgroups_of(degree, elements):
             if x in covered:
                 continue
             covered.update(h * x for h in s)
-            t = frozenset(_closure(degree, (x,), cap, start=(s, generators[s]))[0])
+            t = frozenset(_closure(degree, (x,), cap, start=(s, generators[s]))[1])
             generators.setdefault(t, generators[s] + (x,))
             found.append(t)
         return found

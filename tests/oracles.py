@@ -30,7 +30,10 @@ from a search of every level (the level of u included), closed on the
 labels of the carrier, Inn inside it, and the coset action of Aut on
 Inn with its projection.  ``leverrier_charpoly`` is the characteristic
 polynomial by Faddeev-LeVerrier, as the character tables had it before
-the Hessenberg recurrence.  ``layered_p_subgroup_classes`` is the
+the Hessenberg recurrence.  ``class_matrix`` is a class-multiplication
+matrix from Permutation products and a class dict keyed by Permutation,
+as the character tables built it before they read each product's class
+by its image tuple.  ``layered_p_subgroup_classes`` is the
 p-subgroup enumeration by layered normalizer extension, as every group
 without a normal Sylow subgroup had it before one Sylow subgroup.
 ``stabilizer_chain`` is the base and transversals every PermGroup carried
@@ -888,6 +891,20 @@ def leverrier_charpoly(mat, q):
         for i in range(n):
             work[i][i] = (work[i][i] + ck) % q
     return coeffs
+
+
+def class_matrix(classes, i, q):
+    """The matrix of multiplication by the i-th class sum on the class
+    sums mod q: entry (j, col) counts the x in class i with x^-1 z in
+    class j, for z the rep of class col."""
+    k = len(classes)
+    class_of = {x: j for j, cls in enumerate(classes) for x in cls.elements}
+    mat = [[0] * k for _ in range(k)]
+    for x in classes[i].elements:
+        x_inv = x.inverse()
+        for col in range(k):
+            mat[class_of[x_inv * classes[col].rep]][col] += 1
+    return [[v % q for v in row] for row in mat]
 
 
 def layered_p_subgroup_classes(G, p):

@@ -244,6 +244,35 @@ def test_linear_characters_match_class_matrices_on_random_abelian_groups(G):
     assert_linear_path_matches_class_matrices(G)
 
 
+@pytest.mark.parametrize("name", [
+    "s3", "c3", "a4", "s4", "f20", "f21", "g72", "g56", "s5", "a5", "psl27", "a6", "s3xs3",
+])
+def test_class_matrices_match_the_permutation_products(name):
+    G = load_group(parse_group_file((DATA_DIR / f"{name}.grp").read_text())).group
+    classes = G.conjugacy_data()
+    q = character_prime(G.exponent(), G.order)
+    for i in range(len(classes)):
+        assert chartab._class_matrix(G, classes, i, q) == oracles.class_matrix(classes, i, q)
+
+
+@pytest.mark.parametrize("degree,cycles", [
+    (1, ()), (1, ("()",)), (2, ()), (2, ("()",)), (2, ("(1,2)",)), (2, ("()", "(1,2)")),
+])
+def test_groups_of_degree_one_and_two(degree, cycles):
+    # itemgetter with one index returns a scalar; these groups must never
+    # hand it one
+    G = PermGroup(degree, [perm(degree, c) for c in cycles])
+    elements = G.elements()
+    assert [c_g for _, _, c_g in G.conjugation] == [tuple(range(G.order))] * len(G.generators)
+    assert [c.elements for c in G.conjugacy_data()] == [(x,) for x in elements]
+    assert [G.class_index_of(x) for x in elements] == list(range(G.order))
+    with pytest.raises(DomainError, match="^element does not belong to the group$"):
+        G.class_index_of(Permutation.identity(3))
+    table = character_table(G)
+    assert table.degrees == (1,) * G.order
+    assert table == chartab._table(G, chartab._class_matrix_rows)
+
+
 def corrupt_one_row(monkeypatch):
     """Make both row producers change one value of their last row."""
     for name in ("_linear_rows", "_class_matrix_rows"):

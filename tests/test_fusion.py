@@ -239,17 +239,12 @@ def test_pair_orbit_is_every_conjugate_of_the_pair(builder, p):
         assert _pair_orbit(G, pair) == conjugates
 
 
-def test_psi_image_is_orbit_invariant():
-    # conjugating the triple and twisting by a pair automorphism does not
-    # move the psi image out of its pair orbit
-    rng = random.Random(7)
-    registry = PairClassRegistry()
-    G, F = fusion_for(a4, 2)
-    registry.classify_group(G, 2)
-    cls = next(
-        c for c in registry.classes
-        if c.subgroup_order == 4 and c.element_order == 3
-    )
+def psi_images_are_orbit_invariant(G, F, cls, rng):
+    """Conjugate each triple of cls by random elements of G that keep its
+    object, twist it by random elements of C, and check that the psi image
+    stays in the pair orbit of the base image; returns (pairs moved, of
+    those the ones that differ from their base pair)."""
+    moved_count = differ = 0
     for orbit in triple_orbits(F, cls):
         base = psi_pair(F, cls, orbit, Permutation(orbit.rep))
         obj = orbit.object
@@ -276,6 +271,37 @@ def test_psi_image_is_orbit_invariant():
             moved = psi_pair(F, cls, moved_orbit, Permutation(twisted))
             assert _pair_labels(G, moved) in _pair_orbit(G, base)
             assert oracles.pairs_conjugate_scan(G, moved, base)
+            moved_count += 1
+            differ += _pair_labels(G, moved) != _pair_labels(G, base)
+    return moved_count, differ
+
+
+def test_psi_image_is_orbit_invariant():
+    # conjugating the triple and twisting by a pair automorphism does not
+    # move the psi image out of its pair orbit
+    registry = PairClassRegistry()
+    G, F = fusion_for(a4, 2)
+    registry.classify_group(G, 2)
+    cls = next(
+        c for c in registry.classes
+        if c.subgroup_order == 4 and c.element_order == 3
+    )
+    psi_images_are_orbit_invariant(G, F, cls, random.Random(7))
+
+
+def test_psi_image_is_orbit_invariant_on_c3sq_q8():
+    # on A4 every moved psi pair equals its base pair, so a pair orbit
+    # that held only its seed would pass there; on C3^2:Q8 some moved
+    # pairs differ from their base pair
+    registry = PairClassRegistry()
+    G, F = fusion_for(quaternion_frobenius, 3)
+    registry.classify_group(G, 3)
+    rng = random.Random(7)
+    moved = differ = 0
+    for cls in _classes_with_members(registry, G):
+        counts = psi_images_are_orbit_invariant(G, F, cls, rng)
+        moved, differ = moved + counts[0], differ + counts[1]
+    assert differ > 0, f"all {moved} moved pairs equal their base pair"
 
 
 def test_non_cyclic_complement_is_found_and_verified():

@@ -95,6 +95,8 @@ def test_identity_generator():
 
 FIXTURE_ORDERS = {
     "a4.grp": 12,
+    "a5.grp": 60,
+    "a6.grp": 360,
     "c11sq_c2.grp": 242,
     "c3.grp": 3,
     "c5cubed_c4.grp": 500,
@@ -108,8 +110,11 @@ FIXTURE_ORDERS = {
     "f80.grp": 80,
     "g56.grp": 56,
     "g72.grp": 72,
+    "psl27.grp": 168,
     "s3.grp": 6,
+    "s3xs3.grp": 36,
     "s4.grp": 24,
+    "s5.grp": 120,
 }
 
 

@@ -8,6 +8,8 @@ from functools import partial
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.combinatorics import Permutation as SympyPermutation
+from sympy.combinatorics import PermutationGroup
 
 import oracles
 from conftest import DATA_DIR
@@ -566,6 +568,35 @@ def test_tables_on_labels_of_the_fixtures(name):
 def test_tables_on_labels_of_random_groups(case):
     n, gens = case
     assert_tables_on_labels(PermGroup(n, gens))
+
+
+def assert_classes_match_the_element_scan_and_sympy(G):
+    """Each c_g against the label of the conjugate found by scanning the
+    element list, and each class, as a set, against a class of sympy's
+    conjugacy_classes()."""
+    elements = list(G.elements())
+    for g, _, c_g in G.conjugation:
+        assert c_g == tuple(elements.index(conjugate(g, x)) for x in elements)
+    S = PermutationGroup([SympyPermutation(list(g.images)) for g in G.generators])
+    expected = {frozenset(tuple(x.array_form) for x in c) for c in S.conjugacy_classes()}
+    classes = G.conjugacy_data()
+    assert {frozenset(x.images for x in c.elements) for c in classes} == expected
+    assert len(classes) == len(expected)
+    for c in classes:
+        assert c.labels == tuple(map(G.position, c.elements))
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_classes_match_the_element_scan_and_sympy(name):
+    assert_classes_match_the_element_scan_and_sympy(BUILDERS[name]())
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(generator_lists(max_degree=5))
+def test_classes_of_random_groups_match_the_element_scan_and_sympy(case):
+    n, gens = case
+    assume(any(not g.is_identity() for g in gens))  # sympy needs a generator
+    assert_classes_match_the_element_scan_and_sympy(PermGroup(n, gens))
 
 
 @pytest.mark.parametrize("name", BUILDERS)

@@ -4,12 +4,17 @@ Each case runs one command in-process and records its exit code, stdout
 and stderr.  The desk-scale fixtures are pinned in reports.golden, the
 F75 stretch fixture in stretch.golden, and F80, F240 and F351 under a
 raised order bound in raised.golden; the last route builds centralizers
-in Aut(C2^4) = GL(4,2) and Aut(C3^3) = GL(3,3).  When a report is meant
-to change, regenerate the files with
+in Aut(C2^4) = GL(4,2) and Aut(C3^3) = GL(3,3).  The groups with no
+normal Sylow subgroup (S5, A5, PSL(2,7), A6, S3xS3) are pinned in
+nonnormal.golden.  When a report is meant to change, regenerate the files
+with
 
     PYTHONPATH=src python tests/test_reports_golden.py
 
-and review the diff.
+and review the diff.  With ``--check`` the script writes nothing: it
+renders every case, exits 1 naming the first one that differs from its
+file, and needs no pytest, so it runs on an interpreter with nothing
+installed.
 """
 
 import contextlib
@@ -17,8 +22,6 @@ import io
 import os
 import re
 import sys
-
-import pytest
 
 from conftest import DATA_DIR
 from blockfunctor import ddelta
@@ -53,6 +56,19 @@ RAISED_BOUND = "25000"  # over |GL(4,2)| = 20160 and |GL(3,3)| = 11232
 RAISED_CASES = [
     ("mult", f"{name}.grp", "--formula", "both") for name in ("f80", "f240", "f351")
 ] + [("verify-psi", f"{name}.grp") for name in ("f80", "f240", "f351")]
+NONNORMAL_GOLDEN = DATA_DIR / "nonnormal.golden"
+NONNORMAL_CASES = [
+    (command, f"{name}.grp")
+    for name in ("s5", "a5", "psl27", "a6", "s3xs3")
+    for command in ("invariants", "pairs", "chartab", "mult")
+]
+# golden file -> its cases and the order bound they run under
+GOLDEN_FILES = {
+    GOLDEN: (CASES, None),
+    STRETCH_GOLDEN: (STRETCH_CASES, None),
+    RAISED_GOLDEN: (RAISED_CASES, RAISED_BOUND),
+    NONNORMAL_GOLDEN: (NONNORMAL_CASES, None),
+}
 
 
 def _argv(case):
@@ -77,11 +93,33 @@ def _golden_blocks(path=GOLDEN) -> dict:
     return {block.split("\n", 1)[0]: block for block in blocks}
 
 
+# test -> the cases it runs on, bound in pytest_generate_tests rather than
+# by decorators, so that the module imports without pytest
+CASES_OF = {
+    "test_report_matches_golden": CASES,
+    "test_stretch_report_matches_golden": STRETCH_CASES,
+    "test_raised_bound_report_matches_golden": RAISED_CASES,
+    "test_nonnormal_report_matches_golden": NONNORMAL_CASES,
+}
+
+
+def pytest_generate_tests(metafunc):
+    test = metafunc.function.__name__
+    if test == "test_verify_psi_builds_no_character_table":
+        metafunc.parametrize("name", FIXTURES)
+    elif test in CASES_OF:
+        cases = CASES_OF[test]
+        metafunc.parametrize("case", cases, ids=["-".join(case) for case in cases])
+
+
+def _headers(cases) -> list:
+    return [f"=== {' '.join(case)}" for case in cases]
+
+
 def test_golden_file_covers_exactly_the_cases():
     assert list(_golden_blocks()) == [f"=== {' '.join(case)}" for case in CASES]
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda case: "-".join(case))
 def test_report_matches_golden(case, monkeypatch):
     monkeypatch.delenv("BLOCKFUNCTOR_MAX_ORDER", raising=False)
     assert render(case) == _golden_blocks()[f"=== {' '.join(case)}"]
@@ -93,7 +131,6 @@ def test_stretch_golden_file_covers_exactly_the_cases():
     ]
 
 
-@pytest.mark.parametrize("case", STRETCH_CASES, ids=lambda case: "-".join(case))
 def test_stretch_report_matches_golden(case, monkeypatch):
     monkeypatch.delenv("BLOCKFUNCTOR_MAX_ORDER", raising=False)
     assert render(case) == _golden_blocks(STRETCH_GOLDEN)[f"=== {' '.join(case)}"]
@@ -105,7 +142,6 @@ def test_raised_golden_file_covers_exactly_the_cases():
     ]
 
 
-@pytest.mark.parametrize("case", RAISED_CASES, ids=lambda case: "-".join(case))
 def test_raised_bound_report_matches_golden(case, monkeypatch):
     monkeypatch.setenv("BLOCKFUNCTOR_MAX_ORDER", RAISED_BOUND)
     assert render(case) == _golden_blocks(RAISED_GOLDEN)[f"=== {' '.join(case)}"]
@@ -118,7 +154,6 @@ def refuse_tables(monkeypatch):
     monkeypatch.setattr(ddelta, "character_table", refuse)
 
 
-@pytest.mark.parametrize("name", FIXTURES)
 def test_verify_psi_builds_no_character_table(name, monkeypatch):
     # verify-psi reports stabilizer orders only, so no table of C is read
     monkeypatch.delenv("BLOCKFUNCTOR_MAX_ORDER", raising=False)
@@ -136,15 +171,43 @@ def test_verify_psi_on_f75_builds_no_character_table(monkeypatch):
     assert render(case) == expected
 
 
+def test_nonnormal_golden_file_covers_exactly_the_cases():
+    assert list(_golden_blocks(NONNORMAL_GOLDEN)) == _headers(NONNORMAL_CASES)
+
+
+def test_nonnormal_report_matches_golden(case, monkeypatch):
+    monkeypatch.delenv("BLOCKFUNCTOR_MAX_ORDER", raising=False)
+    assert render(case) == _golden_blocks(NONNORMAL_GOLDEN)[f"=== {' '.join(case)}"]
+
+
+def _set_bound(bound):
+    os.environ.pop("BLOCKFUNCTOR_MAX_ORDER", None)
+    if bound is not None:
+        os.environ["BLOCKFUNCTOR_MAX_ORDER"] = bound
+
+
+def check() -> int:
+    """0 if every golden file matches its rendered cases; else 1, naming
+    the first case that differs."""
+    for path, (cases, bound) in GOLDEN_FILES.items():
+        _set_bound(bound)
+        blocks = _golden_blocks(path)
+        for header, case in zip(_headers(cases), cases):
+            if render(case) != blocks.get(header):
+                sys.stdout.write(f"{path.name}: {header[4:]} differs\n")
+                return 1
+        if list(blocks) != _headers(cases):
+            sys.stdout.write(f"{path.name}: the file holds other cases than the list\n")
+            return 1
+        sys.stdout.write(f"{path.name}: {len(cases)} cases match\n")
+    return 0
+
+
 if __name__ == "__main__":
-    for path, cases, bound in (
-        (GOLDEN, CASES, None),
-        (STRETCH_GOLDEN, STRETCH_CASES, None),
-        (RAISED_GOLDEN, RAISED_CASES, RAISED_BOUND),
-    ):
-        os.environ.pop("BLOCKFUNCTOR_MAX_ORDER", None)
-        if bound is not None:
-            os.environ["BLOCKFUNCTOR_MAX_ORDER"] = bound
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
+    for path, (cases, bound) in GOLDEN_FILES.items():
+        _set_bound(bound)
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write("".join(render(case) for case in cases))
         sys.stdout.write(f"wrote {len(cases)} cases to {path}\n")
