@@ -40,7 +40,7 @@ from functools import cached_property
 
 from .config import max_order
 from .errors import DomainError, SizeBoundError
-from .permutation import Permutation, conjugate, conjugation
+from .permutation import Permutation
 from .permgroup import (
     PermGroup,
     close_map,
@@ -62,15 +62,22 @@ class MarkedPair:
     def __post_init__(self):
         if self.element.degree != self.subgroup.degree:
             raise DomainError("marked element does not act on the points of the subgroup")
-        pset = self.subgroup.element_set()
-        for x in self.subgroup.generators:
-            if conjugate(self.element, x) not in pset:
-                raise DomainError("marked element does not normalize the subgroup")
+        try:
+            self._induced
+        except DomainError:
+            raise DomainError("marked element does not normalize the subgroup") from None
+
+    @cached_property
+    def _induced(self) -> tuple:
+        """c_u on the labels of L as PermGroup.induced gives it."""
+        return self.subgroup.induced(self.element)
 
     @cached_property
     def action(self) -> Permutation:
-        """c_u, the action of u on L by conjugation, on the labels of L."""
-        return self.subgroup.label_perm(conjugation(self.element))
+        """c_u, the action of u on L by conjugation, on the labels of L;
+        made on first read, since a psi pair (fusion.psi_pair) never reads
+        it."""
+        return Permutation(self._induced)
 
     @cached_property
     def action_order(self) -> int:

@@ -143,7 +143,7 @@ def run_selftest():
 
     for name, builder, p in FIXTURES:
         def l_row(builder=builder, p=p, name=name):
-            table = mult_table_pairs(builder(), p, registry, name)
+            table = mult_table_pairs(builder(), p, registry)
             tables[name] = table
             trivial = registry.trivial_class()
             assert table.rows[(trivial.class_id, 0)] == table.l
@@ -153,7 +153,7 @@ def run_selftest():
         def cross(builder=builder, p=p, name=name):
             G = builder()
             F = build_fusion(G, p)
-            cross_check_formulas(tables[name], mult_table_fusion(F, registry, name))
+            cross_check_formulas(tables[name], mult_table_fusion(F, registry))
         check(f"cross-formula equality: {name}", cross)
 
         def psi(builder=builder, p=p, name=name):
@@ -174,7 +174,7 @@ def run_selftest():
     check("golden table: A4", golden_a4)
 
     def verdicts():
-        shifted = mult_table_pairs(s3_shifted(), 3, registry, "S3-shifted")
+        shifted = mult_table_pairs(s3_shifted(), 3, registry)
         verdict = compare(tables["S3"], shifted)
         assert verdict.stable and verdict.functorial and verdict.defect_isomorphic
         assert not verdict.diff

@@ -26,15 +26,16 @@ from .errors import DomainError, InternalCheckError, SizeBoundError
 from .permgroup import PermGroup, is_prime
 
 
-def character_prime(exponent: int, order: int, cap: int = PRIME_SEARCH_CAP) -> int:
-    """Smallest prime q = 1 (mod exponent) with q > 2*order."""
+def character_prime(exponent: int, order: int) -> int:
+    """Smallest prime q = 1 (mod exponent) with q > 2*order, searched up
+    to PRIME_SEARCH_CAP."""
     q = 2 * order + 1
     q += (-(q - 1)) % exponent
-    while q <= cap:
+    while q <= PRIME_SEARCH_CAP:
         if is_prime(q):
             return q
         q += exponent
-    raise DomainError(f"no suitable prime below {cap} for exponent {exponent}")
+    raise DomainError(f"no suitable prime below {PRIME_SEARCH_CAP} for exponent {exponent}")
 
 
 # -- small exact linear algebra mod q ---------------------------------------

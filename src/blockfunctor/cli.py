@@ -195,17 +195,17 @@ def cmd_mult(args) -> dict:
     single_block = refusal is None
 
     if args.formula in ("pairs", "both"):
-        table = mult_table_pairs(loaded.group, loaded.p, registry, loaded.name)
+        table = mult_table_pairs(loaded.group, loaded.p, registry)
     if args.formula in ("fusion", "both"):
         if refusal is not None:
             raise refusal
         if args.formula == "both":
-            fusion_table = mult_table_fusion(fusion, registry, loaded.name)
+            fusion_table = mult_table_fusion(fusion, registry)
             cross_check_formulas(table, fusion_table)
             cross_check = "fusion route matches on all rows with |L| > 1"
         else:
             registry.classify_group(loaded.group, loaded.p)
-            table = mult_table_fusion(fusion, registry, loaded.name)
+            table = mult_table_fusion(fusion, registry)
 
     return {
         "group": _group_doc(loaded),
@@ -225,8 +225,8 @@ def cmd_compare(args) -> dict:
             f"primes differ: {left.p} vs {right.p}; comparison needs one prime"
         )
     registry = PairClassRegistry()
-    left_table = mult_table_pairs(left.group, left.p, registry, left.name)
-    right_table = mult_table_pairs(right.group, right.p, registry, right.name)
+    left_table = mult_table_pairs(left.group, left.p, registry)
+    right_table = mult_table_pairs(right.group, right.p, registry)
     verdict = compare(left_table, right_table)
     diff_rows = []
     for cid, irr, a, b in verdict.diff:

@@ -24,7 +24,7 @@ sending the label of l in L to the label of f(l) in the member's P.
 The founding member's witness is the identity.
 
 Out(L, u) is never built as a group.  A class holds C = C_Aut(L)(c_u)
-acting on the labels of L (PermGroup.label_perm) and its normal
+acting on the labels of L (PermGroup.induced gives c_u) and its normal
 subgroup N = <c_u, c_x : x in C_L(u)>, with Out(L, u) = C / N.  A
 subgroup of Out is carried by its preimage in C, which contains N, and
 the irreducibles of Out are the characters of C with N in their kernel.
@@ -42,11 +42,10 @@ only subgroups of Out or permutation characters, such as verify-psi
 and a compare with a stable verdict, build no table.
 
 N is read from labels too: C_L(u) is the set of labels that c_u fixes,
-and each c_x is read from the table of L.  A subgroup H of C that
-contains N enters a multiplicity table as its class count in C
-(PairClass.class_count), from which the class reads its permutation
-character without a table, and out_dims the fixed-point dimensions with
-one.
+and each c_x is L.induced(x).  A subgroup H of C that contains N enters
+a multiplicity table as its class count in C (PairClass.class_count),
+from which the class reads its permutation character without a table,
+and out_dims the fixed-point dimensions with one.
 
 The pair orbits read the classes of N_G(P) and their element orders
 from N_G(P) itself, one Permutation.order per class, and walk no class.
@@ -54,9 +53,8 @@ The generators of N_G(P, s) = C_{N_G(P)}(s) come from a walk over the
 N_G(P)-class of s on the labels of N_G(P), made only when the image of
 N_G(P, s) in Out first reads them (NormalizerPair.centralizer_gens):
 never for P = 1, whose image is N, so commands that build no image,
-such as pairs, walk no class.  The image closes each induced
-automorphism a_g of P on the table of P from the images of the
-generators of P.
+such as pairs, walk no class.  The image reads each induced
+automorphism a_g of P as P.induced(g).
 """
 
 from __future__ import annotations
@@ -76,12 +74,11 @@ from .permgroup import (
     PermGroup,
     class_and_centralizer,
     element_class_and_centralizer,
-    homomorphism,
     normalizer,
     orbit,
     p_subgroup_classes,
 )
-from .permutation import Permutation, conjugate_with
+from .permutation import Permutation
 
 
 def pair_class_key(marked: MarkedPair) -> tuple:
@@ -225,16 +222,15 @@ class PairClass:
     """An isomorphism class of pairs, shared across groups.
 
     Aut(L) and the character table of C come from ``shared``, which the
-    classes of one registry share; a class made on its own gets a
-    SharedGroups of its own.
+    classes of one registry share.
     """
 
-    def __init__(self, class_id: int, realization: MarkedPair, key: tuple, shared=None):
+    def __init__(self, class_id: int, realization: MarkedPair, key: tuple, shared: SharedGroups):
         self.class_id = class_id
         self.realization = realization
         self.key = key
         self.members = []
-        self.shared = SharedGroups() if shared is None else shared
+        self.shared = shared
 
     @property
     def subgroup_order(self) -> int:
@@ -291,17 +287,15 @@ class PairClass:
     def inner(self) -> PermGroup:
         """N = <c_u, c_x : x in C_L(u)> on the labels of L, the kernel of
         C -> Out, checked to lie in C on first read.  C_L(u) is the set of
-        labels that c_u fixes, and c_x sends the label of y to that of
-        x y x^-1, read from the table of L."""
+        labels that c_u fixes, and c_x = L.induced(x)."""
         aut = self.aut
         L = self.realization.subgroup
         c_u = self.realization.action
-        rows = L.table
+        elements = L.elements()
         maps = {}
         for x, image in enumerate(c_u.images):
             if image == x:
-                x_inv = rows[x].index(0)
-                maps[tuple([rows[y][x_inv] for y in rows[x]])] = None
+                maps[L.induced(elements[x])] = None
         inner = [c_u] + [Permutation(c_x) for c_x in maps]
         if not all(aut.contains(c) for c in inner):
             raise InternalCheckError(
@@ -449,32 +443,27 @@ def image_of_normalizer(cls: PairClass, pair: NormalizerPair, w: Permutation) ->
     N_G(P, s) = C_{N_G(P)}(s) is generated by pair.centralizer_gens.  Each
     such g induces phi^-1 . c_g . phi on L, which must lie in C; the
     result is the subgroup of C generated by these and N.  On labels the
-    induced map is w * a_g * w^-1, where a_g is the label permutation of
-    c_g on P, closed on the table of P from the images of the generators
-    of P.  Generators with the same images of the generators of P induce
-    the same map, so each action is checked and closed once.  The result
-    is closed without a second membership test: each induced map has just
-    passed C.contains, and N <= C was checked when N was built.
+    induced map is w * a_g * w^-1, where a_g = P.induced(g) is the label
+    permutation of c_g on P.  Generators with the same a_g induce the
+    same map, so each action is checked once.  The result is closed
+    without a second membership test: each induced map has just passed
+    C.contains, and N <= C was checked when N was built.
     """
     P = pair.subgroup
-    actions = {}  # the conjugates of the generators of P -> g
+    actions = {}  # a_g -> the first g with it
     # P = 1 has no generators and its image is N, so it reads no generators of N_G(P, s)
     for g in pair.centralizer_gens if P.generators else ():
-        g_inv = g.inverse()
-        actions.setdefault(tuple([conjugate_with(g, g_inv, x) for x in P.generators]), g)
-    generators = [P.position(x) for x in P.generators]
-    w_inv = w.inverse()
-    induced = []
-    for images, g in actions.items():
         try:
-            labels = [P.position(y) for y in images]
-        except KeyError:
+            actions.setdefault(P.induced(g), g)
+        except DomainError:
             raise InternalCheckError(
                 f"normalizer image, {cls.name}: the action of "
                 f"{g.cycle_string()} leaves the witness image"
             ) from None
-        a_g = Permutation(homomorphism(P, P, zip(generators, labels)))
-        perm = w * a_g * w_inv
+    w_inv = w.inverse()
+    induced = []
+    for a_g, g in actions.items():
+        perm = w * Permutation(a_g) * w_inv
         if not cls.aut.contains(perm):
             raise InternalCheckError(
                 f"normalizer image, {cls.name}: the map induced by "

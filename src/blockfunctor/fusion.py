@@ -13,12 +13,13 @@ label map that autos returns, the tuple of the labels of pi(l) in P
 over the elements of L in label order, and an orbit's representative
 is such a tuple.  As a permutation w of the labels, pi is a witness in
 the sense of ddelta.ClassMember, and pi . i_u . pi^-1 is
-w^-1 * c_u * w.  Iso(L, P) = Aut(P) . pi0 for one pi0 found by a
-first-hit search once per object and element set of L, however many
-classes share L.  Aut(P) on the labels of P is the registry's shared Aut(L)
-for L = P, searched once per product table.  The right action is that of
-C = C_Aut(L)(c_u), which the class builds as a centralizer in Aut(L)
-(ddelta.PairClass.aut).
+w^-1 * c_u * w.  The normalizer acts on P through the label maps
+PermGroup.induced.  Iso(L, P) = Aut(P) . pi0 for one pi0 found by
+autos.find_group_isomorphism once per object and element set of L,
+however many classes share L.  Aut(P) on the labels of P is the
+registry's shared Aut(L) for L = P, searched once per product table.
+The right action is that of C = C_Aut(L)(c_u), which the class builds
+as a centralizer in Aut(L) (ddelta.PairClass.aut).
 The route reads no pair orbits or witnesses.
 """
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .autos import _generator_labels, _search_maps
+from .autos import _generator_labels, find_group_isomorphism
 from .ddelta import (
     NormalizerPair,
     PairClass,
@@ -45,7 +46,7 @@ from .permgroup import (
     schreier_walk,
     sylow_subgroup,
 )
-from .permutation import Permutation, conjugate, conjugation
+from .permutation import Permutation, conjugate
 
 
 def frobenius_structure(G: PermGroup, p: int) -> PermGroup:
@@ -110,15 +111,13 @@ class FusionObject:
     _first_isomorphisms: dict = field(default_factory=dict, compare=False, repr=False)
 
     def first_isomorphism(self, L: PermGroup):
-        """pi0: L -> P from a first-hit search along the generators of L,
-        as the labels in P of its images over the elements of L, or None;
-        searched once per element set of L.  Iso(L, P) = Aut(P) . pi0 does
-        not depend on which pi0 is found."""
+        """pi0: L -> P from find_group_isomorphism, as the labels in P of
+        its images over the elements of L, or None; searched once per
+        element set of L.  Iso(L, P) = Aut(P) . pi0 does not depend on
+        which pi0 is found."""
         key = L.element_set()
         if key not in self._first_isomorphisms:
-            P, sequence = self.subgroup, _generator_labels(L)
-            found = _search_maps(L, P, sequence, [None] * len(sequence), limit=1)
-            self._first_isomorphisms[key] = tuple(found[0]) if found else None
+            self._first_isomorphisms[key] = find_group_isomorphism(L, self.subgroup)
         return self._first_isomorphisms[key]
 
 
@@ -144,7 +143,7 @@ def build_fusion(G: PermGroup, p: int) -> FusionData:
                 f"normal Sylow of order {D.order}"
             )
         N = normalizer(G, P)
-        induced = [P.label_perm(conjugation(g)) for g in N.generators]
+        induced = [Permutation(P.induced(g)) for g in N.generators]
         objects.append(FusionObject(P, N, PermGroup(P.order, induced)))
     return FusionData(group=G, p=p, kernel=D, objects=tuple(objects))
 
@@ -265,16 +264,15 @@ def psi_pair(
     verify_class has checked.
 
     The search runs over the whole normalizer in canonical order, with
-    the element orders of its classes; absence of such an element
+    the element orders of its classes, and compares the label map
+    P.induced(s) with that of pi.i_u.pi^-1; absence of such an element
     contradicts the verified bijection and is raised as an internal error.
     """
     obj = orbit.object
     P, N = obj.subgroup, obj.normalizer
     induced = (w.inverse() * cls.realization.action * w).images  # pi . i_u . pi^-1
-    gens = P.generators
-    target = [P.elements()[induced[P.position(x)]] for x in gens]
     for s, order in zip(N.elements(), N.orders):
-        if order % F.p and list(map(conjugation(s), gens)) == target:
+        if order % F.p and P.induced(s) == induced:
             return NormalizerPair(P, s, ambient=F.group, p=F.p)
     raise InternalCheckError(
         f"{_where(cls)}: no p'-element of the normalizer induces the "

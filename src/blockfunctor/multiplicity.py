@@ -59,7 +59,6 @@ class MultiplicityTable:
     use, and only the rows build character tables.
     """
 
-    group_name: str
     group: PermGroup
     p: int
     k: int
@@ -68,7 +67,6 @@ class MultiplicityTable:
     counts: dict  # class_id -> the class count in C of each H, in order
     registry: PairClassRegistry
     sylow: PermGroup
-    includes_trivial: bool
 
     def class_ids(self):
         return sorted(self.counts)
@@ -95,11 +93,10 @@ class MultiplicityTable:
         return {key: m for cid in self.counts for key, m in self.class_rows(cid).items()}
 
 
-def _table(name, G, p, counts, registry, includes_trivial) -> MultiplicityTable:
+def _table(G, p, counts, registry) -> MultiplicityTable:
     """The table of the given class counts, with the invariants of G at p."""
     k, l, _ = invariants_kl(G, p)
     return MultiplicityTable(
-        group_name=name,
         group=G,
         p=p,
         k=k,
@@ -108,13 +105,10 @@ def _table(name, G, p, counts, registry, includes_trivial) -> MultiplicityTable:
         counts=counts,
         registry=registry,
         sylow=sylow_subgroup(G, p),
-        includes_trivial=includes_trivial,
     )
 
 
-def mult_table_pairs(
-    G: PermGroup, p: int, registry: PairClassRegistry, name: str = "group"
-) -> MultiplicityTable:
+def mult_table_pairs(G: PermGroup, p: int, registry: PairClassRegistry) -> MultiplicityTable:
     """Multiplicity table through the pair route.
 
     m(class, chi) is the sum over the class members (P, s) of the fixed
@@ -124,7 +118,7 @@ def mult_table_pairs(
     for cls, member in registry.classify_group(G, p):
         image = image_of_normalizer(cls, member.pair, member.witness)
         counts.setdefault(cls.class_id, []).append(cls.class_count(image))
-    table = _table(name, G, p, counts, registry, includes_trivial=True)
+    table = _table(G, p, counts, registry)
     trivial = registry.trivial_class()
     # C is trivial at the trivial class, so its one multiplicity is pi(1)
     if trivial is None or table.pi.get(trivial.class_id) != (table.l,):
@@ -135,9 +129,7 @@ def mult_table_pairs(
     return table
 
 
-def mult_table_fusion(
-    F: FusionData, registry: PairClassRegistry, name: str = "group"
-) -> MultiplicityTable:
+def mult_table_fusion(F: FusionData, registry: PairClassRegistry) -> MultiplicityTable:
     """Multiplicity table through the fusion route (nontrivial classes only).
 
     m(class, chi) is the sum over the triple orbits of the fixed point
@@ -151,7 +143,7 @@ def mult_table_fusion(
             continue
         for orbit in triple_orbits(F, cls):
             counts.setdefault(cls.class_id, []).append(cls.class_count(orbit.stabilizer))
-    return _table(name, F.group, F.p, counts, registry, includes_trivial=False)
+    return _table(F.group, F.p, counts, registry)
 
 
 def _nontrivial_ids(left: MultiplicityTable, right: MultiplicityTable) -> list:

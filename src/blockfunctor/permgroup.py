@@ -16,18 +16,20 @@ by image tuples, so the identity is always label 0 and an order on labels
 is the order on image tuples.  A label is found by the element's image
 tuple, which Python hashes and compares in C, so the tables below gather
 the images of each product or conjugate with operator.itemgetter and build
-no Permutation for it.  A map f on the elements acts on the labels as the
-permutation label_perm(f); this is how automorphisms of a group become
-permutations.  Three tables on labels are built on first read:
+no Permutation for it.  induced(g) is the label map of x -> g x g^-1 for
+any g normalizing the group, inside it or not; it is the one conjugation
+action on labels, and the automorphisms of a group that its normalizer
+induces are read from it.  Three tables on labels are built on first read:
 
-- table, the products: table[i][j] is the label of x_i x_j.  Only the
-  groups that the isomorphism search and homomorphism run on read it.
-- conjugation, (g, g^-1, c_g) for each generator g, with c_g the label
-  permutation of x -> g x g^-1.  Every conjugation walk inside a group
-  moves labels or label sets by c_g and multiplies elements only for its
-  transversal and its Schreier generators: the classes (a plain loop over
-  labels), the class and centralizer of a member, normalizers and the
-  classes of p-subgroups.
+- table, the products: table[i][j] is the label of x_i x_j.  The
+  isomorphism search, homomorphism and the subgroups of a Sylow subgroup
+  (p_subgroup_classes) read it.
+- conjugation, (g, g^-1, induced(g)) for each generator g.  Every
+  conjugation walk inside a group moves labels or label sets by
+  induced(g) and multiplies elements only for its transversal and its
+  Schreier generators: the classes (a plain loop over labels), the class
+  and centralizer of a member, normalizers and the classes of
+  p-subgroups.
 - orders, the order of each label, one Permutation.order per class.
 
 A subgroup is a PermGroup of its own, and a homomorphism is the list of
@@ -61,7 +63,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _closure(degree, candidates, cap, start=None):
+def _closure(degree, candidates, cap):
     """The group generated by the candidates, by Dimino's coset
     enumeration, as (elements, members, kept): members is the set of the
     elements, and kept lists, in order, the candidates outside the group
@@ -71,13 +73,9 @@ def _closure(degree, candidates, cap, start=None):
     coset reps start at g, and a product r s, with r a rep and s a kept
     generator, opens a new coset when it lies in no known coset.  Since
     (h r) s = h (r s), the union is closed under every generator, so it
-    is <H, g>.  ``start`` = (elements, generators) resumes from a group
-    already closed; its generators join the products r s.
+    is <H, g>.
     """
-    if start is None:
-        elements, gens = [Permutation.identity(degree)], []
-    else:
-        elements, gens = list(start[0]), list(start[1])
+    elements, gens = [Permutation.identity(degree)], []
     members = set(elements)
     kept = []
     for g in candidates:
@@ -196,11 +194,22 @@ class PermGroup:
         """The label of a member: its position in elements()."""
         return self._positions[x.images]
 
-    def label_perm(self, f) -> Permutation:
-        """The permutation of the labels made by a map f on the elements:
-        label i goes to the label of f(elements()[i])."""
+    def induced(self, g: Permutation) -> tuple:
+        """The label map of x -> g x g^-1, for a g of this degree that
+        normalizes the group: entry i is the label of g x_i g^-1, found by
+        the image tuple of the conjugate.  Raises DomainError when a
+        conjugate lies outside the group."""
+        if self.degree < 2:  # see Permutation.__mul__
+            return (0,)
         positions = self._positions
-        return Permutation([positions[f(x).images] for x in self._elements])
+        times_g, inv_images = itemgetter(*g.images), g.inverse().images
+        try:
+            return tuple([
+                positions[itemgetter(*times_g(x.images))(inv_images)]
+                for x in self._elements
+            ])
+        except KeyError:
+            raise DomainError("element does not normalize the group") from None
 
     def is_abelian(self) -> bool:
         gens = self.generators
@@ -241,22 +250,8 @@ class PermGroup:
 
     @cached_property
     def conjugation(self) -> tuple:
-        """(g, g^-1, c_g) for each generator g, with c_g the label
-        permutation of x -> g x g^-1 as a tuple: c_g[i] is the label of
-        g x_i g^-1, found by the image tuple of the conjugate.  A generator
-        moves a point, so itemgetter gets two or more indices and returns
-        a tuple."""
-        positions = self._positions
-        out = []
-        for g in self.generators:
-            g_inv = g.inverse()
-            times_g, inv_images = itemgetter(*g.images), g_inv.images
-            c_g = tuple([
-                positions[itemgetter(*times_g(x.images))(inv_images)]
-                for x in self._elements
-            ])
-            out.append((g, g_inv, c_g))
-        return tuple(out)
+        """(g, g^-1, c_g) for each generator g, with c_g = induced(g)."""
+        return tuple([(g, g.inverse(), self.induced(g)) for g in self.generators])
 
     @cached_property
     def orders(self) -> tuple:
@@ -414,26 +409,28 @@ def normalizer(G: PermGroup, P: PermGroup) -> PermGroup:
     return G if N is None else N
 
 
-def _all_subgroups_of(degree, elements):
-    """Every subgroup of the group given by its element list.
+def _all_subgroups_of(P: PermGroup):
+    """Every subgroup of P, as a set of labels of P.
 
     Each subgroup s found keeps the generating set it was first closed
     from, and is extended by one x per coset s x outside s: <s, h x> is
-    <s, x> for every h in s.  The closure of <s, x> resumes from s.
+    <s, x> for every h in s.  <s, x> is the orbit of label 0 under right
+    multiplication by the generators of s and x, read from the table of P.
     """
-    cap = len(elements)
-    trivial = frozenset([Permutation.identity(degree)])
+    rows = P.table
+    trivial = frozenset([0])
     generators = {trivial: ()}
 
     def extensions(s):
         found = []
         covered = set(s)
-        for x in elements:
+        for x in range(P.order):
             if x in covered:
                 continue
-            covered.update(h * x for h in s)
-            t = frozenset(_closure(degree, (x,), cap, start=(s, generators[s]))[1])
-            generators.setdefault(t, generators[s] + (x,))
+            covered.update([rows[h][x] for h in s])
+            gens = generators[s] + (x,)
+            t = frozenset(orbit(0, lambda y: [rows[y][g] for g in gens]))
+            generators.setdefault(t, gens)
             found.append(t)
         return found
 
@@ -444,9 +441,10 @@ def p_subgroup_classes(G: PermGroup, p: int):
     """One canonical representative per conjugacy class of p-subgroups.
 
     By Sylow's theorem these are the G-classes of the subgroups of one
-    Sylow subgroup S, each given by its minimal conjugate: one walk over
-    the conjugate label sets of each class, whatever number of its
-    subgroups lie in S.  S is grown from the trivial group: P below the
+    Sylow subgroup S, found on the labels of S (_all_subgroups_of), each
+    given by its minimal conjugate: one walk over the conjugate label
+    sets of each class, whatever number of its subgroups lie in S.  S is
+    grown from the trivial group: P below the
     Sylow order lies properly in a Sylow Q, and N_Q(P) / P is a
     nontrivial p-group, so some x in N_G(P) - P has x^p in P, and <P, x>
     has order p|P|.
@@ -475,10 +473,11 @@ def p_subgroup_classes(G: PermGroup, p: int):
     # which the least by sorted labels, the least by sorted images, is
     # the class representative
     moves = [c_g for _, _, c_g in G.conjugation]
+    in_g = [G.position(x) for x in P.elements()]  # label in P -> label in G
     seen = set()
     reps = []
-    for s in _all_subgroups_of(G.degree, P.elements()):
-        labels = frozenset(map(G.position, s))
+    for s in _all_subgroups_of(P):
+        labels = frozenset([in_g[x] for x in s])
         if labels in seen:
             continue
         conjugates = orbit(labels, lambda y: [_conjugate_set(c_g, y) for c_g in moves])

@@ -15,7 +15,6 @@ per pass over the points.
 
 from __future__ import annotations
 
-from functools import partial
 from math import lcm
 from operator import itemgetter
 
@@ -180,12 +179,6 @@ def _trusted(images: tuple) -> Permutation:
 def conjugate(g: Permutation, x: Permutation) -> Permutation:
     """The conjugate g * x * g^-1."""
     return conjugate_with(g, g.inverse(), x)
-
-
-def conjugation(g: Permutation):
-    """The map x -> g * x * g^-1, with g^-1 computed once for all the
-    elements it is applied to."""
-    return partial(conjugate_with, g, g.inverse())
 
 
 def conjugate_with(g: Permutation, g_inv: Permutation, x: Permutation) -> Permutation:

@@ -45,7 +45,11 @@ added.
 built it before it read C_L(u) and each c_x from the table of L: C_L(u)
 from the Schreier generators of an element walk over the class of u
 under L, and each c_x conjugated on the elements of L.
-``pairs_conjugate_scan`` is the matching of a psi pair with a pair orbit
+``conjugation`` and ``label_perm`` are the element-scan reference for
+PermGroup.induced: conjugation by g as a map on elements, and the
+permutation of the labels that a map on the elements makes, found by a
+dict keyed by the elements, as the package read conjugation actions on
+labels before induced.  ``pairs_conjugate_scan`` is the matching of a psi pair with a pair orbit
 as verify_class made it before one label walk of the pair's G-orbit: a
 scan of G for an element that conjugates one pair onto the other.
 ``find_complement`` and ``complement_fixed_point`` are the complement
@@ -70,6 +74,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from blockfunctor import autos, ddelta
 from blockfunctor.autos import _candidate_lists, _search_maps
@@ -84,8 +89,9 @@ from blockfunctor.permgroup import (
     orbit,
     quotient_group,
 )
-from blockfunctor.permutation import Permutation, conjugation
+from blockfunctor.permutation import Permutation
 from blockfunctor.permutation import conjugate as package_conjugate
+from blockfunctor.permutation import conjugate_with as package_conjugate_with
 
 
 def compose(a, b):
@@ -440,11 +446,24 @@ def centralizer(G, s):
     return G.subgroup_from_elements([g for g in G.elements() if g * s == s * g])
 
 
+def conjugation(g):
+    """The map x -> g x g^-1 on elements, with g^-1 computed once for all
+    the elements it is applied to."""
+    return partial(package_conjugate_with, g, g.inverse())
+
+
+def label_perm(G, f):
+    """The permutation of the labels of G made by a map f on its elements,
+    by a scan of the elements: label i goes to the label of f(x_i)."""
+    index = {x: i for i, x in enumerate(G.elements())}
+    return Permutation([index[f(x)] for x in G.elements()])
+
+
 def element_walk_inner(cls):
     """N of a pair class, from an element walk over the class of u."""
     L, u = cls.realization.subgroup, cls.realization.element
     _, fixing_u = element_class_and_centralizer(L.generators, u)
-    return PermGroup(L.order, [L.label_perm(conjugation(g)) for g in (u,) + fixing_u])
+    return PermGroup(L.order, [label_perm(L, conjugation(g)) for g in (u,) + fixing_u])
 
 
 def pairs_conjugate_scan(G, a, b):
@@ -465,7 +484,7 @@ def regular(P):
     the translations y -> y x for x in the generators of P.  The
     translation by x sends label 0 to the label of x, so label j is the
     translation by the element at label j of P: both have the same labels."""
-    return PermGroup(P.order, [P.label_perm(lambda y, x=x: y * x) for x in P.generators])
+    return PermGroup(P.order, [label_perm(P, lambda y, x=x: y * x) for x in P.generators])
 
 
 def faithful_quotient(pair):
@@ -474,7 +493,7 @@ def faithful_quotient(pair):
     y -> s^-1 y s, which conjugates the translations as s conjugates P,
     sigma tau_x sigma^-1 = tau_(s x s^-1), and acts on them faithfully."""
     P = pair.subgroup
-    sigma = P.label_perm(conjugation(pair.element.inverse()))
+    sigma = label_perm(P, conjugation(pair.element.inverse()))
     return autos.MarkedPair(regular(P), sigma)
 
 
@@ -492,7 +511,7 @@ def element_search(A, B, sequence, restrictions, limit=None, commuting=None):
     by d."""
     if commuting is not None:
         c, d = commuting
-        commuting = (A.label_perm(conjugation(c)).images, B.label_perm(conjugation(d)).images)
+        commuting = (label_perm(A, conjugation(c)).images, label_perm(B, conjugation(d)).images)
     found = _search_maps(
         A,
         B,
@@ -698,7 +717,7 @@ def twisted_centralizer(mp):
             if hit:
                 maps.append(hit[0])
                 basic = basic_orbit(sequence[i], maps)
-    C = PermGroup(L.order, [L.label_perm(m.__getitem__) for m in maps])
+    C = PermGroup(L.order, [label_perm(L, m.__getitem__) for m in maps])
     expected = 1
     for i, x in enumerate(sequence):
         level = [m for m in maps if all(m[y] == y for y in sequence[:i])]

@@ -54,7 +54,7 @@ def test_criterion_1_l_row_identity():
         started = time.monotonic()
         registry = PairClassRegistry()
         for name, builder, p in FIXTURES:
-            table = mult_table_pairs(builder(), p, registry, name)
+            table = mult_table_pairs(builder(), p, registry)
             trivial = registry.trivial_class()
             assert table.rows[(trivial.class_id, 0)] == table.l, name
         elapsed = time.monotonic() - started
@@ -67,8 +67,8 @@ def test_criterion_2_cross_formula_equality():
         registry = PairClassRegistry()
         for name, builder, p in FROBENIUS_FIXTURES:
             G = builder()
-            pairs_table = mult_table_pairs(G, p, registry, name)
-            fusion_table = mult_table_fusion(build_fusion(G, p), registry, name)
+            pairs_table = mult_table_pairs(G, p, registry)
+            fusion_table = mult_table_fusion(build_fusion(G, p), registry)
             cross_check_formulas(pairs_table, fusion_table)
 
 
@@ -133,8 +133,8 @@ def test_criterion_4_golden_tables():
         assert _oracle_table(a4(), 2) == golden_a4_by_label
         # and the package reproduces them
         registry = PairClassRegistry()
-        table_s3 = mult_table_pairs(s3(), 3, registry, "S3")
-        table_a4 = mult_table_pairs(a4(), 2, registry, "A4")
+        table_s3 = mult_table_pairs(s3(), 3, registry)
+        table_a4 = mult_table_pairs(a4(), 2, registry)
         assert _package_table_with_labels(table_s3) == golden_s3_by_label
         assert _package_table_with_labels(table_a4) == golden_a4_by_label
         # frozen constants used elsewhere agree with the oracle too
@@ -147,11 +147,11 @@ def test_criterion_5_equivalence_verdicts():
                       "S3 vs C3 unstable with diff, stable implies matching "
                       "k-l and isomorphic defect groups"):
         registry = PairClassRegistry()
-        table_s3 = mult_table_pairs(s3(), 3, registry, "S3")
-        table_s3b = mult_table_pairs(s3_shifted(), 3, registry, "S3b")
-        table_c3 = mult_table_pairs(c3(), 3, registry, "C3")
-        table_f20 = mult_table_pairs(f20(), 5, registry, "F20")
-        table_f20b = mult_table_pairs(f20_relabeled(), 5, registry, "F20b")
+        table_s3 = mult_table_pairs(s3(), 3, registry)
+        table_s3b = mult_table_pairs(s3_shifted(), 3, registry)
+        table_c3 = mult_table_pairs(c3(), 3, registry)
+        table_f20 = mult_table_pairs(f20(), 5, registry)
+        table_f20b = mult_table_pairs(f20_relabeled(), 5, registry)
 
         same = compare(table_s3, table_s3b)
         assert same.stable and same.functorial and not same.diff
@@ -243,6 +243,6 @@ def test_criterion_8_negative_path(capsys):
         assert "single-block regime" not in out
 
         registry = PairClassRegistry()
-        table = mult_table_pairs(s4(), 2, registry, "S4")
+        table = mult_table_pairs(s4(), 2, registry)
         trivial = registry.trivial_class()
         assert table.rows[(trivial.class_id, 0)] == table.l

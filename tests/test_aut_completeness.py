@@ -25,7 +25,7 @@ import oracles
 from conftest import DATA_DIR
 from blockfunctor.autos import MarkedPair, pair_automorphism_maps
 from blockfunctor.config import max_order
-from blockfunctor.ddelta import PairClass, PairClassRegistry
+from blockfunctor.ddelta import PairClass, PairClassRegistry, SharedGroups
 from blockfunctor.errors import SizeBoundError
 from blockfunctor.grpfile import load_group, parse_group_file
 from blockfunctor.permgroup import PermGroup, is_prime
@@ -61,7 +61,7 @@ def as_label_perms(G, maps):
 
 def closed_automorphisms(mp):
     """C closed by the package on the sorted elements of L."""
-    return {g.images for g in PairClass(0, mp, ()).aut.elements()}
+    return {g.images for g in PairClass(0, mp, (), SharedGroups()).aut.elements()}
 
 
 def commuting_automorphisms(mp):

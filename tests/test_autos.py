@@ -9,7 +9,7 @@ from blockfunctor.autos import (
     pair_automorphism_maps,
 )
 from blockfunctor.battery import a4, c3, s3, s4
-from blockfunctor.ddelta import PairClass
+from blockfunctor.ddelta import PairClass, SharedGroups
 from blockfunctor.errors import DomainError
 from blockfunctor.permgroup import PermGroup
 from blockfunctor.permutation import Permutation, conjugate
@@ -25,7 +25,7 @@ def v4():
 
 def pair_class(mp):
     """A class realized by the marked pair; C and N are built on first read."""
-    return PairClass(0, mp, ())
+    return PairClass(0, mp, (), SharedGroups())
 
 
 def automorphism_class(G):

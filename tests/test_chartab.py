@@ -37,12 +37,13 @@ def test_degree_examples():
     assert character_table(s4()).degrees == (1, 1, 2, 3, 3)
 
 
-def test_prime_selection():
+def test_prime_selection(monkeypatch):
     table = character_table(s3())
     assert table.modulus == 13  # smallest q = 1 (mod 6) above 12
     assert character_prime(6, 6) == 13
+    monkeypatch.setattr(chartab, "PRIME_SEARCH_CAP", 12)
     with pytest.raises(DomainError):
-        character_prime(6, 6, cap=12)
+        character_prime(6, 6)
 
 
 def test_out_group_table_of_klein_pair():

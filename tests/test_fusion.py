@@ -321,8 +321,8 @@ def test_non_cyclic_complement_is_found_and_verified():
     F = build_fusion(G, 3)
     assert F.kernel.element_set() == D.element_set()
     registry = PairClassRegistry()
-    pairs_table = mult_table_pairs(G, 3, registry, "Q8frob")
-    cross_check_formulas(pairs_table, mult_table_fusion(F, registry, "Q8frob"))
+    pairs_table = mult_table_pairs(G, 3, registry)
+    cross_check_formulas(pairs_table, mult_table_fusion(F, registry))
     fused = next(
         c for c in registry.classes
         if c.subgroup_order == 9 and c.element_order == 4

@@ -21,6 +21,7 @@ from blockfunctor.autos import find_pair_isomorphism
 from blockfunctor.ddelta import (
     PairClass,
     PairClassRegistry,
+    SharedGroups,
     pair_class_key,
     pair_orbit_reps,
 )
@@ -116,7 +117,7 @@ def test_classes_on_p_match_the_translation_route(name, G, p):
     registry.classify_group(G, p)
     for cls in registry.classes:
         quotient = oracles.faithful_quotient(cls.members[0].pair)
-        translated = PairClass(cls.class_id, quotient, pair_class_key(quotient))
+        translated = PairClass(cls.class_id, quotient, pair_class_key(quotient), SharedGroups())
         assert translated.key == cls.key
         assert translated.element_order == cls.element_order
         assert translated.aut.element_set() == cls.aut.element_set()

@@ -505,15 +505,15 @@ def test_closure_keeps_exactly_the_generators_that_enlarge_the_group(case):
 
 def assert_label_invariants(G):
     """Labels are positions in elements(), the identity is label 0, and
-    label_perm of conjugation by each element is the permutation built
-    from a position dict."""
+    induced(g) for each element g is the permutation built from a
+    position dict."""
     elements = G.elements()
     assert elements[0] == G.identity
     assert [G.position(x) for x in elements] == list(range(G.order))
     index = {x: i for i, x in enumerate(elements)}
     for g in elements:
         expected = Permutation([index[conjugate(g, x)] for x in elements])
-        assert G.label_perm(partial(conjugate, g)) == expected
+        assert G.induced(g) == expected.images
 
 
 @pytest.mark.parametrize("name", BUILDERS)
@@ -645,3 +645,100 @@ def test_identity_is_label_zero(name):
     for H in [G] + list(p_subgroup_classes(G, min(primes_dividing(G.order)))):
         assert H.identity is H.elements()[0]
         assert H.identity == Permutation.identity(H.degree)
+
+
+# f2r11 (2^11 translations) is over the default order bound and is refused
+DATA_FILES = sorted(path.stem for path in DATA_DIR.glob("*.grp") if path.stem != "f2r11")
+
+
+def assert_induced_matches_the_element_scan(G, p):
+    """P.induced(g) for every g in N_G(P), for every p-subgroup class
+    representative P, against the oracle's scan of conjugates."""
+    for P in p_subgroup_classes(G, p):
+        for g in normalizer(G, P).elements():
+            expected = oracles.label_perm(P, oracles.conjugation(g))
+            assert P.induced(g) == expected.images
+
+
+@pytest.mark.parametrize("name", DATA_FILES)
+def test_induced_on_every_p_subgroup_class_of_the_data_files(name):
+    loaded = load_group(parse_group_file((DATA_DIR / f"{name}.grp").read_text()))
+    assert_induced_matches_the_element_scan(loaded.group, loaded.p)
+
+
+@pytest.mark.parametrize("builder", [s5, a6])
+def test_induced_on_every_2_subgroup_class(builder):
+    assert_induced_matches_the_element_scan(builder(), 2)
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_conjugation_steps_are_the_induced_maps(name):
+    G = BUILDERS[name]()
+    assert [c_g for _, _, c_g in G.conjugation] == [G.induced(g) for g in G.generators]
+
+
+def test_induced_refuses_an_element_outside_the_normalizer():
+    # (1,3) conjugates the non-normal C2 = <(1,2)> of S4 onto <(2,3)>
+    P = s4().subgroup([perm(4, "(1,2)")])
+    assert P.induced(perm(4, "(3,4)")) == (0, 1)
+    with pytest.raises(DomainError, match="does not normalize"):
+        P.induced(perm(4, "(1,3)"))
+
+
+def test_induced_on_a_group_of_degree_one():
+    assert PermGroup(1, ()).induced(Permutation.identity(1)) == (0,)
+
+
+def elementary_abelian(p, rank):
+    """C_p^rank on rank disjoint p-cycles."""
+    cycle = tuple(range(1, p)) + (0,)
+    return PermGroup(p * rank, [
+        Permutation(tuple(range(p * i)) + tuple(p * i + j for j in cycle)
+                    + tuple(range(p * (i + 1), p * rank)))
+        for i in range(rank)
+    ])
+
+
+def gaussian_subgroup_count(p, rank):
+    """The subgroups of C_p^rank: the sum over k of the Gaussian binomial
+    [rank, k]_p, the number of k-dimensional subspaces of F_p^rank."""
+    total = 0
+    for k in range(rank + 1):
+        count = 1
+        for i in range(k):
+            count = count * (p ** (rank - i) - 1) // (p ** (i + 1) - 1)
+        total += count
+    return total
+
+
+ELEMENTARY_ABELIAN = ((2, 3), (2, 4), (3, 2), (3, 3), (5, 2))  # (p, rank)
+
+
+def test_gaussian_subgroup_counts():
+    counts = [gaussian_subgroup_count(p, rank) for p, rank in ELEMENTARY_ABELIAN]
+    assert counts == [16, 67, 6, 28, 8]
+
+
+LATTICE_CASES = {
+    **{f"C{p}^{rank}": (partial(elementary_abelian, p, rank), p, gaussian_subgroup_count(p, rank))
+       for p, rank in ELEMENTARY_ABELIAN},
+    # D8: 1, five C2, two V4, one C4 and D8 itself
+    "D8": (lambda: PermGroup(4, [perm(4, "(1,2,3,4)"), perm(4, "(1,3)")]), 2, 10),
+    # Q8: 1, its one involution, three C4 and Q8 itself
+    "Q8": (lambda: PermGroup(8, [perm(8, "(1,2,3,4)(5,6,7,8)"),
+                                 perm(8, "(1,5,3,7)(2,8,4,6)")]), 2, 6),
+    # C4 x C2: 1, three C2, two C4, one V4 and the group itself
+    "C4xC2": (lambda: PermGroup(6, [perm(6, "(1,2,3,4)"), perm(6, "(5,6)")]), 2, 8),
+}
+
+
+@pytest.mark.parametrize("name", LATTICE_CASES)
+def test_all_subgroups_of_a_p_group(name):
+    builder, p, count = LATTICE_CASES[name]
+    P = builder()
+    subgroups = permgroup._all_subgroups_of(P)
+    assert len(subgroups) == count
+    raw = [x.images for x in P.elements()]
+    as_elements = {frozenset(raw[i] for i in s) for s in subgroups}
+    rank = round(math.log(P.order, p))
+    assert as_elements == oracles.all_p_subgroups(P.degree, raw, p, max_gens=rank)

@@ -24,7 +24,7 @@ import pytest
 
 import oracles
 from conftest import DATA_DIR
-from blockfunctor import autos, fusion
+from blockfunctor import autos
 from blockfunctor.ddelta import PairClassRegistry
 from blockfunctor.fusion import build_fusion
 from blockfunctor.grpfile import load_group, parse_group_file
@@ -49,7 +49,6 @@ def searches(monkeypatch):
         return found
 
     monkeypatch.setattr(autos, "_search_maps", recording)
-    monkeypatch.setattr(fusion, "_search_maps", recording)
     return calls
 
 
@@ -108,7 +107,7 @@ def test_every_pair_class_search_matches_leaf_only(name, searches):
         cls.realization.subgroup.element_set() for cls in registry.classes
     }
     if name != "s4":
-        mult_table_fusion(build_fusion(loaded.group, loaded.p), registry, name)
+        mult_table_fusion(build_fusion(loaded.group, loaded.p), registry)
     assert_same_as_leaf_only(searches, marked_elements(registry))
 
 
@@ -122,7 +121,7 @@ def test_compare_searches_match_leaf_only(searches):
     for p, groups in sorted(by_prime.items()):
         registry = PairClassRegistry()
         registries.append(registry)
-        tables = [mult_table_pairs(g.group, p, registry, g.name) for g in groups]
+        tables = [mult_table_pairs(g.group, p, registry) for g in groups]
         for left, right in itertools.permutations(tables, 2):
             compare(left, right)
             verdicts += 1
