@@ -1,21 +1,25 @@
 """Automorphism groups and isomorphism search by generator-image backtracking.
 
-The search runs on labels (permgroup): the generators, their candidate
-images and every partial map are labels, and products are read from the
-tables of the two groups.  Candidate images are pruned by element order
-and conjugacy class size.  The search then prunes by prefix: once
-g1..gi have images, the map is closed on <g1..gi> (resuming from the
-closure on <g1..g(i-1)>) and a conflict drops the whole subtree; a
-generator that already lies in the prefix group has its image fixed, so
-only that one candidate is tried.  Pruning is exact, so the maps are
-found in the same depth-first order as by closing every full candidate
-tuple.  Accepted maps are verified bijections on the whole group.
-Searches are complete and deterministic.  A map is a label map: the
-labels in the target group of the images of the source's elements, in
-label order.  The candidates are tried in ascending label order, which
-is the order of their image tuples, since elements() is sorted by them;
-so the first hits, and every witness and strong generator taken from
-them, are the maps an element search in image order finds.
+There is one search, _first_map, and it returns the first map it finds.
+It runs on labels (permgroup): the generators, their candidate images
+and every partial map are labels, and products are read from the
+tables of the two groups.  Each caller hands it one candidate list per
+generator: the labels of the same element order and conjugacy class
+size, or a single label where a generator is held fixed.  Once g1..gi
+have images, the map is closed on <g1..gi> by close_map, resuming from
+the closure on <g1..g(i-1)>, and the subtree is dropped when the
+closure conflicts or sends a label other than 0 to the identity, since
+then no bijection lies below it.  A generator that already lies in the
+prefix group has its image fixed, so only that one candidate is tried.
+Pruning is exact, so the first map is the one found by closing every
+full candidate tuple in order, and it is checked to be a bijection on
+the whole group.  The search is complete and deterministic.  A map is
+a label map: the labels in the target group of the images of the
+source's elements, in label order.  The candidates are tried in
+ascending label order, which is the order of their image tuples, since
+elements() is sorted by them; so the first hits, and every witness and
+strong generator taken from them, are the maps an element search in
+image order finds.
 
 A pair (L, u) is a group L with an element u normalizing it, and the
 pair isomorphism search runs on L alone.  Only the action c_u of u on L
@@ -85,67 +89,51 @@ class MarkedPair:
         return self.action.order()
 
 
-def _candidate_lists(A, B, sequence, restrictions):
-    """Per-generator candidate image labels in B, ascending, filtered by
-    the invariants of the labels of the generators in A."""
+def _candidate_lists(A, B, sequence):
+    """Per-generator candidate image labels in B, ascending: the labels
+    of B with the invariants of the label of the generator in A."""
     pools = {}
     for y, key in enumerate(B.invariants):
         pools.setdefault(key, []).append(y)
     invariants = A.invariants
-    lists = []
-    for g, allowed in zip(sequence, restrictions):
-        pool = pools.get(invariants[g], ())
-        if allowed is not None:
-            pool = [y for y in pool if y in allowed]
-        if not pool:
-            return None
-        lists.append(pool)
-    return lists
+    return [pools.get(invariants[g], []) for g in sequence]
 
 
-def _search_maps(A, B, sequence, restrictions, limit=None, commuting=None):
-    """The isomorphisms A -> B respecting the restrictions, as label maps
-    (close_map), in depth-first order of the candidate images; the search
-    stops after ``limit`` maps.  The sequence holds labels of A and each
-    restriction is None or a set of labels of B.
+def _first_map(A, B, sequence, lists, twist=None):
+    """The first isomorphism A -> B, in depth-first order of the
+    candidate images, that sends each generator in the sequence, a label
+    of A, to a label in its candidate list: a label map (close_map), or
+    None.  A and B have one order.
 
-    With ``commuting`` = (c, d), label permutations of A and B that are
+    With ``twist`` = (c, d), label permutations of A and B that are
     automorphisms, every partial map is closed under x -> c[x] with image
     d[m(x)] as well, so a conflict with m(c[x]) = d[m(x)] drops the
-    subtree and every full map found intertwines c with d.
+    subtree and the map found intertwines c with d.
     """
-    if A.order != B.order:
-        return []
-    if A.order == 1:
-        return [[0]]
-    lists = _candidate_lists(A, B, sequence, restrictions)
-    if lists is None:
-        return []
     allowed = [set(pool) for pool in lists]
-    found = []
     pairs = []
 
     def recurse(i, m):
         if i == len(sequence):
-            if -1 not in m and len(set(m)) == B.order:
-                found.append(m)
-            return len(found) == limit
+            return m if -1 not in m and len(set(m)) == B.order else None
         g = sequence[i]
         fixed = m[g]
         if fixed >= 0:
-            return fixed in allowed[i] and recurse(i + 1, m)
+            return recurse(i + 1, m) if fixed in allowed[i] else None
         for cand in lists[i]:
             pairs.append((g, cand))
-            closed = close_map(A, B, pairs, start=m, twist=commuting)
-            stop = closed is not None and recurse(i + 1, closed)
+            closed = close_map(A, B, pairs, m, twist)
+            # an isomorphism is injective, so a partial map that sends a
+            # label other than 0 to the identity has no hit below it
+            hit = closed is not None and closed.count(0) == 1 and recurse(i + 1, closed)
             pairs.pop()
-            if stop:
-                return True
-        return False
+            if hit:
+                return hit
+        return None
 
     start = [-1] * A.order
     start[0] = 0
-    recurse(0, start)
+    found = recurse(0, start)
     # recurse refers to itself through its closure; unbinding it frees the
     # search state now instead of at the next full garbage collection
     del recurse
@@ -156,37 +144,38 @@ def _profile(group: PermGroup):
     return sorted(group.invariants[c.labels[0]] for c in group.conjugacy_data())
 
 
-def _generator_labels(group: PermGroup) -> list:
+def generator_labels(group: PermGroup) -> list:
     """The labels of the generators of a group, the sequence that every
     search on it runs along."""
     return [group.position(g) for g in group.generators]
+
+
+def _isomorphism(A: PermGroup, B: PermGroup, twist=None):
+    """The first isomorphism A -> B along the generators of A, closed
+    under the twist, as a tuple of labels, or None."""
+    if A.order != B.order or _profile(A) != _profile(B):
+        return None
+    sequence = generator_labels(A)
+    found = _first_map(A, B, sequence, _candidate_lists(A, B, sequence), twist)
+    return None if found is None else tuple(found)
 
 
 def find_group_isomorphism(A: PermGroup, B: PermGroup):
     """An isomorphism A -> B as the label map that the search closed and
     checked to be a bijection, or None.  The search runs along the
     generators of A."""
-    if A.order != B.order or _profile(A) != _profile(B):
-        return None
-    sequence = _generator_labels(A)
-    maps = _search_maps(A, B, sequence, [None] * len(sequence), limit=1)
-    return tuple(maps[0]) if maps else None
+    return _isomorphism(A, B)
 
 
 def find_pair_isomorphism(a: MarkedPair, b: MarkedPair):
     """An isomorphism f: L -> L' with f(u x u^-1) = u' f(x) u'^-1, as the
     label map on L that the search closed and checked to be a bijection,
     or None when there is none."""
-    L, M = a.subgroup, b.subgroup
-    if L.order != M.order or a.action_order != b.action_order:
-        return None
-    if _profile(L) != _profile(M):
+    if a.action_order != b.action_order:
         return None
     # c_u and c_u' have one order, so both or neither are trivial
     twist = None if a.action_order == 1 else (a.action.images, b.action.images)
-    sequence = _generator_labels(L)
-    maps = _search_maps(L, M, sequence, [None] * len(sequence), 1, twist)
-    return tuple(maps[0]) if maps else None
+    return _isomorphism(a.subgroup, b.subgroup, twist)
 
 
 def pair_automorphism_maps(L: PermGroup):
@@ -206,9 +195,8 @@ def pair_automorphism_maps(L: PermGroup):
     configured bound, before any group is built.
     """
     bound = max_order()
-    sequence = _generator_labels(L)
-    lists = _candidate_lists(L, L, sequence, [None] * len(sequence))
-    free = [set(pool) for pool in lists]
+    sequence = generator_labels(L)
+    lists = _candidate_lists(L, L, sequence)
     gens = []
 
     def step(y):
@@ -217,15 +205,15 @@ def pair_automorphism_maps(L: PermGroup):
     order = 1
     for i in reversed(range(len(sequence))):
         x = sequence[i]
-        fixed = [{y} for y in sequence[:i]]
+        fixed = [[y] for y in sequence[:i]]
         basic = orbit(x, step)
         for cand in lists[i]:
             if cand in basic:
                 continue
-            hit = _search_maps(L, L, sequence, fixed + [{cand}] + free[i + 1:], 1)
-            if not hit:
+            hit = _first_map(L, L, sequence, fixed + [[cand]] + lists[i + 1:])
+            if hit is None:
                 continue
-            gens.append(Permutation(hit[0]))
+            gens.append(Permutation(hit))
             basic = orbit(x, step)
             if order * len(basic) > bound:
                 raise SizeBoundError(

@@ -66,6 +66,7 @@ from typing import Optional
 from .autos import (
     MarkedPair,
     find_pair_isomorphism,
+    generator_labels,
     pair_automorphism_maps,
 )
 from .chartab import CharacterTable, character_table, class_counts, fixed_point_dim
@@ -181,7 +182,7 @@ class SharedGroups:
             return aut
         gens = pair_automorphism_maps(L)
         aut = PermGroup(L.order, gens)
-        base = [L.position(x) for x in L.generators]
+        base = generator_labels(L)
         expected = 1
         for i, point in enumerate(base):
             level = [g.images for g in gens if all(g.images[y] == y for y in base[:i])]

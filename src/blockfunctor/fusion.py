@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .autos import _generator_labels, find_group_isomorphism
+from .autos import find_group_isomorphism, generator_labels
 from .ddelta import (
     NormalizerPair,
     PairClass,
@@ -330,7 +330,7 @@ def verify_class(F: FusionData, cls: PairClass, registry: PairClassRegistry) -> 
     for i, orbit in enumerate(orbits):
         P = orbit.object.subgroup
         try:
-            pi = homomorphism(L, P, [(g, orbit.rep[g]) for g in _generator_labels(L)])
+            pi = homomorphism(L, P, [(g, orbit.rep[g]) for g in generator_labels(L)])
         except InternalCheckError as exc:
             raise InternalCheckError(f"{where}, triple orbit {i}: {exc}") from exc
         if len(set(pi)) != P.order:

@@ -495,36 +495,29 @@ def sylow_subgroup(G: PermGroup, p: int) -> PermGroup:
     return p_subgroup_classes(G, p)[-1]
 
 
-def close_map(A: PermGroup, B: PermGroup, pairs, start=None, twist=None):
-    """Extend (generator, image) pairs of labels in A and B to a map on
-    <generators>, as a list whose entry at a label of A is the label of
-    its image in B, or -1 where the map is not defined; None when two
+def close_map(A: PermGroup, B: PermGroup, pairs, start, twist=None):
+    """Extend a map by one more (generator, image) pair of labels in A
+    and B, as a list whose entry at a label of A is the label of its
+    image in B, or -1 where the map is not defined; None when two
     products of the generators get different images.  Products are read
     from the tables of A and B.
 
-    ``start``, when given, is the map already closed on the group that
-    every pair but the last generates; the closure resumes from it, so
-    only the last pair is applied to its labels.
+    ``start`` is the map already closed on the group that every pair but
+    the last generates (for one pair, the map that sends label 0 to
+    label 0); the closure resumes from it, so the last pair alone is
+    applied to its labels, and every pair to the labels it adds.
 
     ``twist`` = (c, d), label permutations of A and B that are
     automorphisms, also closes the map under x -> c[x] with image
-    d[m(x)].  The map then lives on the smallest c-invariant subgroup
-    holding the generators, and it intertwines c with d there; a conflict
-    returns None as above.
+    d[m(x)]; ``start`` must be closed under it too.  The map then lives
+    on the smallest c-invariant subgroup holding the generators, and it
+    intertwines c with d there; a conflict returns None as above.
     """
     rows_a, rows_b = A.table, B.table
-    if start is None:
-        m = [-1] * A.order
-        m[0] = 0
-        frontier = [0]
-        moves = pairs
-        twisting = twist
-    else:
-        # start is closed under the twist already
-        m = list(start)
-        frontier = [x for x, y in enumerate(start) if y >= 0]
-        moves = pairs[-1:]
-        twisting = None
+    m = list(start)
+    frontier = [x for x, y in enumerate(start) if y >= 0]
+    moves = pairs[-1:]
+    twisting = None
     while frontier:
         nxt = []
         for x in frontier:
@@ -557,14 +550,19 @@ def close_map(A: PermGroup, B: PermGroup, pairs, start=None, twist=None):
 def homomorphism(A: PermGroup, B: PermGroup, pairs) -> list:
     """The homomorphism A -> B with the given (generator, image) pairs of
     labels, as the list of the labels of the images of the labels of A,
-    checked on every element of A.
+    checked on every element of A: close_map adds the pairs one at a
+    time, from the map that sends label 0 to label 0.
 
     Raises InternalCheckError when the images do not define a
     homomorphism or the generators do not generate A.
     """
-    m = close_map(A, B, tuple(pairs))
-    if m is None:
-        raise InternalCheckError("generator images do not define a homomorphism")
+    pairs = tuple(pairs)
+    m = [-1] * A.order
+    m[0] = 0
+    for i in range(1, len(pairs) + 1):
+        m = close_map(A, B, pairs[:i], m)
+        if m is None:
+            raise InternalCheckError("generator images do not define a homomorphism")
     if -1 in m:
         raise InternalCheckError("generator images do not cover the source group")
     return m

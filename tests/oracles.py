@@ -66,7 +66,10 @@ labels.  Every witness here is a permutation of labels, as a class
 member holds it (``label_witness``).  The package searches and closes
 maps on labels; ``element_search``, ``element_candidates`` and
 ``element_homomorphism`` hand the carrier oracles the same searches and
-closures on elements.
+closures on elements, and ``restrict`` narrows the candidate lists to
+a conjugacy class or a subgroup where a carrier search needs it.
+``all_isomorphisms`` lists Iso(L, P) by ``leaf_only_search`` over the
+elements of P of each generator's order, with no package search.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ from fractions import Fraction
 from functools import partial
 
 from blockfunctor import autos, ddelta
-from blockfunctor.autos import _candidate_lists, _search_maps
+from blockfunctor.autos import _candidate_lists, _first_map
 from blockfunctor.chartab import CharacterTable, character_table
 from blockfunctor.config import max_order
 from blockfunctor.errors import DomainError, InternalCheckError, SizeBoundError
@@ -504,37 +507,42 @@ def basic_orbit(x, maps):
     return orbit(x, lambda y: [m[y] for m in maps])
 
 
-def element_search(A, B, sequence, restrictions, limit=None, commuting=None):
-    """The package's label search with the generators, the restrictions
-    and the twist (c, d) given as elements, and the maps it finds as
-    element maps; the twist is taken on labels as conjugation by c and
-    by d."""
+def element_search(A, B, sequence, lists, commuting=None):
+    """The package's first-hit label search with the generators, the
+    candidate lists and the twist (c, d) given as elements, and the map
+    it finds as an element map, or None; the twist is taken on labels as
+    conjugation by c and by d."""
     if commuting is not None:
         c, d = commuting
         commuting = (label_perm(A, conjugation(c)).images, label_perm(B, conjugation(d)).images)
-    found = _search_maps(
+    found = _first_map(
         A,
         B,
         [A.position(g) for g in sequence],
-        [None if r is None else {B.position(y) for y in r} for r in restrictions],
-        limit,
+        [[B.position(y) for y in pool] for pool in lists],
         commuting,
     )
+    if found is None:
+        return None
     images = B.elements()
-    return [dict(zip(A.elements(), [images[j] for j in m])) for m in found]
+    return dict(zip(A.elements(), [images[j] for j in found]))
 
 
-def element_candidates(A, B, sequence, restrictions):
-    """The package's candidate lists for element generators and
-    restrictions, as lists of elements of B."""
-    lists = _candidate_lists(
-        A,
-        B,
-        [A.position(g) for g in sequence],
-        [None if r is None else {B.position(y) for y in r} for r in restrictions],
-    )
+def element_candidates(A, B, sequence):
+    """The package's candidate lists for element generators, as lists of
+    elements of B."""
+    lists = _candidate_lists(A, B, [A.position(g) for g in sequence])
     images = B.elements()
-    return None if lists is None else [[images[j] for j in pool] for pool in lists]
+    return [[images[j] for j in pool] for pool in lists]
+
+
+def restrict(lists, restrictions):
+    """Each candidate list narrowed to its restriction, a set of
+    elements, or left whole where the restriction is None."""
+    return [
+        pool if allowed is None else [y for y in pool if y in allowed]
+        for pool, allowed in zip(lists, restrictions)
+    ]
 
 
 def element_homomorphism(A, B, pairs):
@@ -596,8 +604,8 @@ def carrier_pair_isomorphism(a, b):
         t_class = B.conjugacy_data()[B.class_index_of(b.element)]
         restrictions.append(set(t_class.elements))
     restrictions.extend([b.subgroup.element_set()] * len(a.subgroup.generators))
-    maps = element_search(A, B, sequence, restrictions, limit=1)
-    return maps[0] if maps else None
+    lists = restrict(element_candidates(A, B, sequence), restrictions)
+    return element_search(A, B, sequence, lists)
 
 
 def carrier_witness(cls, quotient, iso, pair):
@@ -653,12 +661,22 @@ class LinearScanRegistry(ddelta.PairClassRegistry):
 
 
 def all_isomorphisms(cls, obj):
-    """Every isomorphism L -> P from an unlimited search, as image tuples
-    over the sorted elements of L."""
-    L_group = cls.realization.subgroup
-    sequence = list(greedy_generating_set(L_group.degree, L_group.elements()))
-    maps = element_search(L_group, obj.subgroup, sequence, [None] * len(sequence))
-    return [tuple(m[x] for x in L_group.elements()) for m in maps]
+    """Every isomorphism L -> P from the leaf-only search over the
+    elements of P of each generator's order, as image tuples over the
+    sorted elements of L."""
+    L_group, P = cls.realization.subgroup, obj.subgroup
+    sequence = [g.images for g in greedy_generating_set(L_group.degree, L_group.elements())]
+    targets = [y.images for y in P.elements()]
+    maps = leaf_only_search(
+        L_group.identity.images,
+        P.identity.images,
+        L_group.order,
+        P.order,
+        sequence,
+        [[y for y in targets if perm_order(y) == perm_order(g)] for g in sequence],
+    )
+    element_of = {y.images: y for y in P.elements()}
+    return [tuple(element_of[m[x.images]] for x in L_group.elements()) for m in maps]
 
 
 def carrier_automorphism_maps(mp):
@@ -674,21 +692,19 @@ def carrier_automorphism_maps(mp):
         s_class = G.conjugacy_data()[G.class_index_of(mp.element)]
         restrictions.append(set(s_class.elements))
     restrictions.extend([None] * len(mp.subgroup.generators))
-    lists = element_candidates(G, G, sequence, restrictions)
+    lists = restrict(element_candidates(G, G, sequence), restrictions)
     maps = []
     order = 1
     for i in reversed(range(len(sequence))):
         x = sequence[i]
-        fixed = [{y} for y in sequence[:i]]
+        fixed = [[y] for y in sequence[:i]]
         basic = basic_orbit(x, maps)
         for cand in lists[i]:
             if cand in basic:
                 continue
-            hit = element_search(
-                G, G, sequence, fixed + [{cand}] + restrictions[i + 1:], limit=1
-            )
-            if hit:
-                maps.append(hit[0])
+            hit = element_search(G, G, sequence, fixed + [[cand]] + lists[i + 1:])
+            if hit is not None:
+                maps.append(hit)
                 basic = basic_orbit(x, maps)
                 if order * len(basic) > bound:
                     raise SizeBoundError(f"Aut(L, u) has more than {bound} elements")
@@ -704,18 +720,17 @@ def twisted_centralizer(mp):
     L, u = mp.subgroup, mp.element
     commuting = None if u.is_identity() else (u, u)
     sequence = list(L.generators)
-    lists = element_candidates(L, L, sequence, [None] * len(sequence))
-    free = [set(pool) for pool in lists]
+    lists = element_candidates(L, L, sequence)
     maps = []
     for i in reversed(range(len(sequence))):
-        fixed = [{y} for y in sequence[:i]]
+        fixed = [[y] for y in sequence[:i]]
         basic = basic_orbit(sequence[i], maps)
         for cand in lists[i]:
             if cand in basic:
                 continue
-            hit = element_search(L, L, sequence, fixed + [{cand}] + free[i + 1:], 1, commuting)
-            if hit:
-                maps.append(hit[0])
+            hit = element_search(L, L, sequence, fixed + [[cand]] + lists[i + 1:], commuting)
+            if hit is not None:
+                maps.append(hit)
                 basic = basic_orbit(sequence[i], maps)
     C = PermGroup(L.order, [label_perm(L, m.__getitem__) for m in maps])
     expected = 1

@@ -38,7 +38,7 @@ def candidate_lists(mp):
     """The candidate lists pair_automorphism_maps draws its images from
     on a marking (G, 1), as elements."""
     G = mp.subgroup
-    return oracles.element_candidates(G, G, G.generators, [None] * len(G.generators))
+    return oracles.element_candidates(G, G, G.generators)
 
 
 def enumerated_automorphisms(G, gens, lists):

@@ -2,16 +2,18 @@ import pytest
 
 import oracles
 from test_pair_isomorphism import assert_intertwines
+from blockfunctor import autos
 from blockfunctor.autos import (
     MarkedPair,
     find_group_isomorphism,
     find_pair_isomorphism,
+    generator_labels,
     pair_automorphism_maps,
 )
 from blockfunctor.battery import a4, c3, s3, s4
 from blockfunctor.ddelta import PairClass, SharedGroups
 from blockfunctor.errors import DomainError
-from blockfunctor.permgroup import PermGroup
+from blockfunctor.permgroup import PermGroup, orbit
 from blockfunctor.permutation import Permutation, conjugate
 
 
@@ -167,3 +169,36 @@ def test_find_group_isomorphism():
     f = find_group_isomorphism(s3(), shifted)
     assert f is not None
     assert_isomorphism(s3(), shifted, f)
+
+
+def test_isomorphisms_of_trivial_groups():
+    # the search along no generators reaches its leaf check at once
+    one, other = PermGroup(3, []), PermGroup(5, [])
+    assert find_group_isomorphism(one, other) == (0,)
+    a = MarkedPair(one, perm(3, "(1,2,3)"))
+    b = MarkedPair(other, perm(5, "(1,2)"))
+    assert find_pair_isomorphism(a, b) == (0,)
+
+
+def test_aut_of_c2_to_the_fifth_drops_maps_that_are_not_injective(monkeypatch):
+    # on an elementary abelian group every choice of generator images
+    # closes, so only the injectivity prune keeps the search small:
+    # without it the strong generators of GL(5,2) take 69,264 closures
+    monkeypatch.setenv("BLOCKFUNCTOR_MAX_ORDER", str(10**7))
+    L = PermGroup(10, [perm(10, f"({2 * i + 1},{2 * i + 2})") for i in range(5)])
+    closures = []
+    close_map = autos.close_map
+
+    def counted(*args):
+        closures.append(None)
+        return close_map(*args)
+
+    monkeypatch.setattr(autos, "close_map", counted)
+    gens = pair_automorphism_maps(L)
+    base = generator_labels(L)
+    order = 1
+    for i, point in enumerate(base):
+        level = [g.images for g in gens if all(g.images[y] == y for y in base[:i])]
+        order *= len(orbit(point, lambda y: [a[y] for a in level]))
+    assert order == 9999360  # |GL(5,2)|
+    assert len(closures) < 1000

@@ -255,7 +255,7 @@ def test_witnesses_are_the_label_form_of_the_oracle_witness(name):
                 expected = {x: x for x in L.elements()}
             else:
                 sequence = list(L.generators)
-                lists = oracles.element_candidates(L, P, sequence, [None] * len(sequence))
+                lists = oracles.element_candidates(L, P, sequence)
                 found = oracles.leaf_only_search(
                     L.identity.images, P.identity.images, L.order, P.order,
                     [g.images for g in sequence],

@@ -98,6 +98,7 @@ FIXTURE_ORDERS = {
     "a5.grp": 60,
     "a6.grp": 360,
     "c11sq_c2.grp": 242,
+    "c2e6_c7.grp": 448,
     "c3.grp": 3,
     "c5cubed_c4.grp": 500,
     "c6.grp": 6,

@@ -5,7 +5,9 @@ module never uses (a name listed in the module's __all__ counts as used),
 and when a private function, class or method, one whose name starts with
 a single underscore, is referenced nowhere in src/blockfunctor outside
 its own definition.  A reference is a name or an attribute with that
-name; tests and docstrings do not count.
+name; tests and docstrings do not count.  It also fails when a module
+imports a private name of another module of the package: what more than
+one module reads is public.
 """
 
 import ast
@@ -83,3 +85,18 @@ def test_every_private_definition_is_referenced():
             ):
                 dead.append(f"{module}: {definition.name} (line {definition.lineno})")
     assert not dead, f"private definitions referenced nowhere: {', '.join(dead)}"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = []
+    for path in MODULES:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "blockfunctor"
+            ):
+                private.extend(
+                    f"{path.name}: {alias.name} (line {node.lineno})"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.startswith("__")
+                )
+    assert not private, f"private names imported from another module: {', '.join(private)}"

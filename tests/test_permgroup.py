@@ -22,6 +22,7 @@ from blockfunctor.permgroup import (
     PermGroup,
     direct_product,
     frobenius_group,
+    homomorphism,
     normalizer,
     p_part,
     p_subgroup_classes,
@@ -443,8 +444,6 @@ def test_direct_product():
 
 
 def test_group_hom_detects_non_homomorphism():
-    from blockfunctor.permgroup import homomorphism
-
     G = s3()
     bad = [(perm(3, "(1,2,3)"), perm(3, "(1,2)")), (perm(3, "(1,2)"), perm(3, "(1,2)"))]
     with pytest.raises(InternalCheckError):
@@ -742,3 +741,51 @@ def test_all_subgroups_of_a_p_group(name):
     as_elements = {frozenset(raw[i] for i in s) for s in subgroups}
     rank = round(math.log(P.order, p))
     assert as_elements == oracles.all_p_subgroups(P.degree, raw, p, max_gens=rank)
+
+
+def assert_homomorphism_matches_close_hom(A, B, pairs):
+    """homomorphism on (generator, image) element pairs against
+    oracles.close_hom: the same images, or the same error.  True when
+    the images conflict."""
+    expected = oracles.close_hom(
+        A.identity.images, B.identity.images, [(g.images, h.images) for g, h in pairs]
+    )
+    labels = [(A.position(g), B.position(h)) for g, h in pairs]
+    if expected is None or len(expected) < A.order:
+        cause = "define a homomorphism" if expected is None else "cover the source group"
+        with pytest.raises(InternalCheckError, match=f"^generator images do not {cause}$"):
+            homomorphism(A, B, labels)
+        return expected is None
+    images = B.elements()
+    got = [images[j].images for j in homomorphism(A, B, labels)]
+    assert got == [expected[x.images] for x in A.elements()]
+    return False
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(generator_lists(max_degree=5), generator_lists(max_degree=4), st.data())
+def test_homomorphism_matches_close_hom_on_random_images(source, target, data):
+    # the images are drawn from the target, so most of them conflict; a
+    # prefix of the generators leaves the group uncovered
+    A, B = PermGroup(*source), PermGroup(*target)
+    assume(A.order > 2 and B.order > 1)
+    kept = data.draw(st.integers(0, len(A.generators)))
+    pairs = [(g, data.draw(st.sampled_from(B.elements()))) for g in A.generators[:kept]]
+    assert_homomorphism_matches_close_hom(A, B, pairs)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(generator_lists(max_degree=5), st.data())
+def test_homomorphism_matches_close_hom_on_quotient_projections(source, data):
+    # the projection onto G/N, with N the normal closure of an element,
+    # is a homomorphism that is not injective once N is not trivial
+    G = PermGroup(*source)
+    x = data.draw(st.sampled_from(G.elements()))
+    N = PermGroup(G.degree, [conjugate(g, x) for g in G.elements()])
+    Q, projection = quotient_group(G, N)
+    pairs = [(g, projection[g]) for g in G.generators]
+    assert not assert_homomorphism_matches_close_hom(G, Q, pairs)
+    assert homomorphism(G, Q, [(G.position(g), Q.position(h)) for g, h in pairs]) == [
+        Q.position(projection[y]) for y in G.elements()
+    ]
+

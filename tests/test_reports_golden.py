@@ -2,7 +2,7 @@
 
 Each case runs one command in-process and records its exit code, stdout
 and stderr.  The desk-scale fixtures are pinned in reports.golden, the
-F75 stretch fixture in stretch.golden, and F80, F240 and F351 under a
+F75 and C2^6:C7 stretch fixtures in stretch.golden, and F80, F240 and F351 under a
 raised order bound in raised.golden; the last route builds centralizers
 in Aut(C2^4) = GL(4,2) and Aut(C3^3) = GL(3,3).  The groups with no
 normal Sylow subgroup (S5, A5, PSL(2,7), A6, S3xS3) are pinned in
@@ -29,7 +29,7 @@ from blockfunctor.cli import main
 
 GOLDEN = DATA_DIR / "reports.golden"
 STRETCH_GOLDEN = DATA_DIR / "stretch.golden"
-# the stretch fixtures (f75, f80, f240, f351, f2r11) are left out here
+# the stretch fixtures (f75, c2e6_c7, f80, f240, f351, f2r11) are left out here
 FIXTURES = [
     "a4.grp", "c3.grp", "f20.grp", "f20b.grp", "f21.grp",
     "g56.grp", "g72.grp", "s3.grp", "s4.grp",
@@ -50,6 +50,7 @@ CASES = [
 STRETCH_CASES = [
     ("verify-psi", "f75.grp"),
     ("mult", "f75.grp", "--formula", "both"),
+    ("pairs", "c2e6_c7.grp"),
 ]
 RAISED_GOLDEN = DATA_DIR / "raised.golden"
 RAISED_BOUND = "25000"  # over |GL(4,2)| = 20160 and |GL(3,3)| = 11232

@@ -3,9 +3,8 @@
 Every call the pipeline makes to the search while classifying pairs,
 computing Aut(L), running the fusion route and comparing groups is
 recorded, then repeated with ``oracles.leaf_only_search`` over the same
-candidate lists.  Pruning is exact only if both return the same maps in
-the same order; for the first-hit searches (pair and group isomorphism,
-and the strong generators of Aut(L)) that means the same witness.
+candidate lists.  Pruning is exact only if both return the same first
+map, so the same witness, isomorphism and strong generator of Aut(L).
 The pair isomorphism search runs on L and closes every partial map
 under conjugation by (u, u'), so the relation m(u x u^-1) = u' m(x) u'^-1
 prunes the search; the oracle closes only complete tuples and checks
@@ -41,14 +40,14 @@ def load(name):
 def searches(monkeypatch):
     """Every search call made while the test runs, with its result."""
     calls = []
-    search = autos._search_maps
+    search = autos._first_map
 
-    def recording(A, B, sequence, restrictions, limit=None, commuting=None):
-        found = search(A, B, sequence, restrictions, limit, commuting)
-        calls.append((A, B, sequence, restrictions, limit, commuting, found))
+    def recording(A, B, sequence, lists, twist=None):
+        found = search(A, B, sequence, lists, twist)
+        calls.append((A, B, sequence, lists, twist, found))
         return found
 
-    monkeypatch.setattr(autos, "_search_maps", recording)
+    monkeypatch.setattr(autos, "_first_map", recording)
     return calls
 
 
@@ -66,27 +65,24 @@ def marked_elements(*registries):
 
 def assert_same_as_leaf_only(calls, elements_of_twist=None):
     assert calls
-    for A, B, sequence, restrictions, limit, commuting, found in calls:
+    for A, B, sequence, lists, twist, found in calls:
         a_images = [x.images for x in A.elements()]
         b_images = [y.images for y in B.elements()]
-        lists = autos._candidate_lists(A, B, sequence, restrictions)
-        if commuting is not None:
-            c, d = commuting
-            commuting = (
-                elements_of_twist[id(A), c].images,
-                elements_of_twist[id(B), d].images,
-            )
+        if twist is not None:
+            c, d = twist
+            twist = (elements_of_twist[id(A), c].images, elements_of_twist[id(B), d].images)
         expected = oracles.leaf_only_search(
             A.identity.images,
             B.identity.images,
             A.order,
             B.order,
             [a_images[g] for g in sequence],
-            None if lists is None else [[b_images[y] for y in pool] for pool in lists],
-            limit,
-            commuting,
+            [[b_images[y] for y in pool] for pool in lists],
+            limit=1,
+            commuting=twist,
         )
-        assert [dict(zip(a_images, [b_images[j] for j in m])) for m in found] == expected
+        got = [] if found is None else [dict(zip(a_images, [b_images[j] for j in found]))]
+        assert got == expected
 
 
 @pytest.mark.parametrize("name", FIXTURES + ("f75",))
@@ -102,7 +98,7 @@ def test_every_pair_class_search_matches_leaf_only(name, searches):
     # have no other candidate images, such as C2, needs no search)
     aut_calls = searches[classified:]
     assert aut_calls
-    assert all(A is B and commuting is None for A, B, *_, commuting, _ in aut_calls)
+    assert all(A is B and twist is None for A, B, *_, twist, _ in aut_calls)
     assert {call[0].element_set() for call in aut_calls} <= {
         cls.realization.subgroup.element_set() for cls in registry.classes
     }
@@ -130,11 +126,14 @@ def test_compare_searches_match_leaf_only(searches):
 
 
 def test_an_image_fixed_by_the_prefix_must_still_be_a_candidate(searches):
-    # g2 = g1^2 lies in <g1>, so its image is fixed; the restriction
-    # admits it only when g1 goes to g1^2
+    # g2 = g1^2 lies in <g1>, so its image is fixed; the candidate list
+    # [g1] admits it only when g1 goes to g1^2
     C3 = load("c3").group
     g1 = C3.position(C3.generators[0])
     g2 = C3.table[g1][g1]
-    found = autos._search_maps(C3, C3, [g1, g2], [None, {g1}])
-    assert [m[g1] for m in found] == [g2]
+    lists = autos._candidate_lists(C3, C3, [g1, g2])
+    assert lists == [sorted([g1, g2])] * 2
+    found = autos._first_map(C3, C3, [g1, g2], [lists[0], [g1]])
+    assert found[g1] == g2
+    assert autos._first_map(C3, C3, [g1, g2], [[g1], [g1]]) is None
     assert_same_as_leaf_only(searches)
